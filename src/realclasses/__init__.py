@@ -22,11 +22,10 @@ from .counts import (
     strongly_real_psl,
     strongly_real_sl,
     strongly_real_slq,
-    verify_counts,
     zeta_real_gl,
     zeta_real_sl,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, UsageError
 from .fields import canonical_nonsquare, constrained_nonsquare, make_field
 from .oracle import enumerate_group, matrix_to_label, verify_group
 
@@ -35,6 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceeded",
     "CountReport",
+    "UsageError",
     "canonical_nonsquare",
     "constrained_nonsquare",
     "count",
@@ -53,7 +53,6 @@ __all__ = [
     "strongly_real_psl",
     "strongly_real_sl",
     "strongly_real_slq",
-    "verify_counts",
     "verify_group",
     "zeta_real_gl",
     "zeta_real_sl",

@@ -6,7 +6,8 @@ engine), ``genfun`` (generating-function coefficients for real classes of
 GL_n), and ``enumerate`` (label dumps with reality flags).
 
 Exit codes: 0 success / all match, 1 mismatch, 2 usage error, 3 budget or
-cap exceeded.  Output is deterministic: identical flags give byte-identical
+cap exceeded, 4 internal error (a fault in the engine, reported with its
+traceback).  Output is deterministic: identical flags give byte-identical
 output.
 """
 
@@ -15,15 +16,17 @@ import csv
 import json
 import math
 import sys
+import traceback
 
 from . import counts, labels, oracle, polys
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, UsageError
 from .fields import canonical_nonsquare, constrained_nonsquare, field_for_order
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 # the standard desk-scale verification matrix: every group small enough to
 # enumerate and classify outright, covering all five families
@@ -72,8 +75,6 @@ def _budget(args):
 # ---------------------------------------------------------------------------
 
 def cmd_count(args):
-    if args.family == "SLQ" and args.y is None:
-        raise ValueError("--family SLQ needs --y")
     report = counts.count(args.family, args.n, args.q, args.kind,
                           y_order=args.y, budget=_budget(args))
     payload = report.to_json()
@@ -102,22 +103,9 @@ def cmd_verify(args):
         runs = [oracle.verify_group(f, n, q, y_order=y, cap=cap)
                 for f, n, q, y in DESK_MATRIX]
     else:
-        for name in ("family", "n", "q"):
-            if getattr(args, name) is None:
-                raise ValueError("verify needs --family, --n, --q "
-                                 "(or --all-desk)")
-        if args.family == "SLQ" and args.y is None:
-            raise ValueError("--family SLQ needs --y")
-        kinds = None
-        if args.kind:
-            if args.kind == "zeta_real" and args.family not in ("GL", "SL"):
-                raise ValueError(
-                    "zeta-real counts are for the matrix groups GL, SL")
-            if args.kind == "zeta_real" and args.q % 2 == 0:
-                raise ValueError("zeta-real classes need odd q")
-            kinds = [args.kind]
         runs = [oracle.verify_group(args.family, args.n, args.q,
-                                    y_order=args.y, kinds=kinds,
+                                    y_order=args.y,
+                                    kinds=[args.kind] if args.kind else None,
                                     cap=args.cap)]
     ok = all(r["match"] for r in runs)
     payload = {"runs": runs, "match": ok}
@@ -195,7 +183,8 @@ def cmd_genfun(args):
 
 def cmd_enumerate(args):
     field = field_for_order(args.q)
-    zeta = canonical_nonsquare(field) if args.q % 2 == 1 else None
+    zeta = (canonical_nonsquare(field)
+            if "zeta_real" in counts.applicable_kinds("GL", args.q) else None)
     labs = labels.enumerate_labels(field, args.n, filt=args.filter,
                                    budget=_budget(args))
     header = ("n", "q", "label", "nu", "det", "real", "zeta_real",
@@ -218,7 +207,9 @@ def cmd_enumerate(args):
         if det == field.one:
             rec["sl_real"] = labels.sl_real(lab, args.n, args.q)
             rec["sl_strongly_real"] = labels.sl_strongly_real(field, lab)
-            if psl_regime:
+            # the PSL criterion reads real and zeta-real labels only
+            if psl_regime and (rec["real"] or labels.is_zeta_real_label(
+                    field, lab, psl_zeta)):
                 rec["psl_strongly_real"] = labels.psl_strongly_real(
                     field, lab, psl_zeta)
         if args.format == "json":
@@ -277,7 +268,7 @@ def _build_parser():
 
     p = sub.add_parser("count", help="closed-form class counts")
     common(p)
-    p.set_defaults(func=cmd_count, kind_default="real")
+    p.set_defaults(func=cmd_count, kind="real")
 
     p = sub.add_parser("verify", help="brute-force oracle vs formulas")
     common(p)
@@ -307,20 +298,23 @@ def _build_parser():
 def _validate(args):
     if args.command in ("count", "verify") and not getattr(args, "all_desk",
                                                            False):
-        if args.command == "count":
-            for name in ("family", "n", "q"):
-                if getattr(args, name) is None:
-                    raise ValueError("%s needs --family, --n, --q"
-                                     % args.command)
+        for name in ("family", "n", "q"):
+            if getattr(args, name) is None:
+                raise UsageError("%s needs --family, --n, --q%s"
+                                 % (args.command, " (or --all-desk)"
+                                    if args.command == "verify" else ""))
+        if args.family == "SLQ" and args.y is None:
+            raise UsageError("--family SLQ needs --y")
     if args.command in ("table13", "genfun", "enumerate"):
         if args.q is None:
-            raise ValueError("%s needs --q" % args.command)
-    if args.command == "enumerate" and args.n is None:
-        raise ValueError("enumerate needs --n")
-    if args.command == "count" and args.kind is None:
-        args.kind = "real"
+            raise UsageError("%s needs --q" % args.command)
+    if args.command == "enumerate":
+        if args.n is None:
+            raise UsageError("enumerate needs --n")
+        if args.filter == "zeta_real":
+            counts.check_kind("GL", args.q, "zeta_real")
     if getattr(args, "n", None) is not None and args.n < 0:
-        raise ValueError("--n must be nonnegative")
+        raise UsageError("--n must be nonnegative")
 
 
 def main(argv=None):
@@ -329,12 +323,17 @@ def main(argv=None):
     try:
         _validate(args)
         return args.func(args)
+    except UsageError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     except BudgetExceeded as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:  # the boundary: report any engine fault
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

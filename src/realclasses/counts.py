@@ -1,6 +1,8 @@
 """Counting engine for real, strongly real, and zeta-real conjugacy classes.
 
-Most quantities can be computed by two independent routes:
+Every (family, kind) cell is one entry of a registry, and ``count`` is the
+one dispatcher over it.  Most cells can be computed by two independent
+routes:
 
 * ``formula`` -- closed-form case dispatch, partition by partition;
 * ``enumeration`` -- direct generation of class labels (and, for the
@@ -14,16 +16,19 @@ hard error, never a rounding.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from . import labels
+from .errors import UsageError
 from .fields import (canonical_nonsquare, constrained_nonsquare,
                      field_for_order, prime_power, two_adic)
 from .polys import count_nqd, sigma
 
 FAMILIES = ("GL", "SL", "PGL", "PSL", "SLQ")
 KINDS = ("real", "strongly_real", "zeta_real")
+METHODS = ("formula", "enumeration", "both")
 DEFAULT_BUDGET = 10 ** 7
 
 
@@ -57,8 +62,7 @@ def sl_nu(nu, q):
         if full % 2:
             raise ArithmeticError("odd count cannot split by sign: %r" % (nu,))
         return full // 2
-    r = sum(1 for i, ni in enumerate(nu, 1) if i % 2 == 1 and ni > 0)
-    total = ((q + 1) ** r + (q - 1) ** r) // 2
+    total = f_nu(nu, q)
     for i, ni in enumerate(nu, 1):
         if not ni:
             continue
@@ -73,12 +77,6 @@ def f_nu(nu, q):
     """((q+1)^r + (q-1)^r)/2 with r the number of odd parts present."""
     r = sum(1 for i, ni in enumerate(nu, 1) if i % 2 == 1 and ni > 0)
     return ((q + 1) ** r + (q - 1) ** r) // 2
-
-
-def g_nu(nu, q):
-    """((q+1)^r - (q-1)^r)/2, the zeta-real companion of f_nu."""
-    r = sum(1 for i, ni in enumerate(nu, 1) if i % 2 == 1 and ni > 0)
-    return ((q + 1) ** r - (q - 1) ** r) // 2
 
 
 def sigma_nu(nu, q):
@@ -121,6 +119,15 @@ def psl_nu(nu, n, q):
     if d == 1 and odd:
         return Fraction(sl_nu(nu, q), 2)
     return Fraction(0)
+
+
+def _sl_real_nu(nu, n, q):
+    # in the corner n = 2 mod 4, q = 3 mod 4 the types with even parts only
+    # lose reality in SL_n(q); every other det-1 real GL-class stays real
+    # and splits into h_nu SL-classes
+    if n % 4 == 2 and q % 4 == 3 and not labels.has_odd_part(nu):
+        return 0
+    return labels.h_nu(nu, q) * sl_nu(nu, q)
 
 
 # ---------------------------------------------------------------------------
@@ -190,80 +197,15 @@ class CountReport:
 
 
 def _as_int(x, what):
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise ArithmeticError("fractional class count for %s: %s" % (what, x))
-        return int(x)
+    if isinstance(x, Fraction) and x.denominator != 1:
+        raise ArithmeticError("fractional class count for %s: %s" % (what, x))
     return int(x)
-
-
-def _finish(family, n, q, kind, regime, method, formula_map, enum_map,
-            y_order=None, zeta=None):
-    """Merge the per-partition maps from the requested routes into a report."""
-    if method == "formula":
-        chosen = formula_map
-    elif method == "enumeration":
-        chosen = enum_map
-    elif method == "both":
-        if formula_map is None or enum_map is None:
-            raise ValueError("both routes are not available here")
-        for nu in partition_list(n):
-            a = _as_int(formula_map.get(nu, 0), (family, n, q, kind, nu))
-            b = enum_map.get(nu, 0)
-            if a != b:
-                raise AssertionError(
-                    "formula/enumeration disagree for %s_%d(%d) %s at nu=%r: "
-                    "%d vs %d" % (family, n, q, kind, nu, a, b))
-        chosen = formula_map
-    else:
-        raise ValueError("unknown method %r" % (method,))
-    if chosen is None:
-        raise ValueError("method %r is not available for %s_%d(%d) %s"
-                         % (method, family, n, q, kind))
-    per_nu = []
-    total = 0
-    for nu in partition_list(n):
-        c = _as_int(chosen.get(nu, 0), (family, n, q, kind, nu))
-        if c < 0:
-            raise ArithmeticError("negative class count at %r" % (nu,))
-        per_nu.append((nu, c))
-        total += c
-    return CountReport(family, n, q, kind, total, method, regime, per_nu,
-                       y_order=y_order, zeta=zeta)
-
-
-def partition_list(n):
-    return labels.partitions_of(n)
 
 
 # ---------------------------------------------------------------------------
 # enumeration backends (label side)
 
 _ORBIT_CACHE = {}
-
-
-def _real_union_zeta_labels(field, n, budget):
-    """All real labels of weight n, plus the zeta-real ones when q is odd."""
-    out = list(labels.enumerate_labels(field, n, filt="real", budget=budget))
-    if field.q % 2 == 1:
-        zeta = canonical_nonsquare(field)
-        out += list(labels.enumerate_labels(field, n, filt="zeta_real",
-                                            zeta=zeta, budget=budget))
-    return out
-
-
-def _pgl_real_orbits(field, n, budget):
-    """Scalar-translation orbits of the real and zeta-real labels.
-
-    Each orbit is one real PGL_n(q)-conjugacy class; the backend is
-    insensitive to the choice of non-square because the orbit of a label
-    sweeps out every twist.
-    """
-    key = (field.q, n)
-    if key not in _ORBIT_CACHE:
-        pool = _real_union_zeta_labels(field, n, budget)
-        _ORBIT_CACHE[key] = labels.equivalence_classes(field, pool)
-    return _ORBIT_CACHE[key]
 
 
 def _tally(pairs):
@@ -273,364 +215,314 @@ def _tally(pairs):
     return out
 
 
-def _enum_gl_real(field, n, budget):
-    return _tally((labels.label_type(lab), 1)
-                  for lab in labels.enumerate_labels(field, n, filt="real",
-                                                     budget=budget))
+def _label_tally(field, n, zeta, budget, in_sl=None):
+    """Real labels of weight n by type; zeta-real ones when zeta is given.
 
-
-def _enum_gl_zeta(field, n, zeta_label, budget):
-    return _tally((labels.label_type(lab), 1)
-                  for lab in labels.enumerate_labels(field, n, filt="zeta_real",
-                                                     zeta=zeta_label,
-                                                     budget=budget))
-
-
-def _enum_sl_real(field, n, budget):
+    With ``in_sl(field, label, n)`` the tally keeps the det-1 labels
+    passing that criterion and weights each by h_nu, the number of
+    SL_n(q)-classes its GL-class splits into.
+    """
     q = field.q
+    filt = "real" if zeta is None else "zeta_real"
     pairs = []
-    for lab in labels.enumerate_labels(field, n, filt="real", budget=budget):
-        if label_det_is_one(field, lab) and labels.sl_real(lab, n, q):
-            nu = labels.label_type(lab)
+    for lab in labels.enumerate_labels(field, n, filt=filt, zeta=zeta,
+                                       budget=budget):
+        nu = labels.label_type(lab)
+        if in_sl is None:
+            pairs.append((nu, 1))
+        elif (labels.label_det(field, lab) == field.one
+              and in_sl(field, lab, n)):
             pairs.append((nu, labels.h_nu(nu, q)))
     return _tally(pairs)
 
 
-def _enum_sl_strong(field, n, budget):
-    q = field.q
-    pairs = []
-    for lab in labels.enumerate_labels(field, n, filt="real", budget=budget):
-        if label_det_is_one(field, lab) and labels.sl_strongly_real(field, lab):
-            nu = labels.label_type(lab)
-            pairs.append((nu, labels.h_nu(nu, q)))
-    return _tally(pairs)
+def _pgl_real_orbits(field, n, budget):
+    """Scalar-translation orbits of the real and zeta-real labels.
+
+    Each orbit is one real PGL_n(q)-conjugacy class; the backend is
+    insensitive to the choice of non-square because the orbit of a label
+    sweeps out every twist.  A cached pool passes the same label-budget
+    check that enumerating it afresh would.
+    """
+    filts = ("real", "zeta_real") if field.q % 2 == 1 else ("real",)
+    key = (field.q, n)
+    if key in _ORBIT_CACHE:
+        for filt in filts:
+            labels.check_label_budget(field.q, n, filt, budget)
+    else:
+        pool = [lab for filt in filts
+                for lab in labels.enumerate_labels(field, n, filt=filt,
+                                                   budget=budget)]
+        _ORBIT_CACHE[key] = labels.equivalence_classes(field, pool)
+    return _ORBIT_CACHE[key]
 
 
-def _enum_sl_zeta(field, n, zeta_label, budget):
-    q = field.q
-    pairs = []
-    for lab in labels.enumerate_labels(field, n, filt="zeta_real",
-                                       zeta=zeta_label, budget=budget):
-        if label_det_is_one(field, lab):
-            nu = labels.label_type(lab)
-            pairs.append((nu, labels.h_nu(nu, q)))
-    return _tally(pairs)
-
-
-def label_det_is_one(field, lab):
-    return labels.label_det(field, lab) == field.one
-
-
-def _enum_pgl_real(field, n, budget):
+def _pgl_orbit_tally(field, n, zeta, budget):
     return _tally((labels.label_type(orb[0]), 1)
                   for orb in _pgl_real_orbits(field, n, budget))
 
 
-def _psl_member_orbits(field, n, budget):
-    """Orbits that meet PSL_n(q): determinant an n-th power, and carrying an
-    odd part when reality is lost on descent (n = 2 mod 4, q = 3 mod 4)."""
-    nth_powers = frozenset(field.pow(u, n) for u in field.units)
-    exceptional = (field.q % 2 == 1 and n % 4 == 2 and field.q % 4 == 3)
-    kept = []
-    for orb in _pgl_real_orbits(field, n, budget):
-        rep = orb[0]
-        if labels.label_det(field, rep) not in nth_powers:
-            continue
-        if exceptional and not labels.has_odd_part(labels.label_type(rep)):
-            continue
-        kept.append(orb)
-    return kept
+def _psl_orbit_tally(field, n, zeta, budget, strong=False):
+    """Orbits that meet PSL_n(q), weighted by h_nu.
 
-
-def _enum_psl_real(field, n, budget):
+    An orbit meets PSL when its determinant is an n-th power and, where
+    reality is lost on descent (n = 2 mod 4, q = 3 mod 4), it carries an
+    odd part.  In that corner strong reality telescopes the per-label
+    criterion over every orbit member (any strongly real lift suffices),
+    with the non-square zeta, zeta^{n/2} = -1, so that determinants behave
+    like the real case.
+    """
     q = field.q
+    nth_powers = frozenset(field.pow(u, n) for u in field.units)
+    exceptional = q % 2 == 1 and n % 4 == 2 and q % 4 == 3
+    zeta = constrained_nonsquare(field, n) if strong and exceptional else None
     pairs = []
-    for orb in _psl_member_orbits(field, n, budget):
+    for orb in _pgl_real_orbits(field, n, budget):
         nu = labels.label_type(orb[0])
+        if labels.label_det(field, orb[0]) not in nth_powers:
+            continue
+        if exceptional and not labels.has_odd_part(nu):
+            continue
+        if zeta is not None and not any(
+                labels.psl_strongly_real(field, lab, zeta) for lab in orb):
+            continue
         pairs.append((nu, labels.h_nu(nu, q)))
     return _tally(pairs)
 
 
-def _enum_psl_strong(field, n, budget):
-    """Exceptional-regime strong reality: telescope the per-label criterion
-    over every orbit member (any strongly real lift suffices)."""
-    q = field.q
-    zeta = constrained_nonsquare(field, n)
-    pairs = []
-    for orb in _psl_member_orbits(field, n, budget):
-        if any(labels.psl_strongly_real(field, lab, zeta) for lab in orb):
-            nu = labels.label_type(orb[0])
-            pairs.append((nu, labels.h_nu(nu, q)))
-    return _tally(pairs)
+# ---------------------------------------------------------------------------
+# the (family, kind) registry
+
+@dataclass(frozen=True)
+class _Entry:
+    """How one (family, kind) cell is counted.
+
+    ``regime(n, q)`` names the case of the analysis that applies (SLQ:
+    ``regime(n, q, y_order)``).  ``formula(nu, n, q)`` is the count of type
+    nu, or None where the cell has no closed form; ``enum_only`` lists the
+    regimes where it has none either.  ``enumerate(field, n, zeta,
+    budget)`` is the label route, a map from type to count; zeta is None
+    unless the kind is zeta-real.  Criteria are looked up at call time,
+    never stored, so that wrappers installed on the labels module see
+    every call.
+    """
+    regime: object
+    formula: object
+    enumerate: object
+    enum_only: tuple = ()
 
 
+def _sl_real_label(field, lab, n):
+    return labels.sl_real(lab, n, field.q)
 
-def _check_nq(n, q):
+
+def _sl_strong_label(field, lab, n):
+    return labels.sl_strongly_real(field, lab)
+
+
+def _psl_real_nu(nu, n, q):
+    return labels.h_nu(nu, q) * psl_nu(nu, n, q)
+
+
+# every real class of GL_n(q) and of PGL_n(q) is strongly real
+_GL = _Entry(lambda n, q: "generic", lambda nu, n, q: gl_nu(nu, q),
+             _label_tally)
+_PGL = _Entry(pgl_regime, lambda nu, n, q: pgl_nu(nu, q), _pgl_orbit_tally)
+# the intermediate quotients SL_n(q)/Y (the regimes not in _SLQ_ENDPOINT)
+# count exactly the det-1 real labels, and each such class is strongly real
+_SLQ = _Entry(slq_regime, lambda nu, n, q: labels.h_nu(nu, q) * sl_nu(nu, q),
+              partial(_label_tally, in_sl=_sl_real_label))
+_REGISTRY = {
+    ("GL", "real"): _GL,
+    ("GL", "strongly_real"): _GL,
+    # g conjugate to zeta * g^{-1}: the same count for every non-square zeta
+    ("GL", "zeta_real"): _Entry(lambda n, q: "generic",
+                                lambda nu, n, q: zeta_gl_nu(nu, q),
+                                _label_tally),
+    ("SL", "real"): _Entry(sl_regime, _sl_real_nu,
+                           partial(_label_tally, in_sl=_sl_real_label)),
+    # strong reality is reality unless n = 2 mod 4 with q odd; there the
+    # criterion (some odd-position u_i vanishing at 1 or -1) has no closed
+    # form
+    ("SL", "strongly_real"): _Entry(
+        sl_regime, _sl_real_nu, partial(_label_tally, in_sl=_sl_strong_label),
+        enum_only=("n2mod4_q1mod4", "n2mod4_q3mod4")),
+    # unlike GL the answer can depend on which non-square is used, and
+    # there is no closed form: det-1 labels weighted by the h_nu splitting
+    ("SL", "zeta_real"): _Entry(
+        sl_regime, None,
+        partial(_label_tally, in_sl=lambda field, lab, n: True)),
+    ("PGL", "real"): _PGL,
+    ("PGL", "strongly_real"): _PGL,
+    ("PSL", "real"): _Entry(psl_regime, _psl_real_nu, _psl_orbit_tally),
+    # strong reality is reality except at n = 2 mod 4, q = 3 mod 4
+    ("PSL", "strongly_real"): _Entry(
+        psl_regime, _psl_real_nu, partial(_psl_orbit_tally, strong=True),
+        enum_only=("n2mod4_q3mod4",)),
+    ("SLQ", "real"): _SLQ,
+    ("SLQ", "strongly_real"): _SLQ,
+}
+
+# regimes where SL_n(q)/Y counts as an endpoint: |Y| odd (or q even)
+# changes nothing from SL, |Y| carrying the whole two-adic part of
+# gcd(n, q-1) nothing from PSL
+_SLQ_ENDPOINT = {"q_even": "SL", "y_odd": "SL", "y_full_two_adic": "PSL"}
+
+
+def applicable_kinds(family, q):
+    """The kinds counted for a family over F_q: zeta-real only for the
+    matrix groups GL and SL, and only at odd q."""
+    return tuple(k for k in KINDS if (family, k) in _REGISTRY
+                 and (k != "zeta_real" or q % 2 == 1))
+
+
+def check_kind(family, q, kind):
+    """Raise UsageError unless ``kind`` is counted for ``family`` over F_q."""
+    if kind not in KINDS:
+        raise UsageError("unknown kind %r" % (kind,))
+    if (family, kind) not in _REGISTRY:
+        raise UsageError("zeta-real counts are for the matrix groups GL, SL")
+    if kind not in applicable_kinds(family, q):
+        raise UsageError("zeta-real classes need odd q")
+
+
+def check_group(family, n, q, y_order=None):
+    """Raise UsageError unless the arguments name one of the five groups."""
+    if family not in FAMILIES:
+        raise UsageError("unknown family %r" % (family,))
     if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer, got %r" % (n,))
+        raise UsageError("n must be a nonnegative integer, got %r" % (n,))
     prime_power(q)
+    if family == "SLQ":
+        if y_order is None:
+            raise UsageError("family SLQ needs the order of Y")
+        full = math.gcd(n, q - 1)
+        if y_order < 1 or full % y_order != 0:
+            raise UsageError("|Y| = %d must divide gcd(n, q-1) = %d"
+                             % (y_order, full))
 
-
-# ---------------------------------------------------------------------------
-# GL
-
-def real_gl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    """Real conjugacy classes of GL_n(q); all of them are strongly real."""
-    _check_nq(n, q)
-    formula_map = {nu: gl_nu(nu, q) for nu in partition_list(n)}
-    enum_map = None
-    if method in ("enumeration", "both"):
-        enum_map = _enum_gl_real(field_for_order(q), n, budget)
-    return _finish("GL", n, q, "real", "generic", method, formula_map, enum_map)
-
-
-def strongly_real_gl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    rep = real_gl(n, q, method=method, budget=budget)
-    rep.kind = "strongly_real"
-    return rep
-
-
-def zeta_real_gl(n, q, method="formula", zeta=None, budget=DEFAULT_BUDGET):
-    """zeta-real classes of GL_n(q): g conjugate to zeta * g^{-1}, q odd.
-
-    The count is the same for every non-square zeta.  The label route tests
-    membership against the reciprocal twist because a label's polynomials
-    track inverse eigenvalue data.
-    """
-    _check_nq(n, q)
-    if q % 2 == 0:
-        raise ValueError("zeta-real classes need odd q")
-    formula_map = {nu: zeta_gl_nu(nu, q) for nu in partition_list(n)}
-    enum_map = None
-    field = field_for_order(q)
-    if zeta is None:
-        zeta = canonical_nonsquare(field)
-    if method in ("enumeration", "both"):
-        enum_map = _enum_gl_zeta(field, n, field.inv(zeta), budget)
-    rep = _finish("GL", n, q, "zeta_real", "generic", method, formula_map,
-                  enum_map, zeta=zeta)
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# SL
-
-def real_sl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    """Real conjugacy classes of SL_n(q).
-
-    Outside n = 2 mod 4 with q = 3 mod 4 every det-1 real GL-class stays
-    real and splits into h_nu SL-classes.  In the exceptional corner the
-    types with even parts only lose reality and drop out.
-    """
-    _check_nq(n, q)
-    regime = sl_regime(n, q)
-    formula_map = {}
-    for nu in partition_list(n):
-        if regime == "n2mod4_q3mod4" and not labels.has_odd_part(nu):
-            formula_map[nu] = 0
-        else:
-            formula_map[nu] = labels.h_nu(nu, q) * sl_nu(nu, q)
-    enum_map = None
-    if method in ("enumeration", "both"):
-        enum_map = _enum_sl_real(field_for_order(q), n, budget)
-    return _finish("SL", n, q, "real", regime, method, formula_map, enum_map)
-
-
-def strongly_real_sl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    """Strongly real classes of SL_n(q).
-
-    Coincides with the real count unless n = 2 mod 4 with q odd; there the
-    criterion (some odd-position u_i vanishing at 1 or -1) has no closed
-    form and the count is enumeration-backed.
-    """
-    _check_nq(n, q)
-    regime = sl_regime(n, q)
-    if q % 2 == 0 or n % 4 != 2:
-        rep = real_sl(n, q, method=method, budget=budget)
-        rep.kind = "strongly_real"
-        return rep
-    enum_map = _enum_sl_strong(field_for_order(q), n, budget)
-    return _finish("SL", n, q, "strongly_real", regime, "enumeration",
-                   None, enum_map)
-
-
-def zeta_real_sl(n, q, zeta=None, budget=DEFAULT_BUDGET):
-    """zeta-real classes of SL_n(q) for a specific non-square zeta.
-
-    Unlike GL, the answer can depend on which non-square is used, so this
-    is enumeration-only: det-1 labels built from the reciprocal twist,
-    weighted by the h_nu splitting.
-    """
-    _check_nq(n, q)
-    if q % 2 == 0:
-        raise ValueError("zeta-real classes need odd q")
-    field = field_for_order(q)
-    if zeta is None:
-        zeta = canonical_nonsquare(field)
-    enum_map = _enum_sl_zeta(field, n, field.inv(zeta), budget)
-    return _finish("SL", n, q, "zeta_real", sl_regime(n, q), "enumeration",
-                   None, enum_map, zeta=zeta)
-
-
-# ---------------------------------------------------------------------------
-# PGL
-
-def real_pgl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    """Real conjugacy classes of PGL_n(q); all of them are strongly real."""
-    _check_nq(n, q)
-    formula_map = {nu: pgl_nu(nu, q) for nu in partition_list(n)}
-    enum_map = None
-    if method in ("enumeration", "both"):
-        enum_map = _enum_pgl_real(field_for_order(q), n, budget)
-    return _finish("PGL", n, q, "real", pgl_regime(n, q), method,
-                   formula_map, enum_map)
-
-
-def strongly_real_pgl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    _check_nq(n, q)
-    rep = real_pgl(n, q, method=method, budget=budget)
-    rep.kind = "strongly_real"
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# PSL
-
-def real_psl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    """Real conjugacy classes of PSL_n(q)."""
-    _check_nq(n, q)
-    formula_map = {nu: labels.h_nu(nu, q) * psl_nu(nu, n, q)
-                   for nu in partition_list(n)}
-    enum_map = None
-    if method in ("enumeration", "both"):
-        enum_map = _enum_psl_real(field_for_order(q), n, budget)
-    return _finish("PSL", n, q, "real", psl_regime(n, q), method,
-                   formula_map, enum_map)
-
-
-def strongly_real_psl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    """Strongly real classes of PSL_n(q).
-
-    Equal to the real count except when n = 2 mod 4 and q = 3 mod 4, where
-    the factor-degree criterion is applied to every lift of each class;
-    that branch is enumeration-backed and uses the non-square zeta with
-    zeta^{n/2} = -1 so that determinants behave like the real case.
-    """
-    _check_nq(n, q)
-    regime = psl_regime(n, q)
-    if regime != "n2mod4_q3mod4":
-        rep = real_psl(n, q, method=method, budget=budget)
-        rep.kind = "strongly_real"
-        return rep
-    enum_map = _enum_psl_strong(field_for_order(q), n, budget)
-    return _finish("PSL", n, q, "strongly_real", regime, "enumeration",
-                   None, enum_map)
-
-
-# ---------------------------------------------------------------------------
-# SL_n(q)/Y
-
-def _check_y(n, q, y_order):
-    if y_order < 1 or math.gcd(n, q - 1) % y_order != 0:
-        raise ValueError("|Y| = %d must divide gcd(n, q-1) = %d"
-                         % (y_order, math.gcd(n, q - 1)))
-
-
-def real_slq(n, q, y_order, method="formula", budget=DEFAULT_BUDGET):
-    """Real classes of SL_n(q)/Y for the central subgroup of order |Y|."""
-    _check_nq(n, q)
-    _check_y(n, q, y_order)
-    regime = slq_regime(n, q, y_order)
-    if regime in ("q_even", "y_odd"):
-        rep = real_sl(n, q, method=method, budget=budget)
-    elif regime == "y_full_two_adic":
-        rep = real_psl(n, q, method=method, budget=budget)
-    else:
-        formula_map = {nu: labels.h_nu(nu, q) * sl_nu(nu, q)
-                       for nu in partition_list(n)}
-        enum_map = None
-        if method in ("enumeration", "both"):
-            # the intermediate quotients count exactly the det-1 real labels
-            enum_map = _enum_sl_real(field_for_order(q), n, budget)
-        return _finish("SLQ", n, q, "real", regime, method, formula_map,
-                       enum_map, y_order=y_order)
-    return CountReport("SLQ", n, q, "real", rep.total, rep.method, regime,
-                       rep.per_nu, y_order=y_order)
-
-
-def strongly_real_slq(n, q, y_order, method="formula", budget=DEFAULT_BUDGET):
-    """Strongly real classes of SL_n(q)/Y."""
-    _check_nq(n, q)
-    _check_y(n, q, y_order)
-    regime = slq_regime(n, q, y_order)
-    if regime in ("q_even", "y_odd"):
-        rep = strongly_real_sl(n, q, method=method, budget=budget)
-    elif regime == "y_full_two_adic":
-        rep = strongly_real_psl(n, q, method=method, budget=budget)
-    else:
-        rep = real_slq(n, q, y_order, method=method, budget=budget)
-        rep.kind = "strongly_real"
-        return rep
-    return CountReport("SLQ", n, q, "strongly_real", rep.total, rep.method,
-                       regime, rep.per_nu, y_order=y_order)
-
-
-# ---------------------------------------------------------------------------
-# dispatch used by the CLI
 
 def count(family, n, q, kind, y_order=None, method="formula", zeta=None,
           budget=DEFAULT_BUDGET):
-    if family not in FAMILIES:
-        raise ValueError("unknown family %r" % (family,))
-    if kind not in KINDS:
-        raise ValueError("unknown kind %r" % (kind,))
-    if family == "SLQ":
-        if y_order is None:
-            raise ValueError("family SLQ needs the order of Y")
-        if kind == "real":
-            return real_slq(n, q, y_order, method=method, budget=budget)
-        if kind == "strongly_real":
-            return strongly_real_slq(n, q, y_order, method=method,
-                                     budget=budget)
-        raise ValueError("zeta-real counts are for the matrix groups GL, SL")
-    if kind == "zeta_real" and family not in ("GL", "SL"):
-        raise ValueError("zeta-real counts are for the matrix groups GL, SL")
-    table = {
-        ("GL", "real"): real_gl,
-        ("GL", "strongly_real"): strongly_real_gl,
-        ("SL", "real"): real_sl,
-        ("SL", "strongly_real"): strongly_real_sl,
-        ("PGL", "real"): real_pgl,
-        ("PGL", "strongly_real"): strongly_real_pgl,
-        ("PSL", "real"): real_psl,
-        ("PSL", "strongly_real"): strongly_real_psl,
-    }
-    if kind == "zeta_real":
-        if family == "GL":
-            return zeta_real_gl(n, q, method=method, zeta=zeta, budget=budget)
-        return zeta_real_sl(n, q, zeta=zeta, budget=budget)
-    return table[(family, kind)](n, q, method=method, budget=budget)
+    """The ``kind`` classes of family_n(q) (SLQ: of SL_n(q)/Y, |Y| = y_order).
 
-
-def verify_counts(family, n, q, kind, y_order=None, zeta=None,
-                  budget=DEFAULT_BUDGET):
-    """Cross-check the two routes; returns (match, formula_report, enum_report).
-
-    Kinds that are enumeration-only (no closed form) are checked for
-    internal consistency by running the enumeration twice deterministically.
+    ``method`` picks the closed form ("formula"), the label route
+    ("enumeration"), or both with per-partition agreement ("both").  Cells
+    without a closed form are enumerated whatever the method, and their
+    report says so.  ``zeta`` is the non-square of a zeta-real count,
+    by default the least one.  Returns a CountReport.
     """
-    try:
-        a = count(family, n, q, kind, y_order=y_order, method="formula",
-                  zeta=zeta, budget=budget)
-    except ValueError:
-        a = None
-    b = count(family, n, q, kind, y_order=y_order, method="enumeration",
-              zeta=zeta, budget=budget)
-    if a is None:
-        a = count(family, n, q, kind, y_order=y_order, method="enumeration",
-                  zeta=zeta, budget=budget)
-    match = (a.total == b.total and a.per_nu == b.per_nu)
-    return match, a, b
+    check_group(family, n, q, y_order)
+    check_kind(family, q, kind)
+    if method not in METHODS:
+        raise UsageError("unknown method %r" % (method,))
+    return _count(family, n, q, kind, y_order, method, zeta, budget)
+
+
+def _count(family, n, q, kind, y_order, method, zeta, budget):
+    entry = _REGISTRY[family, kind]
+    if family != "SLQ":
+        return _route(family, n, q, kind, entry, entry.regime(n, q), method,
+                      zeta, budget)
+    regime = entry.regime(n, q, y_order)
+    if regime in _SLQ_ENDPOINT:
+        rep = _count(_SLQ_ENDPOINT[regime], n, q, kind, None, method, zeta,
+                     budget)
+    else:
+        rep = _route(family, n, q, kind, entry, regime, method, zeta, budget)
+    return replace(rep, family="SLQ", regime=regime, y_order=y_order)
+
+
+def _route(family, n, q, kind, entry, regime, method, zeta, budget):
+    """Run the requested routes of one entry and merge them into a report."""
+    formula = None if regime in entry.enum_only else entry.formula
+    if formula is None:
+        method = "enumeration"
+    field = twist = None
+    if kind == "zeta_real":
+        field = field_for_order(q)
+        if zeta is None:
+            zeta = canonical_nonsquare(field)
+        # labels track inverse eigenvalues, so the label route tests
+        # zeta-reality against the reciprocal twist zeta^{-1}
+        twist = field.inv(zeta)
+    else:
+        zeta = None
+    nus = labels.partitions_of(n)
+    where = "%s_%d(%d) %s" % (family, n, q, kind)
+    if method != "enumeration":
+        formula_map = {nu: _as_int(formula(nu, n, q), (where, nu))
+                       for nu in nus}
+    if method != "formula":
+        enum_map = entry.enumerate(field or field_for_order(q), n, twist,
+                                   budget)
+    if method == "both":
+        for nu in nus:
+            a, b = formula_map[nu], enum_map.get(nu, 0)
+            if a != b:
+                raise AssertionError(
+                    "formula/enumeration disagree for %s at nu=%r: %d vs %d"
+                    % (where, nu, a, b))
+    chosen = enum_map if method == "enumeration" else formula_map
+    per_nu = [(nu, chosen.get(nu, 0)) for nu in nus]
+    for nu, c in per_nu:
+        if c < 0:
+            raise ArithmeticError("negative class count at %r" % (nu,))
+    return CountReport(family, n, q, kind, sum(c for _, c in per_nu), method,
+                       regime, per_nu, zeta=zeta)
+
+
+# ---------------------------------------------------------------------------
+# the named counts, one per registry cell
+
+def real_gl(n, q, method="formula", budget=DEFAULT_BUDGET):
+    return count("GL", n, q, "real", method=method, budget=budget)
+
+
+def strongly_real_gl(n, q, method="formula", budget=DEFAULT_BUDGET):
+    return count("GL", n, q, "strongly_real", method=method, budget=budget)
+
+
+def zeta_real_gl(n, q, method="formula", zeta=None, budget=DEFAULT_BUDGET):
+    return count("GL", n, q, "zeta_real", method=method, zeta=zeta,
+                 budget=budget)
+
+
+def real_sl(n, q, method="formula", budget=DEFAULT_BUDGET):
+    return count("SL", n, q, "real", method=method, budget=budget)
+
+
+def strongly_real_sl(n, q, method="formula", budget=DEFAULT_BUDGET):
+    return count("SL", n, q, "strongly_real", method=method, budget=budget)
+
+
+def zeta_real_sl(n, q, zeta=None, budget=DEFAULT_BUDGET):
+    return count("SL", n, q, "zeta_real", zeta=zeta, budget=budget)
+
+
+def real_pgl(n, q, method="formula", budget=DEFAULT_BUDGET):
+    return count("PGL", n, q, "real", method=method, budget=budget)
+
+
+def strongly_real_pgl(n, q, method="formula", budget=DEFAULT_BUDGET):
+    return count("PGL", n, q, "strongly_real", method=method, budget=budget)
+
+
+def real_psl(n, q, method="formula", budget=DEFAULT_BUDGET):
+    return count("PSL", n, q, "real", method=method, budget=budget)
+
+
+def strongly_real_psl(n, q, method="formula", budget=DEFAULT_BUDGET):
+    return count("PSL", n, q, "strongly_real", method=method, budget=budget)
+
+
+def real_slq(n, q, y_order, method="formula", budget=DEFAULT_BUDGET):
+    return count("SLQ", n, q, "real", y_order, method=method, budget=budget)
+
+
+def strongly_real_slq(n, q, y_order, method="formula", budget=DEFAULT_BUDGET):
+    return count("SLQ", n, q, "strongly_real", y_order, method=method,
+                 budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +536,7 @@ def genfun_real_gl(q, terms=8):
     """
     prime_power(q)
     if terms < 0:
-        raise ValueError("terms must be nonnegative")
+        raise UsageError("terms must be nonnegative")
     e = math.gcd(2, q - 1)
 
     def mul(a, b):

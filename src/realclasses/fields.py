@@ -7,12 +7,15 @@ canonical, which the rest of the package leans on (canonical non-squares,
 deterministic label enumeration, reproducible CLI output).
 
 The modulus is the lexicographically least monic irreducible of degree k
-over F_p, comparing coefficient tuples lowest degree first.  It is found
-by exhaustive search at construction time.  For example F_4 uses
+over F_p, comparing coefficient tuples lowest degree first: the first of
+``polys.irreducibles`` over the prime field.  For example F_4 uses
 t^2 + t + 1 and F_9 uses t^2 + 1.
 """
 
 import numpy as np
+
+from . import polys
+from .errors import UsageError
 
 MAX_Q = 128
 
@@ -36,88 +39,23 @@ def two_adic(m):
 
 
 # ---------------------------------------------------------------------------
-# prime-field polynomial helpers used only for the modulus search
-
-def _fp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_rem(num, den, p):
-    """Remainder of num / den over F_p; coefficient lists, lowest degree first."""
-    num = list(num)
-    dd = len(den) - 1
-    inv = pow(den[-1], p - 2, p)
-    while len(num) - 1 >= dd and any(num):
-        _fp_trim(num)
-        if len(num) - 1 < dd:
-            break
-        shift = len(num) - 1 - dd
-        c = (num[-1] * inv) % p
-        for i, d in enumerate(den):
-            num[shift + i] = (num[shift + i] - c * d) % p
-        _fp_trim(num)
-    return num
-
-
-def _fp_irreducible(f, p, cache):
-    """f monic over F_p, degree >= 1; trial division by lower-degree irreducibles."""
-    deg = len(f) - 1
-    for e in range(1, deg // 2 + 1):
-        for g in _fp_irreducibles(e, p, cache):
-            r = _fp_rem(f, g, p)
-            if not any(r):
-                return False
-    return True
-
-
-def _fp_irreducibles(deg, p, cache):
-    if deg not in cache:
-        found = []
-        for idx in range(p ** deg):
-            lower, i = [], idx
-            for _ in range(deg):
-                i, r = divmod(i, p)
-                lower.append(r)
-            # idx counts with the low coefficient varying fastest; rebuild in
-            # lex order (c0 most significant) below instead.
-            found.append(tuple(lower) + (1,))
-        found = [f for f in found if _fp_irreducible(f, p, cache)]
-        cache[deg] = found
-    return cache[deg]
-
-
-def _find_modulus(p, k):
-    """Lexicographically least monic irreducible of degree k over F_p."""
-    if k == 1:
-        return (0, 1)
-    cache = {}
-    best = None
-    for f in _fp_irreducibles(k, p, cache):
-        key = f[:-1]  # (c0, ..., c_{k-1}); compare c0 first
-        if best is None or key < best[:-1]:
-            best = f
-    return best
-
-
-# ---------------------------------------------------------------------------
 
 class Field:
     """F_q, q = p^k, with table-backed arithmetic on integer indices."""
 
     def __init__(self, p, k=1):
         if not is_prime(p):
-            raise ValueError("characteristic must be prime, got %r" % (p,))
+            raise UsageError("characteristic must be prime, got %r" % (p,))
         if not isinstance(k, int) or k < 1:
-            raise ValueError("extension degree must be a positive integer")
+            raise UsageError("extension degree must be a positive integer")
         q = p ** k
         if q > MAX_Q:
-            raise ValueError("q = %d exceeds the supported bound %d" % (q, MAX_Q))
+            raise UsageError("q = %d exceeds the supported bound %d" % (q, MAX_Q))
         self.p = p
         self.k = k
         self.q = q
-        self.modulus = _find_modulus(p, k)
+        self.modulus = (0, 1) if k == 1 else polys.irreducibles(
+            make_field(p, 1), k)[0]
 
         add = np.zeros((q, q), dtype=np.int16)
         mul = np.zeros((q, q), dtype=np.int16)
@@ -137,17 +75,9 @@ class Field:
             neg[a] = self._encode([(-x) % p for x in self._digits(a)])
         self.neg_table = neg
 
-        inv = np.zeros(q, dtype=np.int16)
-        for a in range(1, q):
-            # |F_q^*| = q - 1, so a^(q-2) is the inverse
-            acc, base, e = 1, a, q - 2
-            while e:
-                if e & 1:
-                    acc = int(mul[acc, base])
-                base = int(mul[base, base])
-                e >>= 1
-            inv[a] = acc
-        self.inv_table = inv
+        # |F_q^*| = q - 1, so a^(q-2) is the inverse
+        self.inv_table = np.array(
+            [0] + [self.pow(a, q - 2) for a in range(1, q)], dtype=np.int16)
 
         self.zero = 0
         self.one = 1
@@ -201,9 +131,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero in %r" % (self,))
         return int(self.inv_table[a])
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         if e < 0:
             a, e = self.inv(a), -e
@@ -243,9 +170,9 @@ def make_field(p, k=1):
 
 
 def prime_power(q):
-    """Decompose q as (p, k) with p prime and q = p^k, or raise ValueError."""
+    """Decompose q as (p, k) with p prime and q = p^k, or raise UsageError."""
     if not isinstance(q, int) or q < 2:
-        raise ValueError("q must be an integer >= 2, got %r" % (q,))
+        raise UsageError("q must be an integer >= 2, got %r" % (q,))
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -259,7 +186,7 @@ def prime_power(q):
         m //= p
         k += 1
     if m != 1:
-        raise ValueError("%d is not a prime power" % (q,))
+        raise UsageError("%d is not a prime power" % (q,))
     return p, k
 
 
@@ -267,11 +194,6 @@ def field_for_order(q):
     """The cached field with exactly q elements."""
     p, k = prime_power(q)
     return make_field(p, k)
-
-
-def is_square(field, x):
-    """Whether x is a square in the field; zero counts as a square."""
-    return field.is_square(x)
 
 
 def canonical_nonsquare(field):
@@ -298,12 +220,3 @@ def constrained_nonsquare(field, n):
         if not field.is_square(x) and field.pow(x, n // 2) == field.minus_one:
             return x
     raise ValueError("no non-square z with z^%d = -1 in %r" % (n // 2, field))
-
-
-def has_nth_root_of_minus_one(field, n):
-    """Whether x^n = -1 is solvable in F_q (q odd)."""
-    if field.q % 2 == 0:
-        raise ValueError("-1 has no meaningful n-th root condition for even q")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    return two_adic(n) < two_adic(field.q - 1)

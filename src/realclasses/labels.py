@@ -25,18 +25,18 @@ from functools import lru_cache
 
 from . import polys
 from .errors import BudgetExceeded
-from .fields import two_adic
+from .fields import canonical_nonsquare, two_adic
 
 
 @lru_cache(maxsize=None)
-def partitions_of(n, bound=12):
+def partitions_of(n):
     """Partitions of n as exponent tuples (n_1, ..., n_m), trailing entry > 0.
 
     The exponent tuple (n_1, n_2, ...) encodes 1^{n_1} 2^{n_2} ...;
     the entry n_i counts how many parts equal i.
     """
-    if n < 0 or n > bound:
-        raise ValueError("partitions supported for 0 <= n <= %d" % bound)
+    if n < 0:
+        raise ValueError("partitions need n >= 0, got %r" % (n,))
 
     def gen(remaining, max_part):
         if remaining == 0:
@@ -166,19 +166,6 @@ def const1_polys(field, d):
             yield (1,) + mid + (lead,)
 
 
-def count_all_labels(field, n):
-    """Number of labels of weight n = number of conjugacy classes of GL_n(q)."""
-    q = field.q
-    total = 0
-    for nu in partitions_of(n):
-        prod = 1
-        for ni in nu:
-            if ni:
-                prod *= (q - 1) * q ** (ni - 1)
-        total += prod
-    return total
-
-
 def _poly_pools(field, nu, filt, zeta):
     pools = []
     for ni in nu:
@@ -195,18 +182,9 @@ def _poly_pools(field, nu, filt, zeta):
     return pools
 
 
-def enumerate_labels(field, n, filt=None, zeta=None, budget=10 ** 7):
-    """Yield all labels of weight n, optionally only real / zeta_real ones.
-
-    Deterministic order: partitions in partitions_of order, polynomials in
-    sorted order within each slot.  Raises BudgetExceeded (before yielding
-    anything) if the total count passes the budget.
-    """
-    from .fields import canonical_nonsquare
-
-    if filt == "zeta_real" and zeta is None:
-        zeta = canonical_nonsquare(field)
-    q = field.q
+def check_label_budget(q, n, filt, budget):
+    """Raise BudgetExceeded if the labels enumerate_labels would yield for
+    (q, n, filt) number more than the budget; counted, not generated."""
     total = 0
     for nu in partitions_of(n):
         prod = 1
@@ -222,6 +200,18 @@ def enumerate_labels(field, n, filt=None, zeta=None, budget=10 ** 7):
         total += prod
     if total > budget:
         raise BudgetExceeded("%d labels exceed the budget of %d" % (total, budget))
+
+
+def enumerate_labels(field, n, filt=None, zeta=None, budget=10 ** 7):
+    """Yield all labels of weight n, optionally only real / zeta_real ones.
+
+    Deterministic order: partitions in partitions_of order, polynomials in
+    sorted order within each slot.  Raises BudgetExceeded (before yielding
+    anything) if the total count passes the budget.
+    """
+    if filt == "zeta_real" and zeta is None:
+        zeta = canonical_nonsquare(field)
+    check_label_budget(field.q, n, filt, budget)
 
     def gen():
         for nu in partitions_of(n):

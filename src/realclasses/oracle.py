@@ -14,9 +14,9 @@ square roots {h : h^2 in Y}.
 """
 
 import itertools
+import math
 import os
 import random
-from collections import deque
 
 import numpy as np
 
@@ -54,7 +54,6 @@ def group_order(family, n, q, y_order=None):
     if family == "SL":
         return sl
     if family == "PSL":
-        import math
         return sl // math.gcd(n, q - 1)
     if family == "SLQ":
         return sl // y_order
@@ -92,36 +91,23 @@ def mat_scale(field, z, a):
     return tuple(tuple(field.mul(z, x) for x in row) for row in a)
 
 
-def mat_inv(field, a):
-    n = len(a)
-    work = [list(row) + [field.one if i == j else field.zero
-                         for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != field.zero),
-                   None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = field.inv(work[col][col])
-        work[col] = [field.mul(inv, x) for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != field.zero:
-                c = work[r][col]
-                work[r] = [field.sub(x, field.mul(c, y))
-                           for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def mat_rank(field, a):
-    rows = [list(r) for r in a]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    for col in range(ncols):
+def _rref(field, rows):
+    """Gauss-Jordan elimination: the reduced rows, the pivot column of each
+    nonzero row in order, and the product of the pivots signed by the row
+    swaps, which is the determinant of a nonsingular square matrix."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    scale = field.one
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(rows))
                     if rows[r][col] != field.zero), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            scale = field.neg(scale)
+        scale = field.mul(scale, rows[rank][col])
         inv = field.inv(rows[rank][col])
         rows[rank] = [field.mul(inv, x) for x in rows[rank]]
         for r in range(len(rows)):
@@ -129,20 +115,27 @@ def mat_rank(field, a):
                 c = rows[r][col]
                 rows[r] = [field.sub(x, field.mul(c, y))
                            for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return rows, pivots, scale
+
+
+def mat_inv(field, a):
+    n = len(a)
+    rows, pivots, _ = _rref(field, [
+        list(row) + [field.one if i == j else field.zero for j in range(n)]
+        for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def mat_rank(field, a):
+    return len(_rref(field, a)[1])
 
 
 def mat_det(field, a):
-    n = len(a)
-    acc = field.zero
-    for perm in itertools.permutations(range(n)):
-        parity = _perm_parity(perm)
-        prod = field.one
-        for i in range(n):
-            prod = field.mul(prod, a[i][perm[i]])
-        acc = field.add(acc, field.neg(prod) if parity else prod)
-    return acc
+    _, pivots, scale = _rref(field, a)
+    return scale if len(pivots) == len(a) else field.zero
 
 
 def _perm_parity(perm):
@@ -169,16 +162,9 @@ class _Ops:
         self.n = n
         self.q = field.q
         self.prime = field.k == 1
-        if not self.prime:
-            q = field.q
-            self.mul_table = np.array(
-                [[field.mul(a, b) for b in range(q)] for a in range(q)],
-                dtype=np.uint8)
-            self.add_table = np.array(
-                [[field.add(a, b) for b in range(q)] for a in range(q)],
-                dtype=np.uint8)
-            self.neg_table = np.array([field.neg(a) for a in range(q)],
-                                      dtype=np.uint8)
+        self.mul_table = field.mul_table.astype(np.uint8)
+        self.add_table = field.add_table.astype(np.uint8)
+        self.neg_table = field.neg_table.astype(np.uint8)
 
     def matmul(self, a, b):
         """Batched matrix product of coded matrices; broadcasts like @."""
@@ -424,31 +410,13 @@ class BaseGroup:
                 for k in range(n):
                     row[i * n + k] = field.sub(row[i * n + k], rep[k][j])
                 eqs.append(row)
-        # kernel by elimination
-        rows = [list(r) for r in eqs]
-        pivots = {}
-        rank = 0
-        for col in range(cells):
-            piv = next((r for r in range(rank, len(rows))
-                        if rows[r][col] != field.zero), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = field.inv(rows[rank][col])
-            rows[rank] = [field.mul(inv, x) for x in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col] != field.zero:
-                    c = rows[r][col]
-                    rows[r] = [field.sub(x, field.mul(c, y))
-                               for x, y in zip(rows[r], rows[rank])]
-            pivots[col] = rank
-            rank += 1
+        rows, pivots, _ = _rref(field, eqs)
         free = [c for c in range(cells) if c not in pivots]
         basis = []
         for fc in free:
             vec = [field.zero] * cells
             vec[fc] = field.one
-            for col, r in pivots.items():
+            for r, col in enumerate(pivots):
                 vec[col] = field.neg(rows[r][fc])
             basis.append(vec)
         return basis
@@ -560,10 +528,8 @@ class GroupData:
     """Reality data for GL, SL, PGL, PSL, or SL/Y at one (n, q)."""
 
     def __init__(self, family, n, q, y_order=None, cap=None):
+        counts.check_group(family, n, q, y_order)
         cap = resolve_cap(cap)
-        if family not in ("GL", "SL", "PGL", "PSL", "SLQ"):
-            raise ValueError("unknown family %r" % (family,))
-        import math
         self.family = family
         self.n = n
         self.q = q
@@ -576,12 +542,6 @@ class GroupData:
         elif family == "PSL":
             y = [z for z in field.units if field.pow(z, n) == field.one]
         elif family == "SLQ":
-            if y_order is None:
-                raise ValueError("family SLQ needs the order of Y")
-            full = math.gcd(n, q - 1)
-            if y_order < 1 or full % y_order != 0:
-                raise ValueError("|Y| = %d must divide gcd(n, q-1) = %d"
-                                 % (y_order, full))
             y = [z for z in field.units if field.pow(z, y_order) == field.one]
             assert len(y) == y_order
         else:
@@ -630,8 +590,6 @@ class GroupData:
         return self.base.has_reverser_in(self.orbits[cid][0], self.y_codes)
 
     def is_zeta_real(self, cid, zeta):
-        if self.family not in ("GL", "SL"):
-            raise ValueError("zeta-reality lives in the matrix groups")
         rep = self.rep_mat(cid)
         twisted = mat_scale(self.field, zeta, mat_inv(self.field, rep))
         # zeta * g^{-1} can fall outside SL (det zeta^n != 1); then g is not
@@ -646,19 +604,23 @@ class GroupData:
                 if self.is_strongly_real(c)]
 
     def zeta_real_class_ids(self, zeta=None):
-        if self.q % 2 == 0:
-            raise ValueError("zeta-real classes need odd q")
+        counts.check_kind(self.family, self.q, "zeta_real")
         if zeta is None:
             zeta = canonical_nonsquare(self.field)
         return [c for c in range(self.num_classes)
                 if self.is_zeta_real(c, zeta)]
 
+    def class_ids(self, kind, zeta=None):
+        """Ids of the real, strongly real or zeta-real classes."""
+        if kind == "zeta_real":
+            return self.zeta_real_class_ids(zeta)
+        if kind == "strongly_real":
+            return self.strongly_real_class_ids()
+        return self.real_class_ids()
+
     def counts(self, zeta=None):
-        out = {"real": len(self.real_class_ids()),
-               "strongly_real": len(self.strongly_real_class_ids())}
-        if self.family in ("GL", "SL") and self.q % 2 == 1:
-            out["zeta_real"] = len(self.zeta_real_class_ids(zeta))
-        return out
+        return {kind: len(self.class_ids(kind, zeta))
+                for kind in counts.applicable_kinds(self.family, self.q)}
 
 
 def enumerate_group(family, n, q, y_order=None, cap=None):
@@ -762,27 +724,19 @@ def matrix_to_label(field, mat):
 
 def verify_group(family, n, q, y_order=None, kinds=None, zeta=None, cap=None):
     """Count reality kinds two ways and report the comparison."""
-    gd = enumerate_group(family, n, q, y_order=y_order, cap=cap)
+    counts.check_group(family, n, q, y_order)
     if kinds is None:
-        kinds = ["real", "strongly_real"]
-        if family in ("GL", "SL") and q % 2 == 1:
-            kinds.append("zeta_real")
-    if zeta is None and "zeta_real" in kinds:
-        zeta = canonical_nonsquare(gd.field)
+        kinds = counts.applicable_kinds(family, q)
+    for kind in kinds:
+        counts.check_kind(family, q, kind)
+    gd = enumerate_group(family, n, q, y_order=y_order, cap=cap)
     checks = []
     ok = True
     for kind in kinds:
-        if kind == "real":
-            got = len(gd.real_class_ids())
-        elif kind == "strongly_real":
-            got = len(gd.strongly_real_class_ids())
-        elif kind == "zeta_real":
-            got = len(gd.zeta_real_class_ids(zeta))
-        else:
-            raise ValueError("unknown kind %r" % (kind,))
-        engine = counts.count(family, n, q, kind,
-                              y_order=y_order if family == "SLQ" else None,
-                              zeta=zeta if kind == "zeta_real" else None).total
+        # both sides default zeta to the least non-square
+        got = len(gd.class_ids(kind, zeta))
+        engine = counts.count(family, n, q, kind, y_order=y_order,
+                              zeta=zeta).total
         match = got == engine
         ok = ok and match
         checks.append({"kind": kind, "oracle": got, "engine": engine,

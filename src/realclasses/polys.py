@@ -20,8 +20,6 @@ rather than by filtering all polynomials.
 import itertools
 from collections import namedtuple
 
-from .fields import canonical_nonsquare  # noqa: F401  (re-export convenience)
-
 
 def normalize(coeffs):
     c = list(coeffs)
@@ -242,30 +240,6 @@ def eta_act(field, f, eta):
     if eta == 0:
         raise ValueError("eta must be a unit")
     return tuple(field.mul(c, field.pow(eta, k)) for k, c in enumerate(f))
-
-
-def orbit_T(field, f):
-    """Self-reciprocal members of {f(eta t) : eta in F_q^*} (f itself in T_d)."""
-    if not is_self_reciprocal(field, f):
-        raise ValueError("orbit_T expects a self-reciprocal polynomial")
-    out = set()
-    for eta in field.units:
-        g = eta_act(field, f, eta)
-        if is_self_reciprocal(field, g):
-            out.add(g)
-    return out
-
-
-def orbit_S(field, f, zeta):
-    """zeta-self-reciprocal members of the eta-translate orbit of f."""
-    if not is_zeta_self_reciprocal(field, f, zeta):
-        raise ValueError("orbit_S expects a zeta-self-reciprocal polynomial")
-    out = set()
-    for eta in field.units:
-        g = eta_act(field, f, eta)
-        if is_zeta_self_reciprocal(field, g, zeta):
-            out.add(g)
-    return out
 
 
 # ---------------------------------------------------------------------------

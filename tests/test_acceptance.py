@@ -16,6 +16,7 @@ import time
 import pytest
 
 from realclasses import counts, labels, oracle, polys
+from realclasses.cli import DESK_MATRIX
 from realclasses.fields import canonical_nonsquare, field_for_order
 
 DESK_CAP = 13_000_000
@@ -142,21 +143,7 @@ def test_criterion_6_generating_function():
 
 def test_criterion_7_oracle_equivalence():
     t0 = time.time()
-    matrix = (
-        ("GL", 2, 2, None), ("GL", 2, 3, None), ("GL", 2, 4, None),
-        ("GL", 2, 5, None), ("GL", 2, 7, None),
-        ("SL", 2, 3, None), ("SL", 2, 5, None), ("SL", 2, 7, None),
-        ("SL", 2, 9, None),
-        ("PGL", 2, 3, None), ("PGL", 2, 5, None), ("PGL", 2, 7, None),
-        ("PSL", 2, 3, None), ("PSL", 2, 5, None), ("PSL", 2, 7, None),
-        ("PSL", 2, 9, None),
-        ("GL", 3, 2, None), ("GL", 3, 3, None),
-        ("SL", 3, 3, None), ("PSL", 3, 3, None),
-        ("GL", 4, 2, None),
-        ("SL", 3, 4, None), ("PSL", 3, 4, None),
-        ("SLQ", 4, 3, 1), ("SLQ", 4, 3, 2),
-    )
-    for family, n, q, y in matrix:
+    for family, n, q, y in DESK_MATRIX:
         g0 = time.time()
         rep = oracle.verify_group(family, n, q, y_order=y, cap=DESK_CAP)
         assert rep["match"], rep

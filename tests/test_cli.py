@@ -130,6 +130,19 @@ def test_enumerate_zeta_filter(capsys):
     assert out.strip().endswith("total 4")
 
 
+def test_enumerate_det_one_labels_outside_the_psl_criterion(capsys):
+    # n = 6, q = 3 is the PSL corner; labels neither real nor zeta-real
+    # carry no psl_strongly_real flag, as det != 1 labels carry no SL flags
+    code, out, _ = run(["enumerate", "--n", "6", "--q", "3",
+                        "--format", "json"], capsys)
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert len(recs) == 720
+    for rec in recs:
+        assert ("psl_strongly_real" in rec) == (
+            rec["det"] == 1 and (rec["real"] or rec["zeta_real"]))
+
+
 def test_enumerate_trivial(capsys):
     code, out, _ = run(["enumerate", "--n", "1", "--q", "2",
                         "--format", "json"], capsys)
@@ -153,7 +166,11 @@ def test_usage_errors(capsys):
         ["verify", "--family", "SL", "--n", "2", "--q", "4",
          "--kind", "zeta_real"],                  # even q
         ["genfun", "--q", "12"],
+        ["genfun", "--q", "3", "--terms", "-1"],
         ["table13", "--q", "6"],
+        ["verify", "--family", "SLQ", "--n", "4", "--q", "5", "--y", "3"],
+        ["enumerate", "--n", "2", "--q", "4", "--filter", "zeta_real"],
+        ["enumerate", "--n", "1", "--q", "131"],  # past the field bound
     ]
     for argv in cases:
         code, _, err = run(argv, capsys)
@@ -169,6 +186,28 @@ def test_budget_exit(capsys):
     code, _, err = run(["enumerate", "--n", "9", "--q", "9", "--cap", "10"],
                        capsys)
     assert code == 3
+
+
+def test_internal_errors_exit_4(monkeypatch, capsys):
+    from realclasses import counts
+
+    def broken(*args, **kwargs):
+        raise ValueError("label is neither real nor zeta-real")
+
+    monkeypatch.setattr(counts, "section13_table", broken)
+    code, out, err = run(["table13", "--q", "3"], capsys)
+    assert code == 4 and out == ""
+    assert "internal error: ValueError: label is neither real" in err
+    assert "Traceback" in err
+
+    def disagree(*args, **kwargs):
+        raise AssertionError("formula/enumeration disagree")
+
+    monkeypatch.setattr(counts, "count", disagree)
+    code, _, err = run(["count", "--family", "GL", "--n", "2", "--q", "3"],
+                       capsys)
+    assert code == 4
+    assert "internal error: AssertionError" in err
 
 
 def test_env_cap(monkeypatch, capsys):

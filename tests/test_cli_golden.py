@@ -1,0 +1,78 @@
+"""Golden command-line output: the sha256 of stdout and the exit code of
+``count --format json`` for every accepted (family, kind, y) at n <= 6 over
+a fixed set of q, and of ``table13 --format json`` at four q.
+
+The digests in ``cli_golden.json`` were recorded from the engine before the
+counting API was folded into one (family, kind) registry; the test holding
+means that refactors of the engine leave the command line byte-identical.
+
+To record the file afresh (only when an output change is intended):
+
+    PYTHONPATH=src python tests/test_cli_golden.py --record
+"""
+
+import hashlib
+import io
+import json
+import math
+import os
+import sys
+from contextlib import redirect_stdout
+
+from realclasses import cli
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "cli_golden.json")
+COUNT_QS = (2, 3, 4, 5, 7, 9)
+TABLE_QS = (2, 3, 5, 9)
+
+
+def _count_argvs():
+    for n in range(1, 7):
+        for q in COUNT_QS:
+            cells = []
+            for family in ("GL", "SL", "PGL", "PSL"):
+                kinds = ["real", "strongly_real"]
+                if family in ("GL", "SL") and q % 2 == 1:
+                    kinds.append("zeta_real")
+                cells += [(family, kind, None) for kind in kinds]
+            g = math.gcd(n, q - 1)
+            cells += [("SLQ", kind, y) for y in range(1, g + 1) if g % y == 0
+                      for kind in ("real", "strongly_real")]
+            for family, kind, y in cells:
+                argv = ["count", "--family", family, "--n", str(n),
+                        "--q", str(q), "--kind", kind]
+                if y is not None:
+                    argv += ["--y", str(y)]
+                yield argv + ["--format", "json"]
+
+
+def argvs():
+    yield from _count_argvs()
+    for q in TABLE_QS:
+        yield ["table13", "--q", str(q), "--format", "json"]
+
+
+def run(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+
+
+def test_cli_output_matches_golden_digests():
+    with open(GOLDEN) as f:
+        golden = json.load(f)
+    got = {" ".join(argv): run(argv) for argv in argvs()}
+    assert sorted(got) == sorted(golden)
+    changed = [key for key in sorted(got) if got[key] != golden[key]]
+    assert not changed, changed
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    digests = {" ".join(argv): run(argv) for argv in argvs()}
+    lines = ["%s: %s" % (json.dumps(k), json.dumps(digests[k]))
+             for k in sorted(digests)]
+    with open(GOLDEN, "w") as f:
+        f.write("{\n" + ",\n".join(lines) + "\n}\n")
+    print("recorded %d outputs in %s" % (len(digests), GOLDEN))

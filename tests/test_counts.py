@@ -11,13 +11,14 @@ from fractions import Fraction
 import pytest
 
 from realclasses import counts
-from realclasses.counts import (count, genfun_real_gl, gl_nu, pgl_nu, psl_nu,
-                                real_gl, real_pgl, real_psl, real_sl,
-                                real_slq, section13_table, sigma_nu, sl_nu,
-                                sl_regime, strongly_real_gl,
+from realclasses.counts import (applicable_kinds, count, genfun_real_gl,
+                                gl_nu, pgl_nu, psl_nu, real_gl, real_pgl,
+                                real_psl, real_sl, real_slq, section13_table,
+                                sigma_nu, sl_nu, sl_regime, strongly_real_gl,
                                 strongly_real_pgl, strongly_real_psl,
                                 strongly_real_sl, strongly_real_slq,
-                                verify_counts, zeta_real_gl, zeta_real_sl)
+                                zeta_real_gl, zeta_real_sl)
+from realclasses.errors import BudgetExceeded
 
 BOTH = dict(method="both")
 
@@ -230,14 +231,73 @@ def test_report_json_shape():
     assert data["zeta"] == 3
 
 
-def test_verify_counts_roundtrip():
+def test_both_routes_roundtrip():
+    # method="both" raises unless the routes agree partition by partition
     for family, n, q, kind in [("GL", 2, 5, "real"), ("SL", 2, 5, "real"),
                                ("PGL", 3, 3, "real"), ("PSL", 4, 5, "real"),
-                               ("GL", 2, 7, "zeta_real"),
-                               ("SL", 6, 3, "strongly_real")]:
-        match, formula, enum = verify_counts(family, n, q, kind)
-        assert match
-        assert formula.total == enum.total
+                               ("GL", 2, 7, "zeta_real")]:
+        both = count(family, n, q, kind, method="both")
+        enum = count(family, n, q, kind, method="enumeration")
+        assert both.method == "both"
+        assert both.per_nu == enum.per_nu and both.total == enum.total
+
+
+def test_enumeration_only_cells_say_so():
+    # no closed form: every method enumerates, and the report says so
+    for family, n, q, kind in [("SL", 6, 3, "strongly_real"),
+                               ("SL", 2, 5, "strongly_real"),
+                               ("PSL", 6, 7, "strongly_real"),
+                               ("SL", 2, 7, "zeta_real")]:
+        for method in ("formula", "enumeration", "both"):
+            assert count(family, n, q, kind, method=method).method == (
+                "enumeration")
+    assert count("PSL", 6, 5, "strongly_real").method == "formula"
+    assert count("SLQ", 6, 7, "strongly_real", y_order=2).method == (
+        "enumeration")
+    with pytest.raises(ValueError):
+        count("GL", 2, 3, "real", method="enumerate")
+
+
+def test_applicable_kinds():
+    assert applicable_kinds("GL", 3) == ("real", "strongly_real",
+                                         "zeta_real")
+    assert applicable_kinds("SL", 4) == ("real", "strongly_real")
+    for family in ("PGL", "PSL", "SLQ"):
+        assert applicable_kinds(family, 5) == ("real", "strongly_real")
+
+
+def test_one_public_count_per_named_call(monkeypatch):
+    # SL_n(q)/Y reaches its SL and PSL endpoints without re-entering count
+    calls = []
+    original = counts.count
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(counts, "count", spy)
+    for rep in (real_slq(4, 5, 4), strongly_real_slq(2, 5, 1),
+                real_slq(4, 5, 2), strongly_real_sl(6, 3)):
+        assert rep.total > 0
+    assert [c[0] for c in calls] == ["SLQ", "SLQ", "SLQ", "SL"]
+
+
+def test_orbit_cache_keeps_the_budget(monkeypatch):
+    monkeypatch.setattr(counts, "_ORBIT_CACHE", {})
+    with pytest.raises(BudgetExceeded):            # cold
+        real_pgl(4, 5, method="enumeration", budget=10)
+    assert real_pgl(4, 5, method="enumeration").total == 45
+    with pytest.raises(BudgetExceeded):            # warm
+        real_pgl(4, 5, method="enumeration", budget=10)
+    with pytest.raises(BudgetExceeded):
+        real_psl(4, 5, method="enumeration", budget=10)
+
+
+def test_formula_route_has_no_rank_cap():
+    coeffs = genfun_real_gl(3, 14)
+    assert coeffs[13] == 9352
+    for n in (13, 14):
+        assert real_gl(n, 3).total == coeffs[n]
 
 
 # ---------------------------------------------------------------------------

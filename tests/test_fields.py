@@ -2,8 +2,7 @@ import pytest
 
 from realclasses.fields import (MAX_Q, Field, canonical_nonsquare,
                                 constrained_nonsquare, field_for_order,
-                                has_nth_root_of_minus_one, is_prime,
-                                make_field, prime_power, two_adic)
+                                is_prime, make_field, prime_power, two_adic)
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27]
 
@@ -68,6 +67,16 @@ def test_extension_field_moduli():
     # the canonical choices for the two extension fields used in the tables
     assert field_for_order(4).modulus == (1, 1, 1)      # t^2 + t + 1
     assert field_for_order(9).modulus == (1, 0, 1)      # t^2 + 1
+    # every extension field up to MAX_Q, pinned from the exhaustive
+    # lexicographic search the moduli were first found by
+    pinned = {4: (1, 1, 1), 8: (1, 0, 1, 1), 9: (1, 0, 1),
+              16: (1, 0, 0, 1, 1), 25: (1, 1, 1), 27: (1, 0, 2, 1),
+              32: (1, 0, 0, 1, 0, 1), 49: (1, 0, 1),
+              64: (1, 0, 0, 0, 0, 1, 1), 81: (1, 0, 1, 1, 1),
+              121: (1, 0, 1), 125: (1, 0, 1, 1),
+              128: (1, 0, 0, 0, 0, 0, 1, 1)}
+    for q, modulus in pinned.items():
+        assert field_for_order(q).modulus == modulus, q
 
 
 def test_squares_and_canonical_nonsquares():
@@ -94,15 +103,6 @@ def test_constrained_nonsquare():
     f5 = field_for_order(5)
     with pytest.raises(ValueError):
         constrained_nonsquare(f5, 2)
-
-
-def test_has_nth_root_of_minus_one():
-    f5 = field_for_order(5)
-    assert has_nth_root_of_minus_one(f5, 1)           # x = 4
-    assert has_nth_root_of_minus_one(f5, 2)           # 2^2 = 4 = -1
-    f3 = field_for_order(3)
-    assert has_nth_root_of_minus_one(f3, 1)
-    assert not has_nth_root_of_minus_one(f3, 2)       # squares are {1}
 
 
 def test_field_cache():

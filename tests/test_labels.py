@@ -2,7 +2,7 @@ import pytest
 
 from realclasses.errors import BudgetExceeded
 from realclasses.fields import canonical_nonsquare, field_for_order
-from realclasses.labels import (count_all_labels, enumerate_labels,
+from realclasses.labels import (enumerate_labels,
                                 equivalence_classes, eta_translate,
                                 exponent_two_adic, h_nu, has_odd_part,
                                 is_real_label, is_zeta_real_label, label_det,
@@ -20,6 +20,8 @@ def test_partitions_of():
         for nu in parts:
             assert nu_size(nu) == n
     assert partitions_of(0) == [()]
+    # no rank cap: p(13) = 101, p(14) = 135
+    assert len(partitions_of(13)) == 101 and len(partitions_of(14)) == 135
 
 
 def test_make_label_validation():
@@ -56,9 +58,17 @@ def test_label_det():
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (4, 2), (5, 2)])
 def test_label_count(q, n):
+    # one label per class of GL_n(q): (q-1) q^(n_i - 1) choices per slot
+    want = 0
+    for nu in partitions_of(n):
+        prod = 1
+        for ni in nu:
+            if ni:
+                prod *= (q - 1) * q ** (ni - 1)
+        want += prod
     field = field_for_order(q)
     labs = list(enumerate_labels(field, n))
-    assert len(labs) == count_all_labels(field, n)
+    assert len(labs) == want
     assert len(set(labs)) == len(labs)
 
 

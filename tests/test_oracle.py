@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -21,6 +22,18 @@ def test_group_order_formulas():
     assert group_order("SLQ", 4, 3, y_order=2) == 12130560 // 2
 
 
+def _leibniz_det(field, m):
+    acc = field.zero
+    for perm in itertools.permutations(range(len(m))):
+        prod = field.one
+        for i, j in enumerate(perm):
+            prod = field.mul(prod, m[i][j])
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        acc = field.add(acc, field.neg(prod) if inversions % 2 else prod)
+    return acc
+
+
 def test_exact_matrix_algebra():
     f7 = field_for_order(7)
     rng = random.Random(3)
@@ -34,6 +47,13 @@ def test_exact_matrix_algebra():
         assert mat_mul(f7, m, inv) == identity_mat(f7, 3)
     with pytest.raises(ValueError):
         mat_inv(f7, scalar_mat(f7, 0, 2))
+    # the elimination determinant against the permutation expansion
+    for q, size in ((7, 3), (9, 3), (4, 4), (2, 4)):
+        field = field_for_order(q)
+        for _ in range(25):
+            m = tuple(tuple(rng.randrange(q) for _ in range(size))
+                      for _ in range(size))
+            assert mat_det(field, m) == _leibniz_det(field, m)
 
 
 @pytest.mark.parametrize("family,n,q,classes", [

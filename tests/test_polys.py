@@ -8,7 +8,7 @@ from realclasses.polys import (ONE, breve, count_nqd, degree, enumerate_S,
                                enumerate_T, eta_act, factorize,
                                is_irreducible, is_self_reciprocal,
                                is_zeta_self_reciprocal, irreducibles,
-                               monicize, normalize, orbit_S, orbit_T,
+                               monicize, normalize,
                                poly_add, poly_divmod, poly_eval, poly_mul,
                                poly_pow, poly_str, poly_sub, sigma, tilde)
 
@@ -145,23 +145,6 @@ def test_enumerate_S_requires_odd_q():
 def test_sigma():
     for d in range(1, 9):
         assert sigma(d) == (1 if d % 2 == 0 else 0)
-
-
-def test_eta_orbits_have_size_one_or_two():
-    for q in (3, 5, 9):
-        field = field_for_order(q)
-        zeta = canonical_nonsquare(field)
-        for d in (2, 3, 4):
-            for f in enumerate_T(field, d):
-                assert len(orbit_T(field, f)) in (1, 2)
-            for f in enumerate_S(field, d, zeta):
-                assert len(orbit_S(field, f, zeta)) in (1, 2)
-    # even q: the orbit collapses to the polynomial itself
-    for q in (2, 4):
-        field = field_for_order(q)
-        for d in (2, 3, 4):
-            for f in enumerate_T(field, d):
-                assert orbit_T(field, f) == {f}
 
 
 def test_eta_act():
