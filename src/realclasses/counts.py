@@ -396,7 +396,8 @@ def check_group(family, n, q, y_order=None):
     if family == "SLQ":
         if y_order is None:
             raise UsageError("family SLQ needs the order of Y")
-        full = math.gcd(n, q - 1)
+        # Y is central in SL_n(q), which for n = 0 is trivial
+        full = math.gcd(n, q - 1) if n else 1
         if y_order < 1 or full % y_order != 0:
             raise UsageError("|Y| = %d must divide gcd(n, q-1) = %d"
                              % (y_order, full))
@@ -420,6 +421,11 @@ def count(family, n, q, kind, y_order=None, method="formula", zeta=None,
 
 
 def _count(family, n, q, kind, y_order, method, zeta, budget):
+    if n == 0 and family != "GL":
+        # SL_0(q) = GL_0(q) is trivial, and so are its quotients; the SL
+        # splitting factor h_nu would count the empty type q - 1 times
+        rep = _count("GL", 0, q, kind, None, method, zeta, budget)
+        return replace(rep, family=family, regime="trivial", y_order=y_order)
     entry = _REGISTRY[family, kind]
     if family != "SLQ":
         return _route(family, n, q, kind, entry, entry.regime(n, q), method,

@@ -3,9 +3,12 @@ classes, and decide reality questions by direct search.
 
 Everything here is independent of the counting formulas so the two sides
 can be compared.  Groups are enumerated as coded matrices (base-q digit
-strings, row-major), classified by breadth-first closure under conjugation
-by a generating set, and every class is certified through the
-orbit-stabilizer equation |class| * |centralizer| = |order|.
+strings, row-major) and kept as their sorted codes.  Conjugation by each
+generator is F_p-linear on the base-p digits of a code, so it becomes one
+permutation array over element indices, and the classes are the orbits of
+those permutations, found by min-label hooking with pointer jumping
+(Shiloach-Vishkin).  Every class is certified through the class equation
+and the orbit-stabilizer equation |class| * |centralizer| = |order|.
 
 Quotients by a central subgroup Y reuse the base classification: the
 classes of G/Y are the Y-orbits of classes of G, reality asks whether the
@@ -16,7 +19,7 @@ square roots {h : h^2 in Y}.
 import itertools
 import math
 import os
-import random
+import time
 
 import numpy as np
 
@@ -25,8 +28,8 @@ from .errors import BudgetExceeded
 from .fields import canonical_nonsquare, field_for_order
 
 DEFAULT_CAP = 10 ** 6
-_ADDRESS_LIMIT = 3 * 10 ** 8
-_CHUNK = 1 << 20
+_ADDRESS_LIMIT = 3 * 10 ** 8  # below 2^31, so codes fit int32
+_CHUNK = 1 << 18
 
 _BASE_CACHE = {}
 
@@ -241,19 +244,28 @@ def _primitive_element(field):
 
 
 def _generator_mats(field, n, base_family):
+    """Generators of GL_n(q) or SL_n(q).
+
+    The transvections I + a E_12 and I + a E_21, for a running over the
+    F_p-basis 1, t, ..., t^(k-1) of F_q, generate SL_2(q); for n >= 3 an
+    n-cycle of determinant 1 moves them onto every pair of adjacent
+    coordinates, which generates SL_n(q).  GL adds diag(theta, 1, ..., 1)
+    for a primitive theta.  SL_1(q) is trivial and needs no generator.
+    """
     one, zero = field.one, field.zero
     ident = identity_mat(field, n)
     gens = []
-    basis = [one]
-    for _ in range(field.k - 1):
-        basis.append(field.mul(basis[-1], field.p))
-    for a in basis:
-        t12 = [list(row) for row in ident]
-        t12[0][1] = a
-        gens.append(tuple(tuple(r) for r in t12))
-        t21 = [list(row) for row in ident]
-        t21[1][0] = a
-        gens.append(tuple(tuple(r) for r in t21))
+    if n >= 2:
+        basis = [one]
+        for _ in range(field.k - 1):
+            basis.append(field.mul(basis[-1], field.p))
+        for a in basis:
+            t12 = [list(row) for row in ident]
+            t12[0][1] = a
+            gens.append(tuple(tuple(r) for r in t12))
+            t21 = [list(row) for row in ident]
+            t21[1][0] = a
+            gens.append(tuple(tuple(r) for r in t21))
     if n >= 3:
         cyc = [[zero] * n for _ in range(n)]
         for i in range(n - 1):
@@ -264,32 +276,87 @@ def _generator_mats(field, n, base_family):
         cyc[0][n - 1] = corner
         gens.append(tuple(tuple(r) for r in cyc))
     if base_family == "GL":
-        theta = _primitive_element(field)
         diag = [list(row) for row in ident]
-        diag[0][0] = theta
+        diag[0][0] = _primitive_element(field)
         gens.append(tuple(tuple(r) for r in diag))
-    rng = random.Random(987123)
-    for _ in range(2):
-        w = ident
-        for _ in range(12):
-            w = mat_mul(field, w, rng.choice(gens))
-        if w != ident:
-            gens.append(w)
-    full = []
-    seen = set()
-    for g in gens:
-        for m in (g, mat_inv(field, g)):
-            if m not in seen:
-                seen.add(m)
-                full.append(m)
-    return full
+    return gens
+
+
+def _p_digits(codes, p, dim):
+    """The ``dim`` base-p digits of each code, least significant first.
+
+    Entry j of a matrix (row-major) is a base-p string of k digits in the
+    base-q code, so digit k*j + t of the code is digit t of entry j.
+    """
+    rest = np.array(codes, dtype=np.int32)
+    out = np.empty((len(rest), dim), dtype=np.float32)
+    for i in range(dim):
+        out[:, i] = rest % p
+        rest //= p
+    return out
+
+
+def _conjugation_map(field, n, g):
+    """The F_p-matrix of X -> g X g^{-1} on the base-p digits of codes.
+
+    Row i holds the digits of the image of the matrix whose code is p^i, so
+    a row of digits maps by right multiplication.  Each entry of that
+    product sums k*n^2 terms below p^2, so float32 holds it exactly.
+    """
+    p, dim = field.p, field.k * n * n
+    assert dim * (p - 1) ** 2 < 1 << 24, "conjugation map not exact in float32"
+    g_inv = mat_inv(field, g)
+    units = _decode(np.array([p ** i for i in range(dim)], dtype=np.int64),
+                    n, field.q)
+    images = [_single_code(field, mat_mul(field, mat_mul(
+        field, g, _mat_to_tuple(u)), g_inv)) for u in units]
+    return _p_digits(images, p, dim)
+
+
+def _orbit_roots(perms, size):
+    """The least point of each point's orbit under the permutations.
+
+    Min-label hooking with pointer jumping (Shiloach-Vishkin 1982): every
+    edge i -- perm[i] hooks the root above the larger label onto the
+    smaller label, then pointers jump to their roots; it stops after a
+    round that hooks nothing.  A label never exceeds its point and only
+    falls, so it ends at the least point of the orbit.  Returns the roots
+    and the number of rounds.
+    """
+    roots = np.arange(size, dtype=np.int32)
+    other = np.empty_like(roots)
+    rounds = 0
+    hooked = True
+    while hooked:
+        rounds += 1
+        hooked = False
+        for perm in perms:
+            # the smaller root label of each point's two neighbours,
+            # perm[i] and perm^{-1}[i]
+            other[perm] = roots
+            np.minimum(other, roots[perm], out=other)
+            lower = other < roots
+            if lower.any():
+                hooked = True
+                np.minimum.at(roots, roots[lower], other[lower])
+                np.minimum(roots, other, out=roots)
+        while True:
+            jumped = roots[roots]
+            if np.array_equal(jumped, roots):
+                break
+            roots = jumped
+    return roots, rounds
 
 
 # ---------------------------------------------------------------------------
 # base group enumeration and classification
 
 class BaseGroup:
-    """A fully enumerated GL_n(q) or SL_n(q) with certified conjugacy data."""
+    """A fully enumerated GL_n(q) or SL_n(q) with certified conjugacy data.
+
+    ``stats`` records the seconds spent enumerating, classifying and
+    certifying, and the rounds the class union took.
+    """
 
     def __init__(self, family, n, q, cap):
         if family not in ("GL", "SL"):
@@ -308,13 +375,18 @@ class BaseGroup:
             raise BudgetExceeded(
                 "matrix space %d^%d is too large to address" % (q, n * n))
         self.ops = _Ops(self.field, n)
+        self.stats = {}
+        start = time.perf_counter()
         self.codes = self._enumerate_codes(address)
         assert len(self.codes) == self.order, \
             "enumerated %d elements, expected %d" % (len(self.codes), self.order)
-        self.lookup = np.full(address, -1, dtype=np.int32)
-        self.lookup[self.codes] = np.arange(len(self.codes), dtype=np.int32)
+        self.stats["enumerate_s"] = time.perf_counter() - start
+        start = time.perf_counter()
         self._classify()
+        self.stats["classify_s"] = time.perf_counter() - start
+        start = time.perf_counter()
         self._certify()
+        self.stats["certify_s"] = time.perf_counter() - start
         self._rep_mats = [
             _mat_to_tuple(_decode(self.codes[[r]], n, q)[0])
             for r in self.class_reps]
@@ -325,12 +397,13 @@ class BaseGroup:
     # -- enumeration
 
     def _enumerate_codes(self, address):
+        """The codes of the group's elements, ascending, as int32."""
         q, n = self.q, self.n
         want_one = self.family == "SL"
         chunks = []
         for start in range(0, address, _CHUNK):
             block = np.arange(start, min(start + _CHUNK, address),
-                              dtype=np.int64)
+                              dtype=np.int32)
             dets = self.ops.det(_decode(block, n, q))
             mask = dets == self.field.one if want_one else dets != self.field.zero
             chunks.append(block[mask])
@@ -338,43 +411,39 @@ class BaseGroup:
 
     # -- conjugacy
 
+    def _conjugation_perms(self, gens):
+        """For each matrix g, element indices permuted by conjugation with g."""
+        p, dim = self.field.p, self.field.k * self.n * self.n
+        maps = [_conjugation_map(self.field, self.n, g) for g in gens]
+        powers = np.array([p ** i for i in range(dim)], dtype=np.int32)
+        perms = [np.empty(len(self.codes), dtype=np.int32) for _ in gens]
+        for start in range(0, len(self.codes), _CHUNK):
+            digits = _p_digits(self.codes[start:start + _CHUNK], p, dim)
+            for matrix, perm in zip(maps, perms):
+                image = (digits @ matrix).astype(np.int32)
+                image %= p
+                image_codes = image @ powers
+                idx = np.searchsorted(self.codes, image_codes)
+                assert np.array_equal(self.codes.take(idx, mode="clip"),
+                                      image_codes), "conjugate left the group"
+                perm[start:start + len(idx)] = idx
+        return perms
+
     def _classify(self):
-        n, q = self.n, self.q
-        gens = _generator_mats(self.field, n, self.family)
-        gen_pairs = [(_tuple_to_array(g),
-                      _tuple_to_array(mat_inv(self.field, g))) for g in gens]
-        total = len(self.codes)
-        class_id = np.full(total, -1, dtype=np.int32)
-        reps = []
-        scan = 0
-        while True:
-            while scan < total and class_id[scan] != -1:
-                scan += 1
-            if scan == total:
-                break
-            cid = len(reps)
-            reps.append(scan)
-            class_id[scan] = cid
-            frontier = np.array([scan], dtype=np.int64)
-            while frontier.size:
-                nxt = []
-                for start in range(0, frontier.size, _CHUNK):
-                    batch = _decode(self.codes[frontier[start:start + _CHUNK]],
-                                    n, q)
-                    for g, ginv in gen_pairs:
-                        conj = self.ops.matmul(self.ops.matmul(g, batch), ginv)
-                        idx = self.lookup[_encode(conj, q)]
-                        idx = np.unique(idx)
-                        fresh = idx[class_id[idx] == -1]
-                        if fresh.size:
-                            class_id[fresh] = cid
-                            nxt.append(fresh)
-                frontier = (np.unique(np.concatenate(nxt))
-                            if nxt else np.empty(0, dtype=np.int64))
-        self.class_id = class_id
-        self.class_reps = reps
-        self.class_sizes = np.bincount(class_id, minlength=len(reps))
-        self.num_classes = len(reps)
+        """Classes are numbered by their least element index, which is
+        also the representative."""
+        perms = self._conjugation_perms(
+            _generator_mats(self.field, self.n, self.family))
+        roots, self.stats["hook_rounds"] = _orbit_roots(perms, len(self.codes))
+        del perms  # before the numbering arrays, to bound peak memory
+        is_root = roots == np.arange(len(roots), dtype=np.int32)
+        self.class_reps = np.flatnonzero(is_root).tolist()
+        number = np.cumsum(is_root, dtype=np.int32)
+        number -= 1
+        self.class_id = number[roots]
+        self.class_sizes = np.bincount(self.class_id,
+                                       minlength=len(self.class_reps))
+        self.num_classes = len(self.class_reps)
 
     # -- certification
 
@@ -466,8 +535,13 @@ class BaseGroup:
         return cid
 
     def maybe_class_of_mat(self, mat):
-        idx = self.lookup[_single_code(self.field, mat)]
-        return int(self.class_id[idx]) if idx >= 0 else -1
+        """The class of the matrix, or -1 when it is not in the group."""
+        # an int32 key, or searchsorted would cast all the codes to int64
+        code = np.int32(_single_code(self.field, mat))
+        idx = int(np.searchsorted(self.codes, code))
+        if idx < len(self.codes) and self.codes[idx] == code:
+            return int(self.class_id[idx])
+        return -1
 
     def inverse_class(self, cid):
         return self._inverse_class[cid]

@@ -68,6 +68,13 @@ def test_verify_json_shape(capsys):
     assert data["runs"][0]["checks"][0]["engine"] == 12
 
 
+def test_verify_dimension_one(capsys):
+    code, out, _ = run(["verify", "--family", "GL", "--n", "1", "--q", "3"],
+                       capsys)
+    assert code == 0
+    assert "GL_1(3): order 2, 2 classes" in out
+
+
 # ---------------------------------------------------------------------------
 # table13
 

@@ -188,6 +188,19 @@ def test_slq_y_validation():
         real_slq(4, 5, 3)
     with pytest.raises(ValueError):
         real_slq(2, 5, 0)
+    # SL_0(q) is trivial, so its only central subgroup is trivial
+    with pytest.raises(ValueError):
+        real_slq(0, 5, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_trivial_group_has_one_class(q):
+    for family in counts.FAMILIES:
+        for kind in applicable_kinds(family, q):
+            for method in counts.METHODS:
+                rep = count(family, 0, q, kind, method=method,
+                            y_order=1 if family == "SLQ" else None)
+                assert rep.total == 1, (family, kind, method)
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,117 @@ def test_certification_is_builtin():
     right = base.ops.matmul(mats, rep_arr)
     brute = int(np.count_nonzero(
         (left == right).reshape(len(mats), -1).all(axis=1)))
-    cid = base.class_id[base.lookup[oracle._single_code(gd.field, rep)]]
+    cid = base.class_of_mat(rep)
     assert brute * int(base.class_sizes[cid]) == gd.order
+    assert set(base.stats) == {"enumerate_s", "classify_s", "certify_s",
+                               "hook_rounds"}
+    # a matrix outside the group (determinant 0) has no class
+    assert base.maybe_class_of_mat(scalar_mat(gd.field, 0, 2)) == -1
+
+
+# ---------------------------------------------------------------------------
+# classification by conjugation permutations
+
+def _random_invertible(field, n, rng):
+    while True:
+        m = tuple(tuple(rng.randrange(field.q) for _ in range(n))
+                  for _ in range(n))
+        if mat_det(field, m) != field.zero:
+            return m
+
+
+@pytest.mark.parametrize("q,n", [(4, 2), (4, 3), (8, 2), (9, 2)])
+def test_conjugation_map_matches_mat_mul(q, n):
+    field = field_for_order(q)
+    p, dim = field.p, field.k * n * n
+    rng = random.Random(q * 10 + n)
+    powers = np.array([p ** i for i in range(dim)], dtype=np.int64)
+    for _ in range(5):
+        g = _random_invertible(field, n, rng)
+        matrix = oracle._conjugation_map(field, n, g)
+        xs = [tuple(tuple(rng.randrange(q) for _ in range(n))
+                    for _ in range(n)) for _ in range(20)]
+        digits = oracle._p_digits(
+            [oracle._single_code(field, x) for x in xs], p, dim)
+        got = ((digits @ matrix).astype(np.int64) % p) @ powers
+        want = [oracle._single_code(field, mat_mul(
+            field, mat_mul(field, g, x), mat_inv(field, g))) for x in xs]
+        assert got.tolist() == want
+
+
+def _bfs_class_ids(field, family, n, mats):
+    """Class ids by breadth-first closure under conjugation by every
+    elementary transvection I + a E_ij (and, for GL, every diag(a, 1, ..))
+    in pure Python, numbering classes by their least element index."""
+    gens = []
+    for i in range(n):
+        for j in range(n):
+            for a in field.units:
+                if i != j or (family == "GL" and i == j == 0):
+                    m = [list(row) for row in identity_mat(field, n)]
+                    m[i][j] = a
+                    gens.append(tuple(tuple(r) for r in m))
+    pairs = [(g, mat_inv(field, g)) for g in gens]
+    index = {m: i for i, m in enumerate(mats)}
+    ids = [-1] * len(mats)
+    classes = 0
+    for start in range(len(mats)):
+        if ids[start] != -1:
+            continue
+        ids[start] = classes
+        frontier = [mats[start]]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g, g_inv in pairs:
+                    y = mat_mul(field, mat_mul(field, g, x), g_inv)
+                    if ids[index[y]] == -1:
+                        ids[index[y]] = classes
+                        nxt.append(y)
+            frontier = nxt
+        classes += 1
+    return ids
+
+
+@pytest.mark.parametrize("family,n,q", [
+    ("GL", 2, 4), ("SL", 2, 9), ("GL", 3, 2), ("SL", 3, 3),
+])
+def test_class_ids_match_bfs_reference(family, n, q):
+    base = oracle.BaseGroup(family, n, q, oracle.DEFAULT_CAP)
+    mats = [oracle._mat_to_tuple(m)
+            for m in oracle._decode(base.codes, n, q)]
+    want = _bfs_class_ids(base.field, family, n, mats)
+    assert base.class_id.tolist() == want
+
+
+def test_class_ids_ordered_by_least_element():
+    base = enumerate_group("GL", 3, 3).base
+    least = np.full(base.num_classes, len(base.codes))
+    np.minimum.at(least, base.class_id, np.arange(len(base.codes)))
+    assert least.tolist() == base.class_reps
+    assert base.class_reps == sorted(base.class_reps)
+
+
+def test_orbit_roots_against_python_union_find():
+    rng = np.random.default_rng(5)
+    size = 3000
+    cycle = np.roll(np.arange(size, dtype=np.int32), 1)
+    shuffles = [rng.permutation(size).astype(np.int32) for _ in range(2)]
+    # one long cycle is one orbit; random permutations leave several
+    for perms in ([cycle], shuffles[:1], shuffles):
+        parent = list(range(size))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+        for perm in perms:
+            for i, j in enumerate(perm.tolist()):
+                a, b = find(i), find(j)
+                parent[max(a, b)] = min(a, b)
+        roots, _ = oracle._orbit_roots(perms, size)
+        assert roots.tolist() == [find(i) for i in range(size)]
 
 
 @pytest.mark.parametrize("family,n,q,y", [
@@ -94,6 +203,14 @@ def test_certification_is_builtin():
 def test_oracle_agrees_with_engine(family, n, q, y):
     rep = verify_group(family, n, q, y_order=y)
     assert rep["match"], rep
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", ["GL", "SL", "PGL", "PSL"])
+def test_oracle_in_dimension_one(family, q):
+    rep = verify_group(family, 1, q)
+    assert rep["match"], rep
+    assert rep["classes"] == rep["order"] == group_order(family, 1, q)
 
 
 def test_zeta_real_conventions():
