@@ -10,6 +10,13 @@ The modulus is the lexicographically least monic irreducible of degree k
 over F_p, comparing coefficient tuples lowest degree first: the first of
 ``polys.irreducibles`` over the prime field.  For example F_4 uses
 t^2 + t + 1 and F_9 uses t^2 + 1.
+
+A field builds one set of ``int16`` numpy tables (``add_table``,
+``mul_table``, ``neg_table``, ``inv_table``), which the oracle's vectorised
+``_Ops`` index in bulk.  Scalar operations, and the kernels in ``polys``,
+read plain-list views of them (``add_list`` and so on; a list index costs
+a fraction of a numpy scalar index) and the logarithms ``log`` and
+antilogarithms ``exp`` over ``generator``, the least element of order q - 1.
 """
 
 import numpy as np
@@ -75,14 +82,20 @@ class Field:
             neg[a] = self._encode([(-x) % p for x in self._digits(a)])
         self.neg_table = neg
 
-        # |F_q^*| = q - 1, so a^(q-2) is the inverse
+        self.add_list = add.tolist()
+        self.mul_list = mul.tolist()
+        self.neg_list = neg.tolist()
+        self.generator, self.exp, self.log = self._logarithms()
+        # entry 0 is a placeholder: inv rejects 0
         self.inv_table = np.array(
-            [0] + [self.pow(a, q - 2) for a in range(1, q)], dtype=np.int16)
+            [0] + [self.exp[-self.log[a] % (q - 1)] for a in range(1, q)],
+            dtype=np.int16)
+        self.inv_list = self.inv_table.tolist()
 
         self.zero = 0
         self.one = 1
-        self.minus_one = int(neg[1])
-        self.squares = frozenset(int(mul[a, a]) for a in range(q))
+        self.minus_one = self.neg_list[1]
+        self.squares = frozenset(self.mul_list[a][a] for a in range(q))
 
     # -- index <-> digit helpers ------------------------------------------
     def _digits(self, a):
@@ -113,34 +126,45 @@ class Field:
                     prod[i - self.k + j] = (prod[i - self.k + j] - c * mod[j]) % self.p
         return prod[: self.k]
 
+    def _logarithms(self):
+        """The least generator g of F_q^*, the list exp[i] = g^i for
+        0 <= i < q - 1, and the list log with log[g^i] = i (log[0] = None)."""
+        q, mul = self.q, self.mul_list
+        for g in self.units:
+            exp = [1]
+            while len(exp) < q - 1 and mul[exp[-1]][g] != 1:
+                exp.append(mul[exp[-1]][g])
+            if len(exp) == q - 1:
+                log = [None] * q
+                for i, x in enumerate(exp):
+                    log[x] = i
+                return g, exp, log
+        raise AssertionError("unreachable: F_q^* is cyclic")
+
     # -- arithmetic --------------------------------------------------------
     def add(self, a, b):
-        return int(self.add_table[a, b])
+        return self.add_list[a][b]
 
     def neg(self, a):
-        return int(self.neg_table[a])
+        return self.neg_list[a]
 
     def sub(self, a, b):
-        return int(self.add_table[a, self.neg_table[b]])
+        return self.add_list[a][self.neg_list[b]]
 
     def mul(self, a, b):
-        return int(self.mul_table[a, b])
+        return self.mul_list[a][b]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in %r" % (self,))
-        return int(self.inv_table[a])
+        return self.inv_list[a]
 
     def pow(self, a, e):
-        if e < 0:
-            a, e = self.inv(a), -e
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero in %r" % (self,))
+            return 0 if e else 1
+        return self.exp[self.log[a] * e % (self.q - 1)]
 
     # -- element sets ------------------------------------------------------
     @property

@@ -61,10 +61,6 @@ def nu_parts(nu):
     return [i for i, ni in enumerate(nu, 1) for _ in range(ni)]
 
 
-def nu_size(nu):
-    return sum(i * ni for i, ni in enumerate(nu, 1))
-
-
 def h_nu(nu, q):
     """gcd of q-1 and the parts of nu: the GL->SL class splitting factor."""
     g = q - 1
@@ -144,13 +140,6 @@ def eta_translate(field, label, eta):
 
 def label_to_json(label):
     return {"nu": [len(u) - 1 for u in label], "polys": [list(u) for u in label]}
-
-
-def label_from_json(field, data):
-    label = make_label(field, tuple(tuple(c) for c in data["polys"]))
-    if list(label_type(label)) != list(data["nu"])[: len(label)]:
-        raise ValueError("nu does not match polynomial degrees")
-    return label
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ def resolve_cap(cap=None):
 
 def group_order(family, n, q, y_order=None):
     """Order of the requested group (not of the enumerated base group)."""
+    if n == 0:
+        return 1  # the trivial group of the empty matrix
     gl = 1
     for i in range(n):
         gl *= q ** n - q ** i
@@ -164,14 +166,15 @@ class _Ops:
         self.field = field
         self.n = n
         self.q = field.q
-        self.prime = field.k == 1
+        # products mod q are exact over a prime field and at n = 0 (empty)
+        self.integer = field.k == 1 or n == 0
         self.mul_table = field.mul_table.astype(np.uint8)
         self.add_table = field.add_table.astype(np.uint8)
         self.neg_table = field.neg_table.astype(np.uint8)
 
     def matmul(self, a, b):
         """Batched matrix product of coded matrices; broadcasts like @."""
-        if self.prime:
+        if self.integer:
             out = (a.astype(np.int32) @ b.astype(np.int32)) % self.q
             return out.astype(np.uint8)
         acc = None
@@ -183,7 +186,7 @@ class _Ops:
         return acc
 
     def det(self, a):
-        if self.prime:
+        if self.integer:
             d = np.rint(np.linalg.det(a.astype(np.float64))).astype(np.int64)
             return (d % self.q).astype(np.uint8)
         acc = np.zeros(a.shape[:-2], dtype=np.uint8)
@@ -204,7 +207,7 @@ def _decode(codes, n, q):
     for j in range(cells):
         out[:, j] = c % q
         c //= q
-    return out.reshape(-1, n, n)
+    return out.reshape(len(codes), n, n)
 
 
 def _encode(mats, q):
@@ -220,7 +223,7 @@ def _mat_to_tuple(mat):
 
 
 def _tuple_to_array(mat):
-    return np.array(mat, dtype=np.uint8)
+    return np.array(mat, dtype=np.uint8).reshape(len(mat), len(mat))
 
 
 def _single_code(field, mat):
@@ -230,19 +233,6 @@ def _single_code(field, mat):
 # ---------------------------------------------------------------------------
 # generators
 
-def _primitive_element(field):
-    target = field.q - 1
-    for x in field.units:
-        order = 1
-        acc = x
-        while acc != field.one:
-            acc = field.mul(acc, x)
-            order += 1
-        if order == target:
-            return x
-    raise RuntimeError("no primitive element found")
-
-
 def _generator_mats(field, n, base_family):
     """Generators of GL_n(q) or SL_n(q).
 
@@ -250,7 +240,8 @@ def _generator_mats(field, n, base_family):
     F_p-basis 1, t, ..., t^(k-1) of F_q, generate SL_2(q); for n >= 3 an
     n-cycle of determinant 1 moves them onto every pair of adjacent
     coordinates, which generates SL_n(q).  GL adds diag(theta, 1, ..., 1)
-    for a primitive theta.  SL_1(q) is trivial and needs no generator.
+    for a primitive theta.  SL_1(q) and GL_0(q) are trivial and need no
+    generator.
     """
     one, zero = field.one, field.zero
     ident = identity_mat(field, n)
@@ -275,9 +266,9 @@ def _generator_mats(field, n, base_family):
             corner = field.minus_one
         cyc[0][n - 1] = corner
         gens.append(tuple(tuple(r) for r in cyc))
-    if base_family == "GL":
+    if base_family == "GL" and n >= 1:
         diag = [list(row) for row in ident]
-        diag[0][0] = _primitive_element(field)
+        diag[0][0] = field.generator
         gens.append(tuple(tuple(r) for r in diag))
     return gens
 
@@ -462,8 +453,7 @@ class BaseGroup:
                 % (cid, size, cent, self.order))
 
     def _is_scalar(self, mat):
-        z = mat[0][0]
-        return mat == scalar_mat(self.field, z, self.n)
+        return not mat or mat == scalar_mat(self.field, mat[0][0], self.n)
 
     def _commutant_basis(self, rep):
         """Basis of the algebra {X : rep X = X rep} as coded n^2-vectors."""
@@ -498,7 +488,7 @@ class BaseGroup:
             combos = np.zeros((q ** m, n * n), dtype=np.uint8)
             coeffs = np.array(list(itertools.product(range(q), repeat=m)),
                               dtype=np.uint8)
-            if self.ops.prime:
+            if self.ops.integer:
                 combos = (coeffs.astype(np.int64)
                           @ np.array(basis, dtype=np.int64)) % q
                 combos = combos.astype(np.uint8)
@@ -611,15 +601,15 @@ class GroupData:
         self.base = _base_group(base_family, n, q, cap)
         self.field = self.base.field
         field = self.field
-        if family == "PGL":
+        if n == 0 or family in ("GL", "SL"):
+            y = [field.one]  # at n = 0 every scalar is the empty matrix
+        elif family == "PGL":
             y = list(field.units)
         elif family == "PSL":
             y = [z for z in field.units if field.pow(z, n) == field.one]
-        elif family == "SLQ":
+        else:
             y = [z for z in field.units if field.pow(z, y_order) == field.one]
             assert len(y) == y_order
-        else:
-            y = [field.one]
         self.y_codes = sorted(y)
         self.y_order = len(self.y_codes)
         self.order = self.base.order // self.y_order

@@ -53,10 +53,6 @@ def poly_neg(field, f):
     return tuple(field.neg(c) for c in f)
 
 
-def poly_sub(field, f, g):
-    return poly_add(field, f, poly_neg(field, g))
-
-
 def poly_scale(field, c, f):
     if c == 0:
         return ()
@@ -82,20 +78,26 @@ def poly_pow(field, f, e):
 
 
 def poly_divmod(field, f, g):
+    """Quotient and remainder of f by g, in one pass from the top of f down:
+    subtracting c t^shift g clears the top coefficient exactly, so only the
+    lower deg g coefficients are updated."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    add, mul, neg = field.add_list, field.mul_list, field.neg_list
     rem = list(f)
     dg = degree(g)
+    low = g[:-1]
     inv_lead = field.inv(g[-1])
-    quot = [0] * max(len(f) - dg, 1)
-    while len(normalize(rem)) - 1 >= dg:
-        rem = list(normalize(rem))
-        shift = len(rem) - 1 - dg
-        c = field.mul(rem[-1], inv_lead)
-        quot[shift] = c
-        for i, b in enumerate(g):
-            rem[shift + i] = field.sub(rem[shift + i], field.mul(c, b))
-    return normalize(quot), normalize(rem)
+    quot = [0] * max(len(rem) - dg, 1)
+    for shift in range(len(rem) - 1 - dg, -1, -1):
+        top = rem[shift + dg]
+        if top:
+            c = mul[top][inv_lead]
+            quot[shift] = c
+            minus_c = mul[neg[c]]
+            for i, b in enumerate(low, shift):
+                rem[i] = add[rem[i]][minus_c[b]]
+    return normalize(quot), normalize(rem[:dg])
 
 
 def is_monic(f):
@@ -239,7 +241,10 @@ def eta_act(field, f, eta):
     """f(t) -> f(eta t):  multiplies the t^k coefficient by eta^k."""
     if eta == 0:
         raise ValueError("eta must be a unit")
-    return tuple(field.mul(c, field.pow(eta, k)) for k, c in enumerate(f))
+    log, exp, order = field.log, field.exp, field.q - 1
+    step = log[eta]
+    return tuple(exp[(log[c] + k * step) % order] if c else 0
+                 for k, c in enumerate(f))
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +270,6 @@ def irreducibles(field, d):
                     found.append(f)
         _IRR_CACHE[key] = sorted(found)
     return _IRR_CACHE[key]
-
-
-def is_irreducible(field, f):
-    if not f or degree(f) < 1:
-        raise ValueError("irreducibility is defined for degree >= 1")
-    f = monicize(field, f)
-    d = degree(f)
-    for e in range(1, d // 2 + 1):
-        for g in irreducibles(field, e):
-            if not poly_divmod(field, f, g)[1]:
-                return False
-    return True
 
 
 Factorization = namedtuple("Factorization", ["unit", "factors"])

@@ -1,6 +1,8 @@
 """Golden command-line output: the sha256 of stdout and the exit code of
 ``count --format json`` for every accepted (family, kind, y) at n <= 6 over
-a fixed set of q, and of ``table13 --format json`` at four q.
+a fixed set of q, of ``table13 --format json`` at four q, and of three
+``enumerate --format json`` label dumps, which run the per-label criteria
+(``psl_strongly_real`` through ``factorize`` and ``poly_divmod``).
 
 The digests in ``cli_golden.json`` were recorded from the engine before the
 counting API was folded into one (family, kind) registry; the test holding
@@ -25,6 +27,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "cli_golden.json")
 COUNT_QS = (2, 3, 4, 5, 7, 9)
 TABLE_QS = (2, 3, 5, 9)
+ENUMERATE_ARGS = (("6", "11", "real"), ("6", "7", "zeta_real"),
+                  ("10", "3", "real"))
 
 
 def _count_argvs():
@@ -51,6 +55,9 @@ def argvs():
     yield from _count_argvs()
     for q in TABLE_QS:
         yield ["table13", "--q", str(q), "--format", "json"]
+    for n, q, filt in ENUMERATE_ARGS:
+        yield ["enumerate", "--n", n, "--q", q, "--filter", filt,
+               "--format", "json"]
 
 
 def run(argv):

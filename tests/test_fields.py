@@ -5,6 +5,8 @@ from realclasses.fields import (MAX_Q, Field, canonical_nonsquare,
                                 is_prime, make_field, prime_power, two_adic)
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27]
+ALL_Q = sorted(p ** k for p in range(2, MAX_Q + 1) if is_prime(p)
+               for k in range(1, 8) if p ** k <= MAX_Q)
 
 
 def test_is_prime():
@@ -108,3 +110,40 @@ def test_constrained_nonsquare():
 def test_field_cache():
     assert field_for_order(25) is field_for_order(25)
     assert field_for_order(MAX_Q).q == 128
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_list_views_match_tables(q):
+    f = field_for_order(q)
+    for view, table in ((f.add_list, f.add_table), (f.mul_list, f.mul_table),
+                        (f.neg_list, f.neg_table), (f.inv_list, f.inv_table)):
+        assert view == table.tolist()
+    assert sorted(f.exp) == list(f.units)
+    assert all(f.log[f.exp[i]] == i for i in range(q - 1))
+    assert f.exp[1 % (q - 1)] == f.generator
+
+
+def _pow_reference(f, a, e):
+    """Square-and-multiply on the numpy multiplication table."""
+    if e < 0:
+        a, e = int(f.inv_table[a]), -e
+    acc, base = 1, a
+    while e:
+        if e & 1:
+            acc = int(f.mul_table[acc, base])
+        base = int(f.mul_table[base, base])
+        e >>= 1
+    return acc
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_pow_matches_square_and_multiply(q):
+    f = field_for_order(q)
+    for a in f.elements:
+        for e in range(-q if a else 0, 2 * q):
+            assert f.pow(a, e) == _pow_reference(f, a, e), (a, e)
+    assert f.pow(0, 0) == 1
+    with pytest.raises(ZeroDivisionError):
+        f.pow(0, -1)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from realclasses import counts, labels, oracle
+from realclasses import cli, counts, labels, oracle
 from realclasses.errors import BudgetExceeded
 from realclasses.fields import canonical_nonsquare, field_for_order
 from realclasses.oracle import (enumerate_group, group_order, identity_mat,
@@ -211,6 +211,22 @@ def test_oracle_in_dimension_one(family, q):
     rep = verify_group(family, 1, q)
     assert rep["match"], rep
     assert rep["classes"] == rep["order"] == group_order(family, 1, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", counts.FAMILIES)
+def test_oracle_in_dimension_zero(family, q, capsys):
+    # the trivial group of the empty matrix: one class, every kind counts 1
+    y = 1 if family == "SLQ" else None
+    rep = verify_group(family, 0, q, y_order=y)
+    assert rep["match"], rep
+    assert rep["order"] == rep["classes"] == 1
+    assert [c["kind"] for c in rep["checks"]] == \
+        list(counts.applicable_kinds(family, q))
+    assert all(c["oracle"] == c["engine"] == 1 for c in rep["checks"])
+    argv = ["verify", "--family", family, "--n", "0", "--q", str(q)]
+    assert cli.main(argv + (["--y", "1"] if y else [])) == 0
+    capsys.readouterr()
 
 
 def test_zeta_real_conventions():
