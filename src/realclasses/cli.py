@@ -99,7 +99,8 @@ def cmd_count(args):
 
 def cmd_verify(args):
     if args.all_desk:
-        cap = max(args.cap or 0, oracle.resolve_cap(args.cap), _DESK_CAP)
+        # the desk cap replaces only the default; --cap and REALCLASS_CAP hold
+        cap = oracle.resolve_cap(args.cap, default=_DESK_CAP)
         runs = [oracle.verify_group(f, n, q, y_order=y, cap=cap)
                 for f, n, q, y in DESK_MATRIX]
     else:

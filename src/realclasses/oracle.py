@@ -3,7 +3,13 @@ classes, and decide reality questions by direct search.
 
 Everything here is independent of the counting formulas so the two sides
 can be compared.  Groups are enumerated as coded matrices (base-q digit
-strings, row-major) and kept as their sorted codes.  Conjugation by each
+strings, row-major) and kept as their sorted codes.  The elements are
+found by expanding the determinant along the last row: the exact
+cofactor vector c of each block of top n - 1 rows is computed once, and
+for each last row x the blocks with c . x = 1 (SL) or c . x != 0 (GL)
+are kept, so the codes come out ascending without a scan of all q^(n^2)
+matrices.  Every determinant is exact (integers mod p, or the field
+tables over an extension field).  Conjugation by each
 generator is F_p-linear on the base-p digits of a code, so it becomes one
 permutation array over element indices, and the classes are the orbits of
 those permutations, found by min-label hooking with pointer jumping
@@ -34,14 +40,14 @@ _CHUNK = 1 << 18
 _BASE_CACHE = {}
 
 
-def resolve_cap(cap=None):
+def resolve_cap(cap=None, default=DEFAULT_CAP):
     """Explicit cap, else the REALCLASS_CAP environment override, else default."""
     if cap is not None:
         return int(cap)
     env = os.environ.get("REALCLASS_CAP")
     if env:
         return int(env)
-    return DEFAULT_CAP
+    return default
 
 
 def group_order(family, n, q, y_order=None):
@@ -185,29 +191,75 @@ class _Ops:
             acc = term if acc is None else self.add_table[acc, term]
         return acc
 
-    def det(self, a):
+    # Elementwise field arithmetic.  Over a prime field products and sums
+    # stay unreduced int32 (below n * p^2) until _sum reduces them mod p.
+    def _mul(self, a, b):
+        return a * b if self.integer else self.mul_table[a, b]
+
+    def _neg(self, a):
+        return -a if self.integer else self.neg_table[a]
+
+    def _sum(self, terms):
         if self.integer:
-            d = np.rint(np.linalg.det(a.astype(np.float64))).astype(np.int64)
-            return (d % self.q).astype(np.uint8)
-        acc = np.zeros(a.shape[:-2], dtype=np.uint8)
-        for perm in itertools.permutations(range(self.n)):
-            prod = a[..., 0, perm[0]]
-            for i in range(1, self.n):
-                prod = self.mul_table[prod, a[..., i, perm[i]]]
-            if _perm_parity(perm):
-                prod = self.neg_table[prod]
-            acc = self.add_table[acc, prod]
+            return sum(terms) % self.q
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = self.add_table[acc, term]
         return acc
 
+    def dot(self, c, x):
+        """sum_j c[j] * x[j] over the field; each c[j] and x[j] is an array
+        (or a scalar) and they broadcast."""
+        return self._sum([self._mul(cj, xj) for cj, xj in zip(c, x)])
 
-def _decode(codes, n, q):
-    cells = n * n
+    def _expansion(self, minors, r, cols):
+        """The coefficients of row r in the minor of rows 0..r on the
+        columns cols: (-1)^(r+k) times the minor of rows 0..r-1 on the
+        columns without cols[k]."""
+        coef = [minors[cols[:k] + cols[k + 1:]] for k in range(len(cols))]
+        return [self._neg(m) if (r + k) % 2 else m for k, m in enumerate(coef)]
+
+    def cofactors(self, top):
+        """The cofactor vector c, shape (n, ...), of a batch (..., n - 1, n)
+        of top blocks: the matrix of a block over a last row x has
+        determinant c . x.
+
+        The minors of the leading rows on every set of columns come row by
+        row, each expanded along its last row; c is the expansion of the
+        full n x n minor along row n - 1.
+        """
+        n = top.shape[-1]
+        rows = top.astype(np.int32 if self.integer else np.uint8)
+        minors = {(): np.ones(rows.shape[:-2], dtype=rows.dtype)}
+        for r in range(n - 1):
+            minors = {cols: self.dot(self._expansion(minors, r, cols),
+                                     [rows[..., r, j] for j in cols])
+                      for cols in itertools.combinations(range(n), r + 1)}
+        c = np.stack(self._expansion(minors, n - 1, tuple(range(n))))
+        return c % self.q if self.integer else c
+
+    def det(self, a):
+        """Exact determinants of a batch (..., n, n), in uint8, expanded
+        along the last row: cofactors of the top n - 1 rows . last row."""
+        if self.n == 0:
+            return np.ones(a.shape[:-2], dtype=np.uint8)
+        last = np.moveaxis(a[..., -1, :], -1, 0)
+        return self.dot(self.cofactors(a[..., :-1, :]), last).astype(
+            np.uint8, copy=False)
+
+
+def _decode(codes, n, q, rows=None):
+    """Codes to matrices: digit j of a code (base q, least significant
+    first) is entry j row-major.  ``rows`` < n decodes only the leading
+    rows, from codes below q^(rows * n)."""
+    rows = n if rows is None else rows
+    cells = rows * n
     out = np.empty((len(codes), cells), dtype=np.uint8)
     c = np.asarray(codes, dtype=np.int64).copy()
     for j in range(cells):
         out[:, j] = c % q
         c //= q
-    return out.reshape(len(codes), n, n)
+    return out.reshape(len(codes), rows, n)
 
 
 def _encode(mats, q):
@@ -346,7 +398,8 @@ class BaseGroup:
     """A fully enumerated GL_n(q) or SL_n(q) with certified conjugacy data.
 
     ``stats`` records the seconds spent enumerating, classifying and
-    certifying, and the rounds the class union took.
+    certifying, the rounds the class union took, and the number of top
+    blocks whose cofactors the enumeration computed.
     """
 
     def __init__(self, family, n, q, cap):
@@ -361,14 +414,13 @@ class BaseGroup:
             raise BudgetExceeded(
                 "group %s_%d(%d) has order %d, over the cap %d"
                 % (family, n, q, self.order, cap))
-        address = q ** (n * n)
-        if address > _ADDRESS_LIMIT:
+        if q ** (n * n) > _ADDRESS_LIMIT:
             raise BudgetExceeded(
                 "matrix space %d^%d is too large to address" % (q, n * n))
         self.ops = _Ops(self.field, n)
         self.stats = {}
         start = time.perf_counter()
-        self.codes = self._enumerate_codes(address)
+        self.codes = self._enumerate_codes()
         assert len(self.codes) == self.order, \
             "enumerated %d elements, expected %d" % (len(self.codes), self.order)
         self.stats["enumerate_s"] = time.perf_counter() - start
@@ -376,28 +428,41 @@ class BaseGroup:
         self._classify()
         self.stats["classify_s"] = time.perf_counter() - start
         start = time.perf_counter()
+        self._rep_mats = [_mat_to_tuple(m) for m in _decode(
+            self.codes[self.class_reps], n, q)]
         self._certify()
         self.stats["certify_s"] = time.perf_counter() - start
-        self._rep_mats = [
-            _mat_to_tuple(_decode(self.codes[[r]], n, q)[0])
-            for r in self.class_reps]
         self._inverse_class = [
             self.class_of_mat(mat_inv(self.field, m)) for m in self._rep_mats]
         self._square_root_cache = {}
 
     # -- enumeration
 
-    def _enumerate_codes(self, address):
-        """The codes of the group's elements, ascending, as int32."""
+    def _enumerate_codes(self):
+        """The codes of the group's elements, ascending, as int32.
+
+        A code is its top block (the first n - 1 rows, the low n(n - 1)
+        digits) plus its last row x times q^(n(n - 1)).  A matrix's
+        determinant is c . x for the cofactor vector c of its top block,
+        so the cofactors are computed once per block, and for each last
+        row in ascending order the blocks with c . x = 1 (SL) or != 0
+        (GL) give the elements in ascending order.
+        """
         q, n = self.q, self.n
+        if n == 0:
+            self.stats["top_blocks"] = 0
+            return np.zeros(1, dtype=np.int32)  # the empty matrix
+        span = q ** (n * (n - 1))
+        tops = np.arange(span, dtype=np.int32)
+        c = self.ops.cofactors(_decode(tops, n, q, rows=n - 1))
+        self.stats["top_blocks"] = span
         want_one = self.family == "SL"
         chunks = []
-        for start in range(0, address, _CHUNK):
-            block = np.arange(start, min(start + _CHUNK, address),
-                              dtype=np.int32)
-            dets = self.ops.det(_decode(block, n, q))
+        lasts = _decode(np.arange(q ** n), n, q, rows=1)[:, 0, :].tolist()
+        for x, last in enumerate(lasts):
+            dets = self.ops.dot(c, last)
             mask = dets == self.field.one if want_one else dets != self.field.zero
-            chunks.append(block[mask])
+            chunks.append(tops[mask] + np.int32(x * span))
         return np.concatenate(chunks)
 
     # -- conjugacy
@@ -440,9 +505,7 @@ class BaseGroup:
 
     def _certify(self):
         assert int(self.class_sizes.sum()) == self.order, "class equation fails"
-        for cid in range(self.num_classes):
-            rep = _mat_to_tuple(
-                _decode(self.codes[[self.class_reps[cid]]], self.n, self.q)[0])
+        for cid, rep in enumerate(self._rep_mats):
             size = int(self.class_sizes[cid])
             if self._is_scalar(rep):
                 assert size == 1, "scalar matrix in a class of size %d" % size

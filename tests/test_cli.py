@@ -224,6 +224,17 @@ def test_env_cap(monkeypatch, capsys):
     assert code == 3
 
 
+def test_all_desk_honours_cap(monkeypatch, capsys):
+    # the desk cap replaces only the default: GL_2(7), the fifth desk
+    # group, is the first over 1000
+    for argv, env in ((["--cap", "1000"], None), ([], "1000")):
+        if env:
+            monkeypatch.setenv("REALCLASS_CAP", env)
+        code, out, err = run(["verify", "--all-desk"] + argv, capsys)
+        assert code == 3 and out == ""
+        assert "group GL_2(7) has order 2016, over the cap 1000" in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

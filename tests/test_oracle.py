@@ -83,9 +83,51 @@ def test_certification_is_builtin():
     cid = base.class_of_mat(rep)
     assert brute * int(base.class_sizes[cid]) == gd.order
     assert set(base.stats) == {"enumerate_s", "classify_s", "certify_s",
-                               "hook_rounds"}
+                               "hook_rounds", "top_blocks"}
+    assert base.stats["top_blocks"] == 5 ** 2  # one per first row
     # a matrix outside the group (determinant 0) has no class
     assert base.maybe_class_of_mat(scalar_mat(gd.field, 0, 2)) == -1
+
+
+# ---------------------------------------------------------------------------
+# exact determinants and enumeration by cofactors
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_batched_det_matches_elimination(n, q):
+    field = field_for_order(q)
+    ops = oracle._Ops(field, n)
+    rng = np.random.default_rng(n * 100 + q)
+    mats = rng.integers(0, q, size=(200, n, n), dtype=np.uint8)
+    # singular ones too: a repeated row, a zero column, and a row that is
+    # another row plus a multiple of a third
+    if n >= 2:
+        mats[:20, 1] = mats[:20, 0]
+        mats[20:40, :, n - 1] = 0
+        mats[40:60, 0] = field.add_table[mats[40:60, 1], field.mul_table[
+            mats[40:60, n - 1], rng.integers(1, q)]]
+    got = ops.det(mats)
+    want = [mat_det(field, oracle._mat_to_tuple(m)) for m in mats]
+    assert got.dtype == np.uint8
+    assert got.tolist() == want
+    if n >= 2:
+        assert not got[:60].any()
+
+
+@pytest.mark.parametrize("family", ["GL", "SL"])
+@pytest.mark.parametrize("n,q", [(0, 3), (1, 2), (1, 5), (2, 4), (2, 9),
+                                 (3, 2), (3, 3)])
+def test_enumeration_matches_determinant_filter(family, n, q):
+    field = field_for_order(q)
+    every = np.arange(q ** (n * n), dtype=np.int32)
+    dets = [mat_det(field, oracle._mat_to_tuple(m))
+            for m in oracle._decode(every, n, q)]
+    keep = [d == field.one if family == "SL" else d != field.zero
+            for d in dets]
+    base = oracle.BaseGroup(family, n, q, oracle.DEFAULT_CAP)
+    assert base.codes.dtype == np.int32
+    assert base.codes.tolist() == every[keep].tolist()
+    assert base.stats["top_blocks"] == (q ** (n * (n - 1)) if n else 0)
 
 
 # ---------------------------------------------------------------------------
