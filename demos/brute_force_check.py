@@ -4,9 +4,11 @@ Formulas against brute force
 
 Nothing beats enumerating an actual group.  Here we build SL_2(5) as
 120 honest matrices, split it into conjugacy classes, decide reality by
-searching for reversing elements, and compare with the counting
-formulas.  Then ask the matrices directly which class carries which
-label.
+looking up the class of each inverse, decide strong reality by
+multiplying the elements that square to 1 (a class is strongly real
+exactly when it is a product of two of them), and compare with the
+counting formulas.  Then ask the matrices directly which class carries
+which label.
 """
 
 from realclasses import counts, oracle
@@ -21,8 +23,9 @@ print("%s_%d(%d): %d elements in %d conjugacy classes"
       % (family, n, q, gd.order, gd.num_classes))
 
 # For every class: its size, its label (read from the characteristic
-# polynomial and rank data of a representative), and the verdicts of the
-# brute-force reality searches.
+# polynomial and rank data of a representative), and the brute-force
+# reality verdicts.
+strong = set(gd.strongly_real_class_ids())
 print()
 print("  size  real  strongly  label")
 for cid in range(gd.num_classes):
@@ -31,16 +34,16 @@ for cid in range(gd.num_classes):
     shown = "; ".join(poly_str(field, u) for u in lab)
     print("  %4d  %4s  %8s  [%s]"
           % (gd.class_sizes[cid], "yes" if gd.is_real(cid) else "no",
-             "yes" if gd.is_strongly_real(cid) else "no", shown))
+             "yes" if cid in strong else "no", shown))
 
 # Tally and compare against the closed-form counts.
 found_real = len(gd.real_class_ids())
-found_strong = len(gd.strongly_real_class_ids())
+found_strong = len(strong)
 want_real = counts.real_sl(n, q).total
 want_strong = counts.strongly_real_sl(n, q).total
 print()
-print("real: %d by search, %d by formula" % (found_real, want_real))
-print("strongly real: %d by search, %d by formula"
+print("real: %d by brute force, %d by formula" % (found_real, want_real))
+print("strongly real: %d by brute force, %d by formula"
       % (found_strong, want_strong))
 assert (found_real, found_strong) == (want_real, want_strong)
 

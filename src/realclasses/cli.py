@@ -69,7 +69,7 @@ def _group_str(family, n, q, y_order=None):
 
 
 def _budget(args):
-    return args.cap if args.cap else counts.DEFAULT_BUDGET
+    return counts.DEFAULT_BUDGET if args.cap is None else args.cap
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ and the orbit-stabilizer equation |class| * |centralizer| = |order|.
 
 Quotients by a central subgroup Y reuse the base classification: the
 classes of G/Y are the Y-orbits of classes of G, reality asks whether the
-inverse class lands in the orbit, and strong reality searches the coset
-square roots {h : h^2 in Y}.
+inverse class lands in the orbit, and strong reality whether the orbit
+lies in P P for P = {h : h^2 in Y}, found from the class representatives.
 """
 
 import itertools
@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from . import counts, labels, polys
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, UsageError
 from .fields import canonical_nonsquare, field_for_order
 
 DEFAULT_CAP = 10 ** 6
@@ -45,9 +45,11 @@ def resolve_cap(cap=None, default=DEFAULT_CAP):
     if cap is not None:
         return int(cap)
     env = os.environ.get("REALCLASS_CAP")
-    if env:
-        return int(env)
-    return default
+    try:
+        return int(env) if env else default
+    except ValueError:
+        raise UsageError("REALCLASS_CAP must be an integer, got %r"
+                         % (env,)) from None
 
 
 def group_order(family, n, q, y_order=None):
@@ -434,7 +436,6 @@ class BaseGroup:
         self.stats["certify_s"] = time.perf_counter() - start
         self._inverse_class = [
             self.class_of_mat(mat_inv(self.field, m)) for m in self._rep_mats]
-        self._square_root_cache = {}
 
     # -- enumeration
 
@@ -546,35 +547,27 @@ class BaseGroup:
     def _centralizer_order(self, rep):
         field, n, q = self.field, self.n, self.q
         basis = self._commutant_basis(rep)
+        # a non-scalar rep's commutant has dimension m <= (n - 1)^2 + 1, so
+        # under _ADDRESS_LIMIT the q^m combinations number at most 2^17,
+        # at GL_5(2) (SL_4(3): 3^10)
         m = len(basis)
-        if q ** m <= 2 * 10 ** 6:
-            combos = np.zeros((q ** m, n * n), dtype=np.uint8)
-            coeffs = np.array(list(itertools.product(range(q), repeat=m)),
-                              dtype=np.uint8)
-            if self.ops.integer:
-                combos = (coeffs.astype(np.int64)
-                          @ np.array(basis, dtype=np.int64)) % q
-                combos = combos.astype(np.uint8)
-            else:
-                for t in range(m):
-                    term = self.ops.mul_table[
-                        coeffs[:, t][:, None],
-                        np.array(basis[t], dtype=np.uint8)[None, :]]
-                    combos = self.ops.add_table[combos, term]
-            dets = self.ops.det(combos.reshape(-1, n, n))
-            if self.family == "SL":
-                return int(np.count_nonzero(dets == field.one))
-            return int(np.count_nonzero(dets != field.zero))
-        # fall back to scanning the group for commuting elements
-        rep_arr = _tuple_to_array(rep)
-        count = 0
-        for start in range(0, len(self.codes), _CHUNK):
-            batch = _decode(self.codes[start:start + _CHUNK], n, q)
-            left = self.ops.matmul(rep_arr, batch)
-            right = self.ops.matmul(batch, rep_arr)
-            count += int(np.count_nonzero(
-                (left == right).reshape(len(batch), -1).all(axis=1)))
-        return count
+        combos = np.zeros((q ** m, n * n), dtype=np.uint8)
+        coeffs = np.array(list(itertools.product(range(q), repeat=m)),
+                          dtype=np.uint8)
+        if self.ops.integer:
+            combos = (coeffs.astype(np.int64)
+                      @ np.array(basis, dtype=np.int64)) % q
+            combos = combos.astype(np.uint8)
+        else:
+            for t in range(m):
+                term = self.ops.mul_table[
+                    coeffs[:, t][:, None],
+                    np.array(basis[t], dtype=np.uint8)[None, :]]
+                combos = self.ops.add_table[combos, term]
+        dets = self.ops.det(combos.reshape(-1, n, n))
+        if self.family == "SL":
+            return int(np.count_nonzero(dets == field.one))
+        return int(np.count_nonzero(dets != field.zero))
 
     # -- queries
 
@@ -599,42 +592,31 @@ class BaseGroup:
     def inverse_class(self, cid):
         return self._inverse_class[cid]
 
-    def square_roots_into(self, y_codes):
-        """Indices of all h in the group with h^2 in the central set Y."""
-        key = tuple(sorted(y_codes))
-        if key not in self._square_root_cache:
-            targets = np.array(
-                [_single_code(self.field, scalar_mat(self.field, z, self.n))
-                 for z in key], dtype=np.int64)
-            hits = []
-            for start in range(0, len(self.codes), _CHUNK):
-                batch = _decode(self.codes[start:start + _CHUNK],
-                                self.n, self.q)
-                sq = _encode(self.ops.matmul(batch, batch), self.q)
-                mask = np.isin(sq, targets)
-                if mask.any():
-                    hits.append(np.arange(start, start + len(batch),
-                                          dtype=np.int64)[mask])
-            self._square_root_cache[key] = (
-                np.concatenate(hits) if hits else np.empty(0, dtype=np.int64))
-        return self._square_root_cache[key]
-
-    def has_reverser_in(self, cid, y_codes):
-        """Whether some h with h^2 in Y satisfies h g h^{-1} in Y g^{-1}."""
-        rep = self._rep_mats[cid]
-        rep_arr = _tuple_to_array(rep)
-        inv = mat_inv(self.field, rep)
-        targets = np.array(
-            [_single_code(self.field, mat_scale(self.field, z, inv))
-             for z in y_codes], dtype=np.int64)
-        pool = self.square_roots_into(y_codes)
+    def product_classes(self, y_codes):
+        """Mask over class ids of P P, P = {h : h^2 in the central set Y}:
+        the classes strongly real modulo Y (Wonenburger 1966; Gow 1981).
+        If h g h^{-1} = y g^{-1} then g = h^{-1} (h g) with (h g)^2 =
+        y h^2; conversely t (t s) t^{-1} = t^2 s^2 (t s)^{-1}.  P is a
+        union of classes and conjugating (t, s) moves t onto its class
+        representative, so the products t_j s, t_j a representative in
+        P and s in P, meet every class of P P."""
+        field, n, q = self.field, self.n, self.q
+        ys = {scalar_mat(field, z, n) for z in y_codes}
+        pool_classes = [cid for cid, rep in enumerate(self._rep_mats)
+                        if mat_mul(field, rep, rep) in ys]
+        pool = np.flatnonzero(np.isin(self.class_id, pool_classes))
+        reps = _decode(self.codes[[self.class_reps[c] for c in pool_classes]],
+                       n, q)
+        hit = np.zeros(self.num_classes, dtype=bool)
         for start in range(0, len(pool), _CHUNK):
-            h = _decode(self.codes[pool[start:start + _CHUNK]],
-                        self.n, self.q)
-            hgh = self.ops.matmul(self.ops.matmul(h, rep_arr), h)
-            if np.isin(_encode(hgh, self.q), targets).any():
-                return True
-        return False
+            s = _decode(self.codes[pool[start:start + _CHUNK]], n, q)
+            for t in reps:
+                prod = _encode(self.ops.matmul(t, s), q).astype(np.int32)
+                idx = np.searchsorted(self.codes, prod)
+                assert np.array_equal(self.codes.take(idx, mode="clip"),
+                                      prod), "product left the group"
+                hit[self.class_id[idx]] = True
+        return hit
 
 
 def _base_group(family, n, q, cap):
@@ -713,9 +695,6 @@ class GroupData:
         return inv in self.orbits[cid] if self.y_order > 1 else \
             inv == self.orbits[cid][0]
 
-    def is_strongly_real(self, cid):
-        return self.base.has_reverser_in(self.orbits[cid][0], self.y_codes)
-
     def is_zeta_real(self, cid, zeta):
         rep = self.rep_mat(cid)
         twisted = mat_scale(self.field, zeta, mat_inv(self.field, rep))
@@ -727,8 +706,16 @@ class GroupData:
         return [c for c in range(self.num_classes) if self.is_real(c)]
 
     def strongly_real_class_ids(self):
-        return [c for c in range(self.num_classes)
-                if self.is_strongly_real(c)]
+        # P P is Y-stable (y t is in P with t), so an orbit is in or out
+        hit = self.base.product_classes(self.y_codes)
+        ids = []
+        for cid, orbit in enumerate(self.orbits):
+            inside = hit[list(orbit)]
+            assert inside.all() or not inside.any(), \
+                "Y-orbit %d splits under strong reality" % cid
+            if inside[0]:
+                ids.append(cid)
+        return ids
 
     def zeta_real_class_ids(self, zeta=None):
         counts.check_kind(self.family, self.q, "zeta_real")

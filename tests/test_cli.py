@@ -224,6 +224,21 @@ def test_env_cap(monkeypatch, capsys):
     assert code == 3
 
 
+def test_malformed_env_cap_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("REALCLASS_CAP", "abc")
+    code, _, err = run(["verify", "--family", "SL", "--n", "2", "--q", "5"],
+                       capsys)
+    assert code == 2
+    assert err.startswith("error:") and "REALCLASS_CAP" in err
+
+
+def test_cap_zero_is_a_budget(capsys):
+    code, out, err = run(["enumerate", "--n", "6", "--q", "3", "--cap", "0"],
+                         capsys)
+    assert code == 3 and out == ""
+    assert "budget exceeded" in err
+
+
 def test_all_desk_honours_cap(monkeypatch, capsys):
     # the desk cap replaces only the default: GL_2(7), the fifth desk
     # group, is the first over 1000

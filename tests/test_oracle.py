@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from realclasses import cli, counts, labels, oracle
-from realclasses.errors import BudgetExceeded
-from realclasses.fields import canonical_nonsquare, field_for_order
+from realclasses.errors import BudgetExceeded, UsageError
+from realclasses.fields import (MAX_Q, canonical_nonsquare, field_for_order,
+                                prime_power)
 from realclasses.oracle import (enumerate_group, group_order, identity_mat,
                                 mat_det, mat_inv, mat_mul, mat_rank,
                                 matrix_to_label, scalar_mat, verify_group)
@@ -271,6 +272,64 @@ def test_oracle_in_dimension_zero(family, q, capsys):
     capsys.readouterr()
 
 
+def _reference_strongly_real_ids(gd):
+    """Pure-Python search: class c is strongly real when some h with
+    h^2 in Y has h g h^{-1} in Y g^{-1} for its representative g."""
+    field, n = gd.field, gd.n
+    ys = [scalar_mat(field, z, n) for z in gd.y_codes]
+    mats = [oracle._mat_to_tuple(m)
+            for m in oracle._decode(gd.base.codes, n, gd.q)]
+    pool = [h for h in mats if mat_mul(field, h, h) in ys]
+    ids = []
+    for cid in range(gd.num_classes):
+        g = gd.rep_mat(cid)
+        g_inv = mat_inv(field, g)
+        targets = {mat_mul(field, y, g_inv) for y in ys}
+        if any(mat_mul(field, mat_mul(field, h, g), mat_inv(field, h))
+               in targets for h in pool):
+            ids.append(cid)
+    return ids
+
+
+_SMALL_GROUPS = (
+    [("GL", 2, q, None) for q in (2, 3, 4, 5)]
+    + [(f, 2, q, None) for f in ("SL", "PSL")
+       for q in (2, 3, 4, 5, 7, 8, 9, 11)]
+    + [("PGL", 2, q, None) for q in (2, 3, 4, 5, 7)]
+    + [("GL", 3, 2, None), ("SL", 3, 3, None), ("PSL", 3, 3, None),
+       ("SLQ", 2, 5, 2)])
+
+
+@pytest.mark.parametrize("family,n,q,y", _SMALL_GROUPS)
+def test_strongly_real_matches_reference_search(family, n, q, y):
+    gd = enumerate_group(family, n, q, y_order=y)
+    assert gd.strongly_real_class_ids() == _reference_strongly_real_ids(gd)
+
+
+def test_centralizer_combinations_stay_small():
+    # a non-scalar n x n matrix has a commutant of dimension at most
+    # (n - 1)^2 + 1; every addressable (n, q) keeps q^that small
+    worst = {}
+    n = 2
+    while 2 ** (n * n) <= oracle._ADDRESS_LIMIT:
+        for q in range(2, MAX_Q + 1):
+            try:
+                prime_power(q)
+            except UsageError:
+                continue
+            if q ** (n * n) <= oracle._ADDRESS_LIMIT:
+                worst[(n, q)] = q ** ((n - 1) ** 2 + 1)
+        n += 1
+    assert max(worst.values()) == worst[(5, 2)] == 2 ** 17
+    assert worst[(4, 3)] == 3 ** 10
+    for family, n, q in (("GL", 3, 2), ("GL", 2, 4), ("GL", 4, 2)):
+        base = enumerate_group(family, n, q).base
+        for cid in range(base.num_classes):
+            rep = base.rep_mat(cid)
+            if not base._is_scalar(rep):
+                assert len(base._commutant_basis(rep)) <= (n - 1) ** 2 + 1
+
+
 def test_zeta_real_conventions():
     # scaling by zeta must leave SL when zeta^n != 1, never crash
     gd = enumerate_group("SL", 2, 5)
@@ -361,6 +420,9 @@ def test_cap_and_env(monkeypatch):
         enumerate_group("SL", 4, 5, cap=10 ** 6)
     monkeypatch.setenv("REALCLASS_CAP", "10")
     with pytest.raises(BudgetExceeded):
+        enumerate_group("GL", 2, 3)
+    monkeypatch.setenv("REALCLASS_CAP", "abc")
+    with pytest.raises(UsageError, match="REALCLASS_CAP"):
         enumerate_group("GL", 2, 3)
     monkeypatch.delenv("REALCLASS_CAP")
     assert enumerate_group("GL", 2, 3).order == 48
