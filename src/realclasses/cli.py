@@ -208,9 +208,8 @@ def cmd_enumerate(args):
         if det == field.one:
             rec["sl_real"] = labels.sl_real(lab, args.n, args.q)
             rec["sl_strongly_real"] = labels.sl_strongly_real(field, lab)
-            # the PSL criterion reads real and zeta-real labels only
-            if psl_regime and (rec["real"] or labels.is_zeta_real_label(
-                    field, lab, psl_zeta)):
+            if psl_regime and labels.psl_criterion_applies(field, lab,
+                                                           psl_zeta):
                 rec["psl_strongly_real"] = labels.psl_strongly_real(
                     field, lab, psl_zeta)
         if args.format == "json":
@@ -316,6 +315,9 @@ def _validate(args):
             counts.check_kind("GL", args.q, "zeta_real")
     if getattr(args, "n", None) is not None and args.n < 0:
         raise UsageError("--n must be nonnegative")
+    # every subcommand rejects a negative --cap or REALCLASS_CAP, whether
+    # it reads them as a group-size cap or as a label budget
+    oracle.resolve_cap(args.cap)
 
 
 def main(argv=None):

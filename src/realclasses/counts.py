@@ -208,40 +208,37 @@ def _as_int(x, what):
 _ORBIT_CACHE = {}
 
 
-def _tally(pairs):
-    out = {}
-    for nu, c in pairs:
-        out[nu] = out.get(nu, 0) + c
-    return out
-
-
 def _label_tally(field, n, zeta, budget, in_sl=None):
     """Real labels of weight n by type; zeta-real ones when zeta is given.
 
     With ``in_sl(field, label, n)`` the tally keeps the det-1 labels
     passing that criterion and weights each by h_nu, the number of
-    SL_n(q)-classes its GL-class splits into.
+    SL_n(q)-classes its GL-class splits into.  Only det-1 labels are
+    generated then, and the type comes with each label.
     """
-    q = field.q
     filt = "real" if zeta is None else "zeta_real"
-    pairs = []
-    for lab in labels.enumerate_labels(field, n, filt=filt, zeta=zeta,
-                                       budget=budget):
-        nu = labels.label_type(lab)
+    out = {}
+    weight = {}
+    for nu, lab in labels.enumerate_labels(
+            field, n, filt=filt, zeta=zeta, budget=budget,
+            det=None if in_sl is None else field.one, typed=True):
         if in_sl is None:
-            pairs.append((nu, 1))
-        elif (labels.label_det(field, lab) == field.one
-              and in_sl(field, lab, n)):
-            pairs.append((nu, labels.h_nu(nu, q)))
-    return _tally(pairs)
+            out[nu] = out.get(nu, 0) + 1
+        elif in_sl(field, lab, n):
+            if nu not in weight:
+                weight[nu] = labels.h_nu(nu, field.q)
+            out[nu] = out.get(nu, 0) + weight[nu]
+    return out
 
 
 def _pgl_real_orbits(field, n, budget):
-    """Scalar-translation orbits of the real and zeta-real labels.
+    """Scalar-translation orbits of the real and zeta-real labels, as
+    (nu, orbits of type nu, determinants of their representatives).
 
     Each orbit is one real PGL_n(q)-conjugacy class; the backend is
     insensitive to the choice of non-square because the orbit of a label
-    sweeps out every twist.  A cached pool passes the same label-budget
+    sweeps out every twist.  Translation keeps the type, so the orbits
+    are built type by type.  A cached pool passes the same label-budget
     check that enumerating it afresh would.
     """
     filts = ("real", "zeta_real") if field.q % 2 == 1 else ("real",)
@@ -250,16 +247,37 @@ def _pgl_real_orbits(field, n, budget):
         for filt in filts:
             labels.check_label_budget(field.q, n, filt, budget)
     else:
-        pool = [lab for filt in filts
-                for lab in labels.enumerate_labels(field, n, filt=filt,
-                                                   budget=budget)]
-        _ORBIT_CACHE[key] = labels.equivalence_classes(field, pool)
+        pools = {}
+        for filt in filts:
+            for nu, lab in labels.enumerate_labels(field, n, filt=filt,
+                                                   budget=budget, typed=True):
+                pools.setdefault(nu, []).append(lab)
+        cache = _ORBIT_CACHE[key] = []
+        for nu, pool in pools.items():
+            orbits = labels.equivalence_classes(field, pool)
+            cache.append((nu, orbits, [labels.label_det(field, orb[0])
+                                       for orb in orbits]))
     return _ORBIT_CACHE[key]
 
 
 def _pgl_orbit_tally(field, n, zeta, budget):
-    return _tally((labels.label_type(orb[0]), 1)
-                  for orb in _pgl_real_orbits(field, n, budget))
+    return {nu: len(orbits)
+            for nu, orbits, _ in _pgl_real_orbits(field, n, budget)}
+
+
+def _psl_strong_orbit(field, rep, zeta):
+    """Whether some lift of the orbit of ``rep`` passes the PSL criterion.
+
+    The criterion runs over the whole eta-orbit {eta * rep}, on the members
+    it reads (real or zeta-real for this zeta): the cached orbit holds only
+    the members zeta-real for the canonical non-square.
+    """
+    for eta in field.units:
+        lab = labels.eta_translate(field, rep, eta)
+        if (labels.psl_criterion_applies(field, lab, zeta)
+                and labels.psl_strongly_real(field, lab, zeta)):
+            return True
+    return False
 
 
 def _psl_orbit_tally(field, n, zeta, budget, strong=False):
@@ -276,18 +294,17 @@ def _psl_orbit_tally(field, n, zeta, budget, strong=False):
     nth_powers = frozenset(field.pow(u, n) for u in field.units)
     exceptional = q % 2 == 1 and n % 4 == 2 and q % 4 == 3
     zeta = constrained_nonsquare(field, n) if strong and exceptional else None
-    pairs = []
-    for orb in _pgl_real_orbits(field, n, budget):
-        nu = labels.label_type(orb[0])
-        if labels.label_det(field, orb[0]) not in nth_powers:
-            continue
+    out = {}
+    for nu, orbits, dets in _pgl_real_orbits(field, n, budget):
         if exceptional and not labels.has_odd_part(nu):
             continue
-        if zeta is not None and not any(
-                labels.psl_strongly_real(field, lab, zeta) for lab in orb):
-            continue
-        pairs.append((nu, labels.h_nu(nu, q)))
-    return _tally(pairs)
+        meets = 0
+        for orb, det in zip(orbits, dets):
+            if det in nth_powers and (
+                    zeta is None or _psl_strong_orbit(field, orb[0], zeta)):
+                meets += 1
+        out[nu] = meets * labels.h_nu(nu, q)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -191,22 +191,58 @@ def check_label_budget(q, n, filt, budget):
         raise BudgetExceeded("%d labels exceed the budget of %d" % (total, budget))
 
 
-def enumerate_labels(field, n, filt=None, zeta=None, budget=10 ** 7):
+def _combinations(field, pools, target):
+    """The combinations of one type's slot pools, or with ``target`` only
+    those whose leading coefficients give prod lead(u_i)^i = target.
+
+    Each slot's pool is grouped by its factor lead(u_i)^i, so only the
+    groups whose factors multiply to the target are expanded.
+    """
+    if target is None:
+        return itertools.product(*pools)
+    mul = field.mul_list
+    slots = []
+    for i, pool in enumerate(pools, 1):
+        groups = {}
+        for u in pool:
+            groups.setdefault(field.pow(u[-1], i), []).append(u)
+        slots.append(sorted(groups.items()))
+
+    def expand():
+        for keyed in itertools.product(*slots):
+            acc = field.one
+            for factor, _ in keyed:
+                acc = mul[acc][factor]
+            if acc == target:
+                yield from itertools.product(*(group for _, group in keyed))
+    return expand()
+
+
+def enumerate_labels(field, n, filt=None, zeta=None, budget=10 ** 7,
+                     det=None, typed=False):
     """Yield all labels of weight n, optionally only real / zeta_real ones.
 
-    Deterministic order: partitions in partitions_of order, polynomials in
-    sorted order within each slot.  Raises BudgetExceeded (before yielding
-    anything) if the total count passes the budget.
+    ``det`` keeps only the labels of that determinant, expanding just the
+    combinations of slot polynomials that reach it.  ``typed`` yields
+    (nu, label) pairs, the type nu read off the partition being expanded.
+    Deterministic order: partitions in partitions_of order, then (with
+    ``det``) the slots' lead(u_i)^i groups in ascending order, then
+    polynomials in sorted order within each slot.  Raises BudgetExceeded
+    (before yielding anything) if the labels of every determinant pass the
+    budget.
     """
     if filt == "zeta_real" and zeta is None:
         zeta = canonical_nonsquare(field)
     check_label_budget(field.q, n, filt, budget)
+    # det = (-1)^n prod lead(u_i)^i
+    target = None if det is None else (
+        field.neg(det) if n % 2 else det)
 
     def gen():
         for nu in partitions_of(n):
             pools = _poly_pools(field, nu, filt, zeta)
-            for combo in itertools.product(*pools):
-                yield make_label(field, combo)
+            for label in _combinations(field, pools, target):
+                yield (nu, label) if typed else label
 
     return gen()
 
@@ -218,7 +254,9 @@ def equivalence_classes(field, labels):
     of each orbit (lexicographically least) is its canonical representative.
     Orbits are listed in order of their representatives.
     """
-    pool = set(labels)
+    # the orbits keep the given label objects, not their translated copies,
+    # so they share polynomials with the pools the labels came from
+    pool = {lab: lab for lab in labels}
     seen = set()
     orbits = []
     for lab in sorted(pool):
@@ -226,8 +264,8 @@ def equivalence_classes(field, labels):
             continue
         orbit = set()
         for eta in field.units:
-            g = eta_translate(field, lab, eta)
-            if g in pool:
+            g = pool.get(eta_translate(field, lab, eta))
+            if g is not None:
                 orbit.add(g)
         orbits.append(tuple(sorted(orbit)))
         seen |= orbit
@@ -269,17 +307,44 @@ def sl_strongly_real(field, label):
     return False
 
 
-def _factors_all_even_and_fixed_deg_div4(field, u, fixed_under):
+@lru_cache(maxsize=None)
+def _factors_all_even_and_fixed_deg_div4(field, u, c):
     """Helper for the PSL criterion: every irreducible factor of u has even
-    degree, and every factor fixed by the given involution has degree
-    divisible by 4."""
-    for p, _ in polys.factorize(field, u).factors:
-        d = polys.degree(p)
-        if d % 2 == 1:
+    degree, and every factor fixed by the involution alpha -> c / alpha of
+    its roots (c = 1 reads tilde, c = zeta reads breve) has degree
+    divisible by 4.
+
+    Decided from u's distinct-degree parts without splitting them: an
+    irreducible p of even degree e is fixed iff c / alpha = alpha^(q^j)
+    for a root alpha, and then j = e/2 (p divides t^(q^(e/2) + 1) - c) or
+    j = 0 (alpha^2 = c, so e = 2 and p = t^2 - c, c a non-square).
+    """
+    minus_c = field.neg(c)
+    for e, g in polys.distinct_degree(field, u):
+        if e % 2 == 1:
             return False
-        if fixed_under(p) and d % 4 != 0:
-            return False
+        if e % 4 == 2:
+            x = polys.poly_powmod(field, (0, 1), field.q ** (e // 2) + 1, g)
+            fixed = polys.poly_gcd(field, g,
+                                   polys.poly_add(field, x, (minus_c,)))
+            if polys.degree(fixed) > 0:
+                return False
+            if e == 2 and not polys.poly_divmod(field, g, (minus_c, 0, 1))[1]:
+                return False
     return True
+
+
+def _psl_readings(field, label, zeta):
+    # c = 1 when the label is real, c = zeta when it is zeta-real
+    readings = [field.one] if is_real_label(field, label) else []
+    if field.q % 2 == 1 and is_zeta_real_label(field, label, zeta):
+        readings.append(zeta)
+    return readings
+
+
+def psl_criterion_applies(field, label, zeta):
+    """Whether psl_strongly_real reads this label: it is real or zeta-real."""
+    return bool(_psl_readings(field, label, zeta))
 
 
 def psl_strongly_real(field, label, zeta):
@@ -291,18 +356,15 @@ def psl_strongly_real(field, label, zeta):
     factors of even degree with the self-paired factors of degree
     divisible by 4.
     """
-    readings = []
-    if is_real_label(field, label):
-        readings.append(lambda p: p == polys.tilde(field, p))
-    if field.q % 2 == 1 and is_zeta_real_label(field, label, zeta):
-        readings.append(lambda p: p == polys.breve(field, p, zeta))
+    readings = _psl_readings(field, label, zeta)
     if not readings:
         raise ValueError("label is neither real nor zeta-real")
     odd_slots = [u for i, u in enumerate(label, 1) if i % 2 == 1 and polys.degree(u) > 0]
     if not odd_slots:
         # no odd part: the class is not real in PSL at all in this regime
         return False
-    for fixed in readings:
-        if not all(_factors_all_even_and_fixed_deg_div4(field, u, fixed) for u in odd_slots):
+    for c in readings:
+        if not all(_factors_all_even_and_fixed_deg_div4(field, u, c)
+                   for u in odd_slots):
             return True
     return False

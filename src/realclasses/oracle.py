@@ -41,15 +41,23 @@ _BASE_CACHE = {}
 
 
 def resolve_cap(cap=None, default=DEFAULT_CAP):
-    """Explicit cap, else the REALCLASS_CAP environment override, else default."""
+    """Explicit cap, else the REALCLASS_CAP environment override, else default.
+
+    A negative or malformed cap is a usage error.
+    """
     if cap is not None:
+        if int(cap) < 0:
+            raise UsageError("the cap must be nonnegative, got %r" % (cap,))
         return int(cap)
     env = os.environ.get("REALCLASS_CAP")
     try:
-        return int(env) if env else default
+        value = int(env) if env else default
     except ValueError:
-        raise UsageError("REALCLASS_CAP must be an integer, got %r"
-                         % (env,)) from None
+        value = None
+    if value is None or value < 0:
+        raise UsageError("REALCLASS_CAP must be a nonnegative integer, "
+                         "got %r" % (env,))
+    return value
 
 
 def group_order(family, n, q, y_order=None):

@@ -14,7 +14,10 @@ work:
   normalising; empty for odd d).
 
 Both are enumerated directly from their closed coefficient templates
-rather than by filtering all polynomials.
+rather than by filtering all polynomials, once per field, degree and z.
+
+Factoring starts from the distinct-degree parts of a polynomial
+(``distinct_degree``), found by gcds with t^(q^e) - t.
 """
 
 import itertools
@@ -36,9 +39,10 @@ ONE = (1,)
 
 
 def poly_eval(field, f, x):
+    add, times_x = field.add_list, field.mul_list[x]
     acc = 0
     for c in reversed(f):
-        acc = field.add(field.mul(acc, x), c)
+        acc = add[times_x[acc]][c]
     return acc
 
 
@@ -62,11 +66,13 @@ def poly_scale(field, c, f):
 def poly_mul(field, f, g):
     if not f or not g:
         return ()
+    add, mul = field.add_list, field.mul_list
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                out[i + j] = field.add(out[i + j], field.mul(a, b))
+            row = mul[a]
+            for j, b in enumerate(g, i):
+                out[j] = add[out[j]][row[b]]
     return normalize(out)
 
 
@@ -142,8 +148,8 @@ def is_self_reciprocal(field, f):
     if not f or f[0] != 1:
         raise ValueError("self-reciprocal test requires constant term 1")
     d = degree(f)
-    lead = f[-1]
-    return all(f[d - j] == field.mul(lead, f[j]) for j in range(d + 1))
+    times_lead = field.mul_list[f[-1]]
+    return all(f[d - j] == times_lead[f[j]] for j in range(d + 1))
 
 
 def is_zeta_self_reciprocal(field, f, zeta):
@@ -158,9 +164,10 @@ def is_zeta_self_reciprocal(field, f, zeta):
     if d % 2 == 1:
         return False
     # coefficients of t^d f(zeta/t), lowest degree first
-    b = [field.mul(f[d - j], field.pow(zeta, d - j)) for j in range(d + 1)]
-    s = b[0]
-    return all(b[j] == field.mul(s, f[j]) for j in range(d + 1))
+    mul = field.mul_list
+    b = [mul[f[d - j]][field.pow(zeta, d - j)] for j in range(d + 1)]
+    times_s = mul[b[0]]
+    return all(b[j] == times_s[f[j]] for j in range(d + 1))
 
 
 def count_nqd(q, d):
@@ -179,12 +186,23 @@ def sigma(d):
     return 1 if d % 2 == 0 else 0
 
 
+# the T_d and S_d pools, built once per field, degree (and zeta)
+_POOL_CACHE = {}
+
+
 def enumerate_T(field, d):
     """All self-reciprocal degree-d polynomials with constant term 1, sorted."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
+    key = ("T", field.p, field.k, d)
+    if key not in _POOL_CACHE:
+        _POOL_CACHE[key] = _build_T(field, d)
+    return list(_POOL_CACHE[key])
+
+
+def _build_T(field, d):
     if d == 0:
-        return [ONE]
+        return (ONE,)
     out = set()
     half = d // 2
     for eps in (1, field.minus_one):
@@ -201,7 +219,7 @@ def enumerate_T(field, d):
             f = tuple(c)
             if f[-1] != 0:
                 out.add(f)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def enumerate_S(field, d, zeta):
@@ -212,10 +230,17 @@ def enumerate_S(field, d, zeta):
         raise ValueError("zeta must be a non-square")
     if d < 0:
         raise ValueError("degree must be nonnegative")
+    key = ("S", field.p, field.k, d, zeta)
+    if key not in _POOL_CACHE:
+        _POOL_CACHE[key] = _build_S(field, d, zeta)
+    return list(_POOL_CACHE[key])
+
+
+def _build_S(field, d, zeta):
     if d % 2 == 1:
-        return []
+        return ()
     if d == 0:
-        return [ONE]
+        return (ONE,)
     out = set()
     half = d // 2
     for eps in (1, field.minus_one):
@@ -234,7 +259,7 @@ def enumerate_S(field, d, zeta):
                 c[d - j] = v
             if ok and c[-1] != 0:
                 out.add(tuple(c))
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def eta_act(field, f, eta):
@@ -243,8 +268,8 @@ def eta_act(field, f, eta):
         raise ValueError("eta must be a unit")
     log, exp, order = field.log, field.exp, field.q - 1
     step = log[eta]
-    return tuple(exp[(log[c] + k * step) % order] if c else 0
-                 for k, c in enumerate(f))
+    return tuple([exp[(log[c] + k * step) % order] if c else 0
+                  for k, c in enumerate(f)])
 
 
 # ---------------------------------------------------------------------------
@@ -272,34 +297,89 @@ def irreducibles(field, d):
     return _IRR_CACHE[key]
 
 
+def poly_gcd(field, f, g):
+    """The monic greatest common divisor of f and g; () when both are 0."""
+    while g:
+        f, g = g, poly_divmod(field, f, g)[1]
+    return monicize(field, f) if f else ()
+
+
+def poly_powmod(field, f, e, m):
+    """f^e mod m, by square and multiply."""
+    acc = poly_divmod(field, ONE, m)[1]
+    base = poly_divmod(field, f, m)[1]
+    while e:
+        if e & 1:
+            acc = poly_divmod(field, poly_mul(field, acc, base), m)[1]
+        e >>= 1
+        if e:
+            base = poly_divmod(field, poly_mul(field, base, base), m)[1]
+    return acc
+
+
+def distinct_degree(field, f):
+    """Yield (e, g_e) for each e where f has an irreducible factor of
+    degree e: g_e is the monic product of f's distinct such factors.
+
+    Distinct-degree factorization (Cantor and Zassenhaus 1981): g_e is
+    gcd(w, t^(q^e) - t) for the part w of f left after the factors of
+    degree below e have been divided out, every power of them, so f need
+    not be squarefree.  A w left with no factor of degree at most e but of
+    degree below 2(e + 1) is a single irreducible.
+    """
+    w = monicize(field, f)
+    x = (0, 1)
+    h = x
+    e = 0
+    while degree(w) >= 2 * (e + 1):
+        e += 1
+        h = poly_powmod(field, h, field.q, w)
+        g = poly_gcd(field, w, poly_add(field, h, poly_neg(field, x)))
+        if degree(g) > 0:
+            yield e, g
+            common = g
+            while degree(common) > 0:
+                w = poly_divmod(field, w, common)[0]
+                common = poly_gcd(field, w, common)
+            h = poly_divmod(field, h, w)[1]
+    if degree(w) > 0:
+        yield degree(w), w
+
+
 Factorization = namedtuple("Factorization", ["unit", "factors"])
 
 
 def factorize(field, f):
-    """f = unit * prod(p^e) with monic irreducible p, sorted by (degree, coeffs)."""
+    """f = unit * prod(p^e) with monic irreducible p, sorted by (degree, coeffs).
+
+    The factors come from ``distinct_degree``; a g_e of degree above e is
+    split by trial division with the monic irreducibles of degree e only.
+    """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    unit = f[-1]
     work = monicize(field, f)
     factors = []
-    e = 1
-    while 2 * e <= degree(work):
-        for g in irreducibles(field, e):
+    for e, g in distinct_degree(field, work):
+        parts = []
+        if degree(g) > e:
+            for p in irreducibles(field, e):
+                quot, rem = poly_divmod(field, g, p)
+                if not rem:
+                    parts.append(p)
+                    g = quot
+                    if degree(g) == e:
+                        break
+        parts.append(g)
+        for p in parts:
             mult = 0
             while True:
-                quot, rem = poly_divmod(field, work, g)
+                quot, rem = poly_divmod(field, work, p)
                 if rem:
                     break
                 work, mult = quot, mult + 1
-            if mult:
-                factors.append((g, mult))
-            if degree(work) < 2 * e:
-                break
-        e += 1
-    if degree(work) >= 1:
-        factors.append((work, 1))
+            factors.append((p, mult))
     factors.sort(key=lambda pe: (degree(pe[0]), pe[0]))
-    return Factorization(unit, tuple(factors))
+    return Factorization(f[-1], tuple(factors))
 
 
 def poly_str(field, f):

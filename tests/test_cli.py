@@ -232,6 +232,31 @@ def test_malformed_env_cap_is_a_usage_error(monkeypatch, capsys):
     assert err.startswith("error:") and "REALCLASS_CAP" in err
 
 
+_EVERY_SUBCOMMAND = (
+    ["count", "--family", "GL", "--n", "2", "--q", "3"],
+    ["verify", "--family", "GL", "--n", "2", "--q", "3"],
+    ["verify", "--all-desk"],
+    ["table13", "--q", "3"],
+    ["genfun", "--q", "3"],
+    ["enumerate", "--n", "2", "--q", "3"],
+)
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=" ".join)
+def test_negative_cap_is_a_usage_error(argv, capsys):
+    code, out, err = run(argv + ["--cap", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nonnegative" in err
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=" ".join)
+def test_negative_env_cap_is_a_usage_error(argv, monkeypatch, capsys):
+    monkeypatch.setenv("REALCLASS_CAP", "-1")
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "REALCLASS_CAP" in err
+
+
 def test_cap_zero_is_a_budget(capsys):
     code, out, err = run(["enumerate", "--n", "6", "--q", "3", "--cap", "0"],
                          capsys)

@@ -165,6 +165,9 @@ def test_real_psl_anchors(n, q, want):
 
 @pytest.mark.parametrize("n,q,want", [
     (6, 3, 43), (6, 7, 285), (4, 5, 31), (2, 5, 5), (2, 7, 4),
+    # the stored section 13 polynomial for q = 3 mod 4, a route that shares
+    # no code with the engine: psl6 - (q^2 - q)/2
+    (6, 11, 895), (6, 19, 4071), (6, 23, 6973),
 ])
 def test_strongly_real_psl_anchors(n, q, want):
     assert strongly_real_psl(n, q).total == want
@@ -181,6 +184,8 @@ def test_real_slq_endpoints_and_middle():
     assert real_slq(4, 5, 2, **BOTH).total == 57
     assert strongly_real_slq(4, 5, 2).total == 57
     assert real_slq(4, 5, 4).total == real_psl(4, 5).total
+    # the PSL endpoint in the corner n = 2 mod 4, q = 3 mod 4
+    assert strongly_real_slq(6, 11, 2).total == strongly_real_psl(6, 11).total
 
 
 def test_slq_y_validation():
@@ -330,7 +335,7 @@ def _mismatches(rows):
 
 def test_section13_q3mod4_mismatch_pattern():
     # two stored polynomials disagree with the case analysis everywhere odd
-    for q in (3, 7):
+    for q in (3, 7, 11):
         rows = section13_table(q)
         assert len(rows) == 23
         assert _mismatches(rows) == {("PGL", 6, "real"),

@@ -1,7 +1,9 @@
 import pytest
 
+from realclasses import labels, polys
 from realclasses.errors import BudgetExceeded
-from realclasses.fields import canonical_nonsquare, field_for_order
+from realclasses.fields import (canonical_nonsquare, constrained_nonsquare,
+                                field_for_order)
 from realclasses.labels import (enumerate_labels,
                                 equivalence_classes, eta_translate,
                                 exponent_two_adic, h_nu, has_odd_part,
@@ -85,6 +87,25 @@ def test_enumerate_labels_filters():
         list(enumerate_labels(f3, 2, filt="imaginary"))
 
 
+@pytest.mark.parametrize("q,n,filt", [
+    (3, 4, None), (4, 3, "real"), (5, 4, "real"), (7, 4, "zeta_real"),
+    (9, 3, None), (3, 6, "real"),
+])
+def test_enumerate_labels_by_determinant(q, n, filt):
+    # det= yields exactly the labels of that determinant; typed= pairs each
+    # label with its type
+    field = field_for_order(q)
+    every = list(enumerate_labels(field, n, filt=filt))
+    for det in field.units:
+        typed = list(enumerate_labels(field, n, filt=filt, det=det,
+                                      typed=True))
+        assert all(nu == label_type(lab) for nu, lab in typed)
+        found = [lab for _, lab in typed]
+        assert len(set(found)) == len(found)
+        assert set(found) == {lab for lab in every
+                              if label_det(field, lab) == det}
+
+
 def test_enumerate_labels_budget():
     f5 = field_for_order(5)
     with pytest.raises(BudgetExceeded):
@@ -159,3 +180,55 @@ def test_label_json_roundtrip():
     assert data["polys"] == [[1, 7, 1], [1], [1, 3]]
     back = make_label(f9, data["polys"])
     assert back == lab and list(label_type(back)) == data["nu"]
+
+
+# ---------------------------------------------------------------------------
+# the PSL criterion against trial division
+
+def _reference_factors(field, f):
+    """Distinct monic irreducible factors of f by trial division with every
+    monic irreducible up to half the degree of what is left."""
+    work = polys.monicize(field, f)
+    found = []
+    e = 1
+    while 2 * e <= polys.degree(work):
+        for g in polys.irreducibles(field, e):
+            quot, rem = polys.poly_divmod(field, work, g)
+            while not rem:
+                if g not in found:
+                    found.append(g)
+                work = quot
+                quot, rem = polys.poly_divmod(field, work, g)
+        e += 1
+    if polys.degree(work) > 0:
+        found.append(work)
+    return found
+
+
+@pytest.mark.parametrize("q", [3, 7, 11])
+def test_psl_criterion_matches_trial_division(q):
+    # every T_d and S_d polynomial, d <= 6, read by tilde (c = 1) and by
+    # breve for the least non-square and the one with zeta^3 = -1 (n = 6)
+    field = field_for_order(q)
+    zetas = sorted({canonical_nonsquare(field),
+                    constrained_nonsquare(field, 6)})
+    readings = [(field.one, lambda p: p == polys.tilde(field, p))]
+    readings += [(z, lambda p, z=z: p == polys.breve(field, p, z))
+                 for z in zetas]
+    root_of_zeta = 0
+    for d in range(1, 7):
+        pool = set(polys.enumerate_T(field, d))
+        for z in zetas:
+            pool |= set(polys.enumerate_S(field, d, z))
+        for u in sorted(pool):
+            factors = _reference_factors(field, u)
+            for c, fixed in readings:
+                want = all(polys.degree(p) % 2 == 0
+                           and (polys.degree(p) % 4 == 0 or not fixed(p))
+                           for p in factors)
+                got = labels._factors_all_even_and_fixed_deg_div4(field, u, c)
+                assert got == want, (u, c)
+                if (field.neg(c), 0, 1) in factors and c != field.one:
+                    root_of_zeta += 1
+    # the breve-fixed factor t^2 - zeta, which no t^(q+1) - zeta test sees
+    assert root_of_zeta > 0

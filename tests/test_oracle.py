@@ -421,10 +421,13 @@ def test_cap_and_env(monkeypatch):
     monkeypatch.setenv("REALCLASS_CAP", "10")
     with pytest.raises(BudgetExceeded):
         enumerate_group("GL", 2, 3)
-    monkeypatch.setenv("REALCLASS_CAP", "abc")
-    with pytest.raises(UsageError, match="REALCLASS_CAP"):
-        enumerate_group("GL", 2, 3)
+    for bad in ("abc", "-1"):
+        monkeypatch.setenv("REALCLASS_CAP", bad)
+        with pytest.raises(UsageError, match="REALCLASS_CAP"):
+            enumerate_group("GL", 2, 3)
     monkeypatch.delenv("REALCLASS_CAP")
+    with pytest.raises(UsageError, match="nonnegative"):
+        enumerate_group("GL", 2, 3, cap=-1)
     assert enumerate_group("GL", 2, 3).order == 48
 
 

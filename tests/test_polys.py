@@ -226,6 +226,39 @@ def test_factorize_roundtrip():
             assert rebuilt == normalize(f)
 
 
+@st.composite
+def _factorize_cases(draw):
+    """(q, f): a unit times a product of random powers of random factors,
+    so that repeated and equal-degree factors are common."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
+    coeff = st.integers(0, q - 1)
+    f = (draw(st.integers(1, q - 1)),)
+    for _ in range(draw(st.integers(0, 4))):
+        g = tuple(draw(st.lists(coeff, min_size=1, max_size=3))) + (1,)
+        f = poly_mul(field_for_order(q), f,
+                     poly_pow(field_for_order(q), g, draw(st.integers(1, 3))))
+    return q, f
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_factorize_cases())
+@example((3, (2,)))                        # a unit
+@example((7, (4, 0, 1)))                   # t^2 - 3, 3 a non-square
+@example((5, poly_pow(field_for_order(5), (1, 1), 5)))  # (t + 1)^5
+def test_factorize_roundtrip_by_definition(case):
+    # unit * prod p^m == f, each p a distinct monic irreducible, sorted
+    q, f = case
+    field = field_for_order(q)
+    fact = factorize(field, f)
+    rebuilt = (fact.unit,)
+    for p, mult in fact.factors:
+        assert mult >= 1 and p in irreducibles(field, degree(p))
+        rebuilt = poly_mul(field, rebuilt, poly_pow(field, p, mult))
+    assert rebuilt == f
+    keys = [(degree(p), p) for p, _ in fact.factors]
+    assert keys == sorted(set(keys))
+
+
 def test_poly_str():
     f3 = field_for_order(3)
     assert poly_str(f3, (1, 0, 2)) == "2t^2+1"
