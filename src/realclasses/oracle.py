@@ -9,10 +9,18 @@ cofactor vector c of each block of top n - 1 rows is computed once, and
 for each last row x the blocks with c . x = 1 (SL) or c . x != 0 (GL)
 are kept, so the codes come out ascending without a scan of all q^(n^2)
 matrices.  Every determinant is exact (integers mod p, or the field
-tables over an extension field).  Conjugation by each
-generator is F_p-linear on the base-p digits of a code, so it becomes one
-permutation array over element indices, and the classes are the orbits of
-those permutations, found by min-label hooking with pointer jumping
+tables over an extension field).
+
+A rank bitmap over the q^(n^2) codes (one bit per code, with the number
+of members below each 64-bit word) turns a code into its element index
+and says whether it is in the group; it answers every such lookup here.
+Each generator is a transvection, diag(theta, 1, ..., 1) or a signed
+n-cycle, so conjugation by it changes few entries of a matrix, each a
+short sum of entries times field constants: a chunk of codes is decoded
+once, only the changed entries are recomputed, and (new - old) q^pos is
+added to each code.  Each generator so becomes one permutation array
+over element indices, and the classes are the orbits of those
+permutations, found by min-label hooking with pointer jumping
 (Shiloach-Vishkin).  Every class is certified through the class equation
 and the orbit-stabilizer equation |class| * |centralizer| = |order|.
 
@@ -35,7 +43,7 @@ from .fields import canonical_nonsquare, field_for_order
 
 DEFAULT_CAP = 10 ** 6
 _ADDRESS_LIMIT = 3 * 10 ** 8  # below 2^31, so codes fit int32
-_CHUNK = 1 << 18
+_CHUNK = 1 << 15  # elements per batch; a batch's int32 rows stay in cache
 
 _BASE_CACHE = {}
 
@@ -184,6 +192,9 @@ class _Ops:
         self.q = field.q
         # products mod q are exact over a prime field and at n = 0 (empty)
         self.integer = field.k == 1 or n == 0
+        # entries as the arithmetic below wants them: unreduced sums and
+        # products need int32, table indices fit uint8
+        self.dtype = np.int32 if self.integer else np.uint8
         self.mul_table = field.mul_table.astype(np.uint8)
         self.add_table = field.add_table.astype(np.uint8)
         self.neg_table = field.neg_table.astype(np.uint8)
@@ -239,7 +250,7 @@ class _Ops:
         full n x n minor along row n - 1.
         """
         n = top.shape[-1]
-        rows = top.astype(np.int32 if self.integer else np.uint8)
+        rows = top.astype(self.dtype)
         minors = {(): np.ones(rows.shape[:-2], dtype=rows.dtype)}
         for r in range(n - 1):
             minors = {cols: self.dot(self._expansion(minors, r, cols),
@@ -247,6 +258,22 @@ class _Ops:
                       for cols in itertools.combinations(range(n), r + 1)}
         c = np.stack(self._expansion(minors, n - 1, tuple(range(n))))
         return c % self.q if self.integer else c
+
+    def conjugate(self, changes, codes, entries):
+        """The codes of g X g^{-1} for the matrices X with these codes and
+        entries (``_entries``), given the ``changes`` of
+        ``_conjugation_terms(g)``: each changed entry is recomputed and
+        (new - old) q^pos added to the code."""
+        image = codes.astype(np.int32)
+        for pos, coefs, srcs in changes:
+            if coefs == (self.field.one,):
+                new = entries[srcs[0]]
+            else:
+                new = self.dot(coefs, [entries[s] for s in srcs])
+            delta = np.subtract(new, entries[pos], dtype=np.int32)
+            delta *= self.q ** pos
+            image += delta
+        return image
 
     def det(self, a):
         """Exact determinants of a batch (..., n, n), in uint8, expanded
@@ -258,18 +285,26 @@ class _Ops:
             np.uint8, copy=False)
 
 
+def _entries(codes, cells, q, dtype=np.uint8):
+    """The low ``cells`` base-q digits of codes below 2^31, least
+    significant first, shape (cells, len(codes)): row j holds entry j
+    (row-major) of every matrix."""
+    out = np.empty((cells, len(codes)), dtype=dtype)
+    c = np.array(codes, dtype=np.int32)
+    for j in range(cells):
+        quot = c // q
+        np.subtract(c, quot * q, out=out[j], casting="unsafe")
+        c = quot
+    return out
+
+
 def _decode(codes, n, q, rows=None):
     """Codes to matrices: digit j of a code (base q, least significant
     first) is entry j row-major.  ``rows`` < n decodes only the leading
-    rows, from codes below q^(rows * n)."""
+    rows, from codes below q^(rows * n).  The result is a view of
+    ``_entries``, so its cells are not contiguous."""
     rows = n if rows is None else rows
-    cells = rows * n
-    out = np.empty((len(codes), cells), dtype=np.uint8)
-    c = np.asarray(codes, dtype=np.int64).copy()
-    for j in range(cells):
-        out[:, j] = c % q
-        c //= q
-    return out.reshape(len(codes), rows, n)
+    return _entries(codes, rows * n, q).T.reshape(len(codes), rows, n)
 
 
 def _encode(mats, q):
@@ -335,70 +370,115 @@ def _generator_mats(field, n, base_family):
     return gens
 
 
-def _p_digits(codes, p, dim):
-    """The ``dim`` base-p digits of each code, least significant first.
+def _conjugation_terms(field, n, g):
+    """The entries that X -> g X g^{-1} changes, as (pos, coefs, srcs):
+    entry pos (row-major) of the image is sum_i coefs[i] X[srcs[i]], the
+    nonzero terms g[r][k] g^{-1}[l][c] X[k][l].  An entry that is its own
+    image with coefficient 1 is left out.
 
-    Entry j of a matrix (row-major) is a base-p string of k digits in the
-    base-q code, so digit k*j + t of the code is digit t of entry j.
+    Every generator is sparse: a transvection I + a E_12 changes row 0 and
+    column 1, diag(theta, 1, ..., 1) row 0 and column 0 but not their
+    corner, and the signed n-cycle moves every entry to another place.
     """
-    rest = np.array(codes, dtype=np.int32)
-    out = np.empty((len(rest), dim), dtype=np.float32)
-    for i in range(dim):
-        out[:, i] = rest % p
-        rest //= p
-    return out
-
-
-def _conjugation_map(field, n, g):
-    """The F_p-matrix of X -> g X g^{-1} on the base-p digits of codes.
-
-    Row i holds the digits of the image of the matrix whose code is p^i, so
-    a row of digits maps by right multiplication.  Each entry of that
-    product sums k*n^2 terms below p^2, so float32 holds it exactly.
-    """
-    p, dim = field.p, field.k * n * n
-    assert dim * (p - 1) ** 2 < 1 << 24, "conjugation map not exact in float32"
     g_inv = mat_inv(field, g)
-    units = _decode(np.array([p ** i for i in range(dim)], dtype=np.int64),
-                    n, field.q)
-    images = [_single_code(field, mat_mul(field, mat_mul(
-        field, g, _mat_to_tuple(u)), g_inv)) for u in units]
-    return _p_digits(images, p, dim)
+    changes = []
+    for pos in range(n * n):
+        r, c = divmod(pos, n)
+        terms = [(field.mul(g[r][k], g_inv[l][c]), k * n + l)
+                 for k in range(n) for l in range(n)]
+        terms = [(coef, src) for coef, src in terms if coef != field.zero]
+        if terms != [(field.one, pos)]:
+            coefs, srcs = zip(*terms)
+            changes.append((pos, coefs, srcs))
+    return changes
+
+
+# _BIT[b] = 2^b, the bit of code b (mod 64) in its word
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+class _RankBitmap:
+    """Indices into an ascending array of distinct codes, by one bit per
+    code of the address space [0, size): bit c % 64 of word c // 64 marks
+    code c, and ``prefix`` counts the marked codes below each word.  A
+    member's index is its word's prefix plus the marked bits below it in
+    that word; the same word says whether a code is a member at all."""
+
+    def __init__(self, codes, size):
+        self.bits = np.zeros(-(-size // 64), dtype=np.uint64)
+        for start in range(0, len(codes), _CHUNK):
+            chunk = codes[start:start + _CHUNK]
+            words = chunk >> 6
+            # codes ascend, so each word's codes are one run; chunks, not
+            # one flag per address, as at n = 2 there are ~q addresses
+            # per element
+            first = np.flatnonzero(np.diff(words, prepend=-1))
+            self.bits[words[first]] |= np.bitwise_or.reduceat(
+                _BIT[chunk & 63], first)
+        counts = np.bitwise_count(self.bits)
+        self.prefix = np.cumsum(counts, dtype=np.int32)
+        self.prefix -= counts
+
+    def lookup(self, codes):
+        """The index of each code and whether it is a member; the index of
+        a non-member is that of the next member."""
+        at = codes >> 6
+        words = self.bits[at]
+        bit = _BIT[codes & 63]
+        member = (words & bit) != 0
+        bit -= np.uint64(1)  # the bits below
+        words &= bit
+        return self.prefix[at] + np.bitwise_count(words), member
+
+    def index(self, codes, what):
+        """The indices of codes that must be members; ``what`` names them
+        in the assertion that they are."""
+        idx, member = self.lookup(codes)
+        assert member.all(), "%s left the group" % what
+        return idx
 
 
 def _orbit_roots(perms, size):
     """The least point of each point's orbit under the permutations.
 
     Min-label hooking with pointer jumping (Shiloach-Vishkin 1982): every
-    edge i -- perm[i] hooks the root above the larger label onto the
-    smaller label, then pointers jump to their roots; it stops after a
-    round that hooks nothing.  A label never exceeds its point and only
-    falls, so it ends at the least point of the orbit.  Returns the roots
-    and the number of rounds.
+    edge i -- perm[i] whose ends carry different labels hooks the larger
+    label onto the smaller, then pointers jump to their roots.  A label is
+    always a point of the same orbit, never above its own point, and only
+    falls, so once every perm maps each point to one with the same label,
+    the label is constant on each orbit and is its least point.  Returns
+    the roots and ``hook_rounds``, the number of hooking rounds: the last
+    is the first after whose pointer jumping that check holds.
+
+    The edges are taken a chunk at a time, so past the labels the
+    temporaries stay small; a chunk may read labels that earlier chunks
+    lowered, which keeps every label a point of its orbit.
     """
     roots = np.arange(size, dtype=np.int32)
-    other = np.empty_like(roots)
+    chunks = [slice(start, start + _CHUNK) for start in range(0, size, _CHUNK)]
     rounds = 0
-    hooked = True
-    while hooked:
+    while True:
         rounds += 1
-        hooked = False
         for perm in perms:
-            # the smaller root label of each point's two neighbours,
-            # perm[i] and perm^{-1}[i]
-            other[perm] = roots
-            np.minimum(other, roots[perm], out=other)
-            lower = other < roots
-            if lower.any():
-                hooked = True
-                np.minimum.at(roots, roots[lower], other[lower])
-                np.minimum(roots, other, out=roots)
-        while True:
-            jumped = roots[roots]
-            if np.array_equal(jumped, roots):
-                break
-            roots = jumped
-    return roots, rounds
+            for sl in chunks:
+                here, low = roots[sl], roots[perm[sl]]
+                high = np.maximum(here, low)
+                np.minimum(here, low, out=low)
+                hook = high != low
+                if hook.any():
+                    np.minimum.at(roots, high[hook], low[hook])
+        jumped = True
+        while jumped:
+            jumped = False
+            for sl in chunks:
+                label = roots[sl]
+                up = roots[label]
+                if not np.array_equal(up, label):
+                    jumped = True
+                    label[...] = up
+        if all(np.array_equal(roots[perm[sl]], roots[sl])
+               for perm in perms for sl in chunks):
+            return roots, rounds
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +488,10 @@ class BaseGroup:
     """A fully enumerated GL_n(q) or SL_n(q) with certified conjugacy data.
 
     ``stats`` records the seconds spent enumerating, classifying and
-    certifying, the rounds the class union took, and the number of top
-    blocks whose cofactors the enumeration computed.
+    certifying (``classify_s`` splits into ``conjugate_s``, the rank
+    bitmap and the permutations, and ``hook_s``, the orbit roots), the
+    hooking rounds the class union took, and the number of top blocks
+    whose cofactors the enumeration computed.
     """
 
     def __init__(self, family, n, q, cap):
@@ -478,37 +560,40 @@ class BaseGroup:
 
     def _conjugation_perms(self, gens):
         """For each matrix g, element indices permuted by conjugation with g."""
-        p, dim = self.field.p, self.field.k * self.n * self.n
-        maps = [_conjugation_map(self.field, self.n, g) for g in gens]
-        powers = np.array([p ** i for i in range(dim)], dtype=np.int32)
+        n, q, ops = self.n, self.q, self.ops
+        changes = [_conjugation_terms(self.field, n, g) for g in gens]
         perms = [np.empty(len(self.codes), dtype=np.int32) for _ in gens]
         for start in range(0, len(self.codes), _CHUNK):
-            digits = _p_digits(self.codes[start:start + _CHUNK], p, dim)
-            for matrix, perm in zip(maps, perms):
-                image = (digits @ matrix).astype(np.int32)
-                image %= p
-                image_codes = image @ powers
-                idx = np.searchsorted(self.codes, image_codes)
-                assert np.array_equal(self.codes.take(idx, mode="clip"),
-                                      image_codes), "conjugate left the group"
-                perm[start:start + len(idx)] = idx
+            codes = self.codes[start:start + _CHUNK]
+            entries = _entries(codes, n * n, q, ops.dtype)
+            for change, perm in zip(changes, perms):
+                perm[start:start + len(codes)] = self._ranks.index(
+                    ops.conjugate(change, codes, entries), "conjugate")
         return perms
 
     def _classify(self):
         """Classes are numbered by their least element index, which is
         also the representative."""
+        start = time.perf_counter()
+        self._ranks = _RankBitmap(self.codes, self.q ** (self.n * self.n))
         perms = self._conjugation_perms(
             _generator_mats(self.field, self.n, self.family))
+        self.stats["conjugate_s"] = time.perf_counter() - start
+        start = time.perf_counter()
         roots, self.stats["hook_rounds"] = _orbit_roots(perms, len(self.codes))
+        self.stats["hook_s"] = time.perf_counter() - start
         del perms  # before the numbering arrays, to bound peak memory
         is_root = roots == np.arange(len(roots), dtype=np.int32)
         self.class_reps = np.flatnonzero(is_root).tolist()
         number = np.cumsum(is_root, dtype=np.int32)
         number -= 1
         self.class_id = number[roots]
-        self.class_sizes = np.bincount(self.class_id,
-                                       minlength=len(self.class_reps))
         self.num_classes = len(self.class_reps)
+        # a chunk at a time, as bincount takes its input as int64
+        self.class_sizes = sum(
+            np.bincount(self.class_id[start:start + _CHUNK],
+                        minlength=self.num_classes)
+            for start in range(0, len(roots), _CHUNK))
 
     # -- certification
 
@@ -590,12 +675,9 @@ class BaseGroup:
 
     def maybe_class_of_mat(self, mat):
         """The class of the matrix, or -1 when it is not in the group."""
-        # an int32 key, or searchsorted would cast all the codes to int64
-        code = np.int32(_single_code(self.field, mat))
-        idx = int(np.searchsorted(self.codes, code))
-        if idx < len(self.codes) and self.codes[idx] == code:
-            return int(self.class_id[idx])
-        return -1
+        idx, member = self._ranks.lookup(
+            np.array([_single_code(self.field, mat)]))
+        return int(self.class_id[idx[0]]) if member[0] else -1
 
     def inverse_class(self, cid):
         return self._inverse_class[cid]
@@ -619,11 +701,8 @@ class BaseGroup:
         for start in range(0, len(pool), _CHUNK):
             s = _decode(self.codes[pool[start:start + _CHUNK]], n, q)
             for t in reps:
-                prod = _encode(self.ops.matmul(t, s), q).astype(np.int32)
-                idx = np.searchsorted(self.codes, prod)
-                assert np.array_equal(self.codes.take(idx, mode="clip"),
-                                      prod), "product left the group"
-                hit[self.class_id[idx]] = True
+                prod = _encode(self.ops.matmul(t, s), q)
+                hit[self.class_id[self._ranks.index(prod, "product")]] = True
         return hit
 
 

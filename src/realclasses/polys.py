@@ -106,41 +106,10 @@ def poly_divmod(field, f, g):
     return normalize(quot), normalize(rem[:dg])
 
 
-def is_monic(f):
-    return bool(f) and f[-1] == 1
-
-
 def monicize(field, f):
     if not f:
         raise ValueError("cannot monicize the zero polynomial")
     return poly_scale(field, field.inv(f[-1]), f)
-
-
-def tilde(field, f):
-    """Monic polynomial whose roots are the inverses of the roots of f.
-
-    Requires f monic with nonzero constant term.
-    """
-    if not is_monic(f):
-        raise ValueError("tilde requires a monic polynomial, got %r" % (f,))
-    if f[0] == 0:
-        raise ValueError("tilde requires a nonzero constant term")
-    return monicize(field, f[::-1])
-
-
-def breve(field, f, zeta):
-    """Monic polynomial whose roots are zeta/alpha for each root alpha of f.
-
-    Requires f monic with nonzero constant term; it is the scalar-twisted
-    companion of tilde and agrees with it when zeta = 1.
-    """
-    if not is_monic(f):
-        raise ValueError("breve requires a monic polynomial, got %r" % (f,))
-    if f[0] == 0:
-        raise ValueError("breve requires a nonzero constant term")
-    d = degree(f)
-    twisted = [field.mul(c, field.pow(zeta, i)) for i, c in enumerate(f)]
-    return monicize(field, tuple(reversed(twisted)))
 
 
 def is_self_reciprocal(field, f):

