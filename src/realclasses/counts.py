@@ -18,7 +18,7 @@ hard error, never a rounding.
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from . import labels
 from .errors import UsageError
@@ -238,8 +238,10 @@ def _pgl_real_orbits(field, n, budget):
     Each orbit is one real PGL_n(q)-conjugacy class; the backend is
     insensitive to the choice of non-square because the orbit of a label
     sweeps out every twist.  Translation keeps the type, so the orbits
-    are built type by type.  A cached pool passes the same label-budget
-    check that enumerating it afresh would.
+    are built type by type, each label translated only by the units that
+    carry its leading coefficients to those of a pool label
+    (``labels.equivalence_classes``).  A cached pool passes the same
+    label-budget check that enumerating it afresh would.
     """
     filts = ("real", "zeta_real") if field.q % 2 == 1 else ("real",)
     key = (field.q, n)
@@ -265,14 +267,36 @@ def _pgl_orbit_tally(field, n, zeta, budget):
             for nu, orbits, _ in _pgl_real_orbits(field, n, budget)}
 
 
+@lru_cache(maxsize=None)
+def _psl_read_units(field, key, zeta):
+    """The units eta for which L(eta t) can be real or zeta-real, L a label
+    with lead_key ``key``.
+
+    A self-reciprocal slot has lead 1 or -1, and a zeta-self-reciprocal
+    slot of degree d has lead +-zeta^(-d/2): the translate's leads must
+    all be of the one kind or all of the other.
+    """
+    signs = (field.one, field.minus_one)
+    zeta_leads = {d: {field.mul(s, field.pow(zeta, -(d // 2))) for s in signs}
+                  for d, _ in key if d % 2 == 0}
+    out = []
+    for eta in field.units:
+        moved = labels.translate_key(field, key, eta)
+        if (all(lead in signs for _, lead in moved)
+                or all(lead in zeta_leads.get(d, ()) for d, lead in moved)):
+            out.append(eta)
+    return tuple(out)
+
+
 def _psl_strong_orbit(field, rep, zeta):
     """Whether some lift of the orbit of ``rep`` passes the PSL criterion.
 
     The criterion runs over the whole eta-orbit {eta * rep}, on the members
     it reads (real or zeta-real for this zeta): the cached orbit holds only
-    the members zeta-real for the canonical non-square.
+    the members zeta-real for the canonical non-square.  Only the translates
+    whose leading coefficients allow either reading are made.
     """
-    for eta in field.units:
+    for eta in _psl_read_units(field, labels.lead_key(rep), zeta):
         lab = labels.eta_translate(field, rep, eta)
         if (labels.psl_criterion_applies(field, lab, zeta)
                 and labels.psl_strongly_real(field, lab, zeta)):

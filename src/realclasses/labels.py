@@ -16,7 +16,14 @@ Reality criteria on labels:
 
 Scaling g by a unit eta translates the label coefficientwise
 (u_i(t) -> u_i(eta t)); orbits of that action are the classes of
-PGL_n(q).
+PGL_n(q).  Translation keeps each degree and multiplies the leading
+coefficient of a degree-d slot by eta^d, so ``equivalence_classes``
+translates a label only by the units that carry its leads to the leads
+of some label of the set.  Two lead facts bound the readings of a
+label: a self-reciprocal slot has lead 1 or -1, and a
+zeta-self-reciprocal slot of degree d has lead +-zeta^(-d/2) (the
+reciprocity tests at the constant term force lead^2 = 1 and
+lead^2 = zeta^(-d)).
 """
 
 import itertools
@@ -134,8 +141,44 @@ def is_zeta_real_label(field, label, zeta):
     return all(polys.is_zeta_self_reciprocal(field, u, zeta) for u in label)
 
 
+@lru_cache(maxsize=None)
+def _unit_powers(field, d):
+    """Row eta of the table, for each unit eta, is (eta^0, ..., eta^d);
+    row 0 is empty."""
+    mul = field.mul_list
+    rows = [()]
+    for eta in field.units:
+        row = [field.one]
+        for _ in range(d):
+            row.append(mul[row[-1]][eta])
+        rows.append(tuple(row))
+    return rows
+
+
+def _translate(mul, label, powers):
+    # powers lists eta^0, eta^1, ... at least as far as the largest degree
+    return tuple([tuple([mul[c][e] for c, e in zip(u, powers)])
+                  for u in label])
+
+
 def eta_translate(field, label, eta):
-    return tuple(polys.eta_act(field, u, eta) for u in label)
+    """L(t) -> L(eta t): the t^k coefficient of every slot scales by eta^k."""
+    if not eta:
+        raise ValueError("eta must be a unit")
+    d = max(map(len, label), default=1) - 1
+    return _translate(field.mul_list, label, _unit_powers(field, d)[eta])
+
+
+def lead_key(label):
+    """The (degree, leading coefficient) of each slot of a label."""
+    return tuple([(len(u) - 1, u[-1]) for u in label])
+
+
+def translate_key(field, key, eta):
+    """The lead_key of L(eta t) from that of L: translation scales the
+    leading coefficient of a degree-d slot by eta^d."""
+    mul = field.mul_list
+    return tuple((d, mul[lead][field.pow(eta, d)]) for d, lead in key)
 
 
 def label_to_json(label):
@@ -253,18 +296,34 @@ def equivalence_classes(field, labels):
     Returns a list of orbits, each a sorted tuple of labels; the first entry
     of each orbit (lexicographically least) is its canonical representative.
     Orbits are listed in order of their representatives.
+
+    A label is translated only by the units eta that carry its lead_key to
+    the lead_key of some label in the set; no other translate can be in it.
     """
     # the orbits keep the given label objects, not their translated copies,
     # so they share polynomials with the pools the labels came from
     pool = {lab: lab for lab in labels}
+    keys = {lab: lead_key(lab) for lab in pool}
+    present = set(keys.values())
+    powers = _unit_powers(field, max(
+        (d for key in present for d, _ in key), default=0))
+    mul = field.mul_list
+    reaching = {}
     seen = set()
     orbits = []
     for lab in sorted(pool):
         if lab in seen:
             continue
-        orbit = set()
-        for eta in field.units:
-            g = pool.get(eta_translate(field, lab, eta))
+        key = keys[lab]
+        etas = reaching.get(key)
+        if etas is None:
+            etas = reaching[key] = [
+                eta for eta in field.units
+                if eta != field.one
+                and translate_key(field, key, eta) in present]
+        orbit = {pool[lab]}
+        for eta in etas:
+            g = pool.get(_translate(mul, lab, powers[eta]))
             if g is not None:
                 orbit.add(g)
         orbits.append(tuple(sorted(orbit)))

@@ -231,16 +231,6 @@ def _build_S(field, d, zeta):
     return tuple(sorted(out))
 
 
-def eta_act(field, f, eta):
-    """f(t) -> f(eta t):  multiplies the t^k coefficient by eta^k."""
-    if eta == 0:
-        raise ValueError("eta must be a unit")
-    log, exp, order = field.log, field.exp, field.q - 1
-    step = log[eta]
-    return tuple([exp[(log[c] + k * step) % order] if c else 0
-                  for k, c in enumerate(f)])
-
-
 # ---------------------------------------------------------------------------
 # irreducibility and factorization
 

@@ -6,9 +6,12 @@ agreement), and the desk-scale entries additionally against brute-force
 matrix-group classification (see test_oracle / the acceptance suite).
 """
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realclasses import counts
 from realclasses.counts import (applicable_kinds, count, genfun_real_gl,
@@ -206,6 +209,41 @@ def test_trivial_group_has_one_class(q):
                 rep = count(family, 0, q, kind, method=method,
                             y_order=1 if family == "SLQ" else None)
                 assert rep.total == 1, (family, kind, method)
+
+
+# ---------------------------------------------------------------------------
+# the registry sweep
+
+# (n, q): every n <= 6 at the prime powers q <= 17, and n <= 8 at q <= 5
+_SWEEP_CELLS = sorted(
+    {(n, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17) for n in range(7)}
+    | {(n, q) for q in (2, 3, 4, 5) for n in (7, 8)})
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(_SWEEP_CELLS))
+def test_registry_sweep(cell):
+    # every (family, kind) of one group size, both routes: the routes agree
+    # (method="both" raises otherwise), each total is a non-negative
+    # integer, reality contains strong reality, and SL/Y sits between its
+    # SL and PSL endpoints
+    n, q = cell
+    full = math.gcd(n, q - 1) if n else 1
+    ys = [y for y in range(1, full + 1) if full % y == 0]
+    totals = {}
+    for family in counts.FAMILIES:
+        for y in ys if family == "SLQ" else [None]:
+            for kind in applicable_kinds(family, q):
+                rep = count(family, n, q, kind, y, method="both")
+                assert type(rep.total) is int and rep.total >= 0
+                assert rep.total == sum(c for _, c in rep.per_nu)
+                totals[family, y, kind] = rep.total
+            assert (totals[family, y, "real"]
+                    >= totals[family, y, "strongly_real"]), (family, y)
+    for y in ys:
+        for kind in ("real", "strongly_real"):
+            ends = totals["SL", None, kind], totals["PSL", None, kind]
+            assert min(ends) <= totals["SLQ", y, kind] <= max(ends), (y, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from realclasses import labels, polys
+from realclasses import counts, labels, polys
 from realclasses.errors import BudgetExceeded
 from realclasses.fields import (canonical_nonsquare, constrained_nonsquare,
                                 field_for_order)
@@ -12,7 +12,7 @@ from realclasses.labels import (enumerate_labels,
                                 make_label, partitions_of,
                                 sl_real, sl_strongly_real)
 from realclasses.polys import ONE
-from test_polys import breve, tilde
+from test_polys import breve, eta_act, tilde
 
 
 def test_partitions_of():
@@ -138,6 +138,98 @@ def test_eta_translate_action():
     assert moved == ((1, 2), (1, 4))
     # translating by 1 fixes everything
     assert eta_translate(f5, lab, 1) == lab
+    with pytest.raises(ValueError):
+        eta_translate(f5, lab, 0)
+    # the power-table translation agrees with the logarithm reference
+    for q in (4, 7, 9):
+        field = field_for_order(q)
+        for lab in enumerate_labels(field, 4, filt="real"):
+            for eta in field.units:
+                assert eta_translate(field, lab, eta) == tuple(
+                    eta_act(field, u, eta) for u in lab)
+
+
+def _reference_classes(field, labs):
+    """The eta-orbits by translating every label by all q - 1 units."""
+    pool = set(labs)
+    seen = set()
+    orbits = []
+    for lab in sorted(pool):
+        if lab in seen:
+            continue
+        orbit = set()
+        for eta in field.units:
+            moved = tuple(eta_act(field, u, eta) for u in lab)
+            if moved in pool:
+                orbit.add(moved)
+        orbits.append(tuple(sorted(orbit)))
+        seen |= orbit
+    return orbits
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 9, 13])
+def test_equivalence_classes_match_full_unit_scan(q):
+    # the real and zeta-real labels of weight n <= 4, every type in one set
+    # and (as the PGL counts build them) one type at a time
+    field = field_for_order(q)
+    filts = ("real", "zeta_real") if q % 2 else ("real",)
+    wide = 0
+    for n in range(5):
+        by_type = {}
+        for filt in filts:
+            for nu, lab in enumerate_labels(field, n, filt=filt, typed=True):
+                by_type.setdefault(nu, set()).add(lab)
+        every = set().union(*by_type.values())
+        assert equivalence_classes(field, every) == _reference_classes(
+            field, every)
+        for pool in by_type.values():
+            orbits = equivalence_classes(field, pool)
+            assert orbits == _reference_classes(field, pool)
+            for orbit in orbits:
+                signed = {tuple(eta_act(field, u, eta) for u in orbit[0])
+                          for eta in (field.one, field.minus_one)}
+                wide += not set(orbit) <= signed
+    # at odd q > 3 some orbit is joined only by an eta other than +-1
+    # (at q = 3 these are the only units)
+    if q % 2 and q > 3:
+        assert wide > 0
+
+
+def test_orbit_joined_by_a_unit_other_than_minus_one():
+    # over F_5, 1 + 2t^2 and 1 + 3t^2 are zeta-real for zeta = 2, and
+    # t -> 2t carries the one to the other since 2 * 2^2 = 3; t -> -t
+    # fixes both
+    f5 = field_for_order(5)
+    zeta = canonical_nonsquare(f5)
+    a, b = make_label(f5, [(1, 0, 2)]), make_label(f5, [(1, 0, 3)])
+    assert is_zeta_real_label(f5, a, zeta) and is_zeta_real_label(f5, b, zeta)
+    assert eta_translate(f5, a, 2) == b
+    assert eta_translate(f5, a, f5.minus_one) == a
+    orbits = equivalence_classes(
+        f5, enumerate_labels(f5, 2, filt="zeta_real", zeta=zeta))
+    assert (a, b) in orbits
+
+
+@pytest.mark.parametrize("q", [3, 7, 11])
+def test_psl_strong_orbit_matches_full_scan(q):
+    # every orbit representative of n = 6, read with the zeta^3 = -1
+    # non-square of the PSL_6 count: the pruned scan gives the full scan's
+    # answer, and every unit it skips makes a member the criterion cannot
+    # read
+    field = field_for_order(q)
+    zeta = constrained_nonsquare(field, 6)
+    for _, orbits, _ in counts._pgl_real_orbits(field, 6, 10 ** 7):
+        for orbit in orbits:
+            rep = orbit[0]
+            kept = counts._psl_read_units(field, labels.lead_key(rep), zeta)
+            full = False
+            for eta in field.units:
+                lab = tuple(eta_act(field, u, eta) for u in rep)
+                reads = labels.psl_criterion_applies(field, lab, zeta)
+                assert reads <= (eta in kept)
+                full = full or (reads and
+                                labels.psl_strongly_real(field, lab, zeta))
+            assert counts._psl_strong_orbit(field, rep, zeta) == full
 
 
 def test_equivalence_classes_orbit_sizes():

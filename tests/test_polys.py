@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from realclasses.fields import canonical_nonsquare, field_for_order
 from realclasses.polys import (ONE, count_nqd, degree, enumerate_S,
-                               enumerate_T, eta_act, factorize,
+                               enumerate_T, factorize,
                                is_self_reciprocal, is_zeta_self_reciprocal,
                                irreducibles, monicize, normalize,
                                poly_add, poly_divmod, poly_eval, poly_mul,
@@ -41,6 +41,17 @@ def breve(field, f, zeta):
         raise ValueError("breve requires a nonzero constant term")
     twisted = [field.mul(c, field.pow(zeta, i)) for i, c in enumerate(f)]
     return monicize(field, tuple(reversed(twisted)))
+
+
+def eta_act(field, f, eta):
+    """Reference f(t) -> f(eta t) through logarithms: the t^k coefficient
+    is multiplied by eta^k."""
+    if eta == 0:
+        raise ValueError("eta must be a unit")
+    log, exp, order = field.log, field.exp, field.q - 1
+    step = log[eta]
+    return tuple([exp[(log[c] + k * step) % order] if c else 0
+                  for k, c in enumerate(f)])
 
 
 def _rand_poly(rng, q, d):
