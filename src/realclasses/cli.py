@@ -213,8 +213,8 @@ def cmd_enumerate(args):
                 rec["psl_strongly_real"] = labels.psl_strongly_real(
                     field, lab, psl_zeta)
         if args.format == "json":
-            json.dump(rec, out, sort_keys=True)
-            out.write("\n")
+            # dumps runs the C encoder; dump to a stream does not
+            out.write(json.dumps(rec, sort_keys=True) + "\n")
             continue
         label_str = " | ".join(polys.poly_str(field, u) for u in lab)
         nu_str = " ".join(str(p) for p in rec["label"]["nu"])

@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 
 from . import labels
 from .errors import UsageError
-from .fields import (canonical_nonsquare, constrained_nonsquare,
+from .fields import (MAX_Q, canonical_nonsquare, constrained_nonsquare,
                      field_for_order, prime_power, two_adic)
 from .polys import count_nqd, sigma
 
@@ -428,12 +428,15 @@ def check_kind(family, q, kind):
 
 
 def check_group(family, n, q, y_order=None):
-    """Raise UsageError unless the arguments name one of the five groups."""
+    """Raise UsageError unless the arguments name one of the five groups
+    over a supported field (q <= MAX_Q), whichever route would count it."""
     if family not in FAMILIES:
         raise UsageError("unknown family %r" % (family,))
     if not isinstance(n, int) or n < 0:
         raise UsageError("n must be a nonnegative integer, got %r" % (n,))
     prime_power(q)
+    if q > MAX_Q:
+        raise UsageError("q = %d exceeds the supported bound %d" % (q, MAX_Q))
     if family == "SLQ":
         if y_order is None:
             raise UsageError("family SLQ needs the order of Y")

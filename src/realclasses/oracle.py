@@ -18,11 +18,21 @@ Each generator is a transvection, diag(theta, 1, ..., 1) or a signed
 n-cycle, so conjugation by it changes few entries of a matrix, each a
 short sum of entries times field constants: a chunk of codes is decoded
 once, only the changed entries are recomputed, and (new - old) q^pos is
-added to each code.  Each generator so becomes one permutation array
-over element indices, and the classes are the orbits of those
-permutations, found by min-label hooking with pointer jumping
-(Shiloach-Vishkin).  Every class is certified through the class equation
-and the orbit-stabilizer equation |class| * |centralizer| = |order|.
+added to each code.  Each generator so becomes one permutation array,
+and the classes are the orbits of those permutations, found by min-label
+hooking with pointer jumping (Shiloach-Vishkin).
+
+Only one determinant fiber per coset of n-th powers is hooked: the
+elements whose determinant lies in a transversal D of F_q^* / (F_q^*)^n,
+|D| = gcd(n, q - 1).  Conjugation keeps the determinant and commutes with
+X -> lam X, and det(lam X) = lam^n det X, so the permutations act on the
+fiber alone (a second rank bitmap indexes it), and every GL-class is lam C
+for one fiber class C and one of the (q - 1) / gcd(n, q - 1) scalars lam.
+One pass multiplies the fiber by each scalar and numbers the pairs
+(C, lam) by least element index.  For SL, and for GL when gcd(n, q - 1) =
+q - 1, the fiber is the whole group.  Every class of the whole group is
+certified through the class equation and the orbit-stabilizer equation
+|class| * |centralizer| = |order|.
 
 Quotients by a central subgroup Y reuse the base classification: the
 classes of G/Y are the Y-orbits of classes of G, reality asks whether the
@@ -328,6 +338,23 @@ def _single_code(field, mat):
 
 
 # ---------------------------------------------------------------------------
+# determinant fibers
+
+def _det_transversal(field, n):
+    """A transversal D of F_q^* / (F_q^*)^n and the scalars that spread it.
+
+    With theta the field's generator and g = gcd(n, q - 1), D holds theta^i
+    for i < g and the scalars are theta^j for j < (q - 1) / g.  Every unit
+    is t lam^n for exactly one t in D and one scalar lam: the exponents
+    i + n j meet every residue mod q - 1 once, as g divides n.  Since
+    X -> lam X commutes with conjugation and det(lam X) = lam^n det X, the
+    GL-classes on the fibers det in D, times the scalars, are all of them.
+    """
+    g = math.gcd(n, field.q - 1)
+    return field.exp[:g], field.exp[:(field.q - 1) // g]
+
+
+# ---------------------------------------------------------------------------
 # generators
 
 def _generator_mats(field, n, base_family):
@@ -489,9 +516,11 @@ class BaseGroup:
 
     ``stats`` records the seconds spent enumerating, classifying and
     certifying (``classify_s`` splits into ``conjugate_s``, the rank
-    bitmap and the permutations, and ``hook_s``, the orbit roots), the
-    hooking rounds the class union took, and the number of top blocks
-    whose cofactors the enumeration computed.
+    bitmaps and the permutations, ``hook_s``, the orbit roots, and
+    ``spread_s``, numbering the classes and spreading them by scalars),
+    the hooking rounds the class union took, ``fiber_elements``, the
+    points hooked, and the number of top blocks whose cofactors the
+    enumeration computed.
     """
 
     def __init__(self, family, n, q, cap):
@@ -512,12 +541,14 @@ class BaseGroup:
         self.ops = _Ops(self.field, n)
         self.stats = {}
         start = time.perf_counter()
-        self.codes = self._enumerate_codes()
+        transversal, scalars = _det_transversal(self.field, n)
+        self.codes, fiber = self._enumerate_codes(transversal)
         assert len(self.codes) == self.order, \
             "enumerated %d elements, expected %d" % (len(self.codes), self.order)
         self.stats["enumerate_s"] = time.perf_counter() - start
         start = time.perf_counter()
-        self._classify()
+        self._classify(fiber, scalars)
+        del fiber
         self.stats["classify_s"] = time.perf_counter() - start
         start = time.perf_counter()
         self._rep_mats = [_mat_to_tuple(m) for m in _decode(
@@ -529,71 +560,134 @@ class BaseGroup:
 
     # -- enumeration
 
-    def _enumerate_codes(self):
-        """The codes of the group's elements, ascending, as int32.
+    def _enumerate_codes(self, transversal):
+        """The codes of the group's elements, ascending, as int32, and the
+        codes of its fiber over ``transversal``, the elements whose
+        determinant lies in it: the same array when that is all of them
+        (SL, or GL with every unit in the transversal).
 
         A code is its top block (the first n - 1 rows, the low n(n - 1)
         digits) plus its last row x times q^(n(n - 1)).  A matrix's
         determinant is c . x for the cofactor vector c of its top block,
         so the cofactors are computed once per block, and for each last
         row in ascending order the blocks with c . x = 1 (SL) or != 0
-        (GL) give the elements in ascending order.
+        (GL), or c . x in the transversal, give the elements and the fiber
+        in ascending order.
         """
         q, n = self.q, self.n
         if n == 0:
             self.stats["top_blocks"] = 0
-            return np.zeros(1, dtype=np.int32)  # the empty matrix
+            codes = np.zeros(1, dtype=np.int32)  # the empty matrix
+            return codes, codes
         span = q ** (n * (n - 1))
         tops = np.arange(span, dtype=np.int32)
         c = self.ops.cofactors(_decode(tops, n, q, rows=n - 1))
         self.stats["top_blocks"] = span
         want_one = self.family == "SL"
-        chunks = []
+        whole = want_one or len(transversal) == q - 1
+        in_fiber = np.zeros(q, dtype=bool)
+        in_fiber[transversal] = True
+        chunks, fiber_chunks = [], []
         lasts = _decode(np.arange(q ** n), n, q, rows=1)[:, 0, :].tolist()
         for x, last in enumerate(lasts):
             dets = self.ops.dot(c, last)
             mask = dets == self.field.one if want_one else dets != self.field.zero
             chunks.append(tops[mask] + np.int32(x * span))
-        return np.concatenate(chunks)
+            if not whole:
+                fiber_chunks.append(tops[in_fiber[dets]] + np.int32(x * span))
+        codes = np.concatenate(chunks)
+        return codes, codes if whole else np.concatenate(fiber_chunks)
 
     # -- conjugacy
 
-    def _conjugation_perms(self, gens):
-        """For each matrix g, element indices permuted by conjugation with g."""
+    def _conjugation_perms(self, gens, codes, ranks):
+        """For each matrix g, the indices of ``codes`` (a union of classes,
+        indexed by ``ranks``) permuted by conjugation with g."""
         n, q, ops = self.n, self.q, self.ops
         changes = [_conjugation_terms(self.field, n, g) for g in gens]
-        perms = [np.empty(len(self.codes), dtype=np.int32) for _ in gens]
-        for start in range(0, len(self.codes), _CHUNK):
-            codes = self.codes[start:start + _CHUNK]
-            entries = _entries(codes, n * n, q, ops.dtype)
+        perms = [np.empty(len(codes), dtype=np.int32) for _ in gens]
+        for start in range(0, len(codes), _CHUNK):
+            chunk = codes[start:start + _CHUNK]
+            entries = _entries(chunk, n * n, q, ops.dtype)
             for change, perm in zip(changes, perms):
-                perm[start:start + len(codes)] = self._ranks.index(
-                    ops.conjugate(change, codes, entries), "conjugate")
+                perm[start:start + len(chunk)] = ranks.index(
+                    ops.conjugate(change, chunk, entries), "conjugate")
         return perms
 
-    def _classify(self):
+    def _classify(self, fiber, scalars):
         """Classes are numbered by their least element index, which is
-        also the representative."""
+        also the representative.
+
+        Only the ``fiber`` codes, the elements whose determinant lies in
+        the transversal D of ``_det_transversal``, are hooked: conjugation
+        keeps the determinant, so every generator permutes the fiber.  The
+        other classes are its classes times the ``scalars`` (``_spread``).
+        """
         start = time.perf_counter()
-        self._ranks = _RankBitmap(self.codes, self.q ** (self.n * self.n))
+        size = self.q ** (self.n * self.n)
+        self._ranks = _RankBitmap(self.codes, size)
+        whole = len(fiber) == len(self.codes)
+        fiber_ranks = self._ranks if whole else _RankBitmap(fiber, size)
         perms = self._conjugation_perms(
-            _generator_mats(self.field, self.n, self.family))
+            _generator_mats(self.field, self.n, self.family), fiber,
+            fiber_ranks)
+        self.stats["fiber_elements"] = len(fiber)
         self.stats["conjugate_s"] = time.perf_counter() - start
         start = time.perf_counter()
-        roots, self.stats["hook_rounds"] = _orbit_roots(perms, len(self.codes))
+        roots, self.stats["hook_rounds"] = _orbit_roots(perms, len(fiber))
         self.stats["hook_s"] = time.perf_counter() - start
         del perms  # before the numbering arrays, to bound peak memory
+        start = time.perf_counter()
         is_root = roots == np.arange(len(roots), dtype=np.int32)
-        self.class_reps = np.flatnonzero(is_root).tolist()
+        reps = np.flatnonzero(is_root)
         number = np.cumsum(is_root, dtype=np.int32)
         number -= 1
         self.class_id = number[roots]
+        del roots, is_root, number
+        if not whole:
+            self.class_id, reps = self._spread(fiber, self.class_id, len(reps),
+                                               scalars)
+        self.class_reps = reps.tolist()
+        self.stats["spread_s"] = time.perf_counter() - start
         self.num_classes = len(self.class_reps)
         # a chunk at a time, as bincount takes its input as int64
         self.class_sizes = sum(
             np.bincount(self.class_id[start:start + _CHUNK],
                         minlength=self.num_classes)
-            for start in range(0, len(roots), _CHUNK))
+            for start in range(0, len(self.codes), _CHUNK))
+
+    def _spread(self, fiber, fiber_class, fiber_classes, scalars):
+        """The class ids and representatives of the whole group, from the
+        class id of each code of ``fiber`` among its ``fiber_classes``.
+
+        Every element is lam X for one scalar lam = theta^j and one X in
+        the fiber, and lies in the class lam C for the fiber class C of X.
+        The key C m + j, m scalars, names its class, as the fiber classes
+        have one determinant each; the keys are renumbered by least element
+        index.
+        """
+        q, cells, m = self.q, self.n * self.n, len(scalars)
+        # scale[j] is multiplication by theta^j (intp indices gather fastest)
+        scale = self.field.mul_table[scalars].astype(np.int32)
+        key = np.full(len(self.codes), -1, dtype=np.int32)
+        for start in range(0, len(fiber), _CHUNK):
+            entries = _entries(fiber[start:start + _CHUNK], cells, q, np.intp)
+            fiber_key = fiber_class[start:start + _CHUNK] * m
+            for j in range(m):
+                digits = scale[j][entries]
+                code = digits[-1]
+                for digit in digits[-2::-1]:
+                    code *= q
+                    code += digit
+                key[self._ranks.index(code, "scalar multiple")] = fiber_key + j
+        assert len(fiber) * m == len(key) and key.min() >= 0, \
+            "the scalar multiples of the fiber miss an element"
+        least = np.full(fiber_classes * m, len(key), dtype=np.int32)
+        np.minimum.at(least, key, np.arange(len(key), dtype=np.int32))
+        order = np.argsort(least)
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order), dtype=np.int32)
+        return rank[key], least[order]
 
     # -- certification
 

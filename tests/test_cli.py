@@ -1,12 +1,26 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from realclasses import cli
+from realclasses import cli, counts
+from realclasses.errors import UsageError
+from realclasses.fields import prime_power
+
+
+def _is_prime_power(q):
+    try:
+        prime_power(q)
+    except UsageError:
+        return False
+    return True
 
 
 def run(argv, capsys):
@@ -183,6 +197,89 @@ def test_usage_errors(capsys):
         code, _, err = run(argv, capsys)
         assert code == 2, argv
         assert err.startswith("error:")
+
+
+_PRIME_POWERS = [q for q in range(2, 300) if _is_prime_power(q)]
+_SMALL_QS = [q for q in _PRIME_POWERS if q <= 11]
+
+
+def _count_argv(family, n, q, kind, y=None, cap=None):
+    argv = ["count", "--family", family, "--n", str(n), "--q", str(q),
+            "--kind", kind, "--format", "json"]
+    if y is not None:
+        argv += ["--y", str(y)]
+    if cap is not None:
+        argv += ["--cap", str(cap)]
+    return argv
+
+
+@st.composite
+def _valid_count(draw):
+    family = draw(st.sampled_from(counts.FAMILIES))
+    n, q = draw(st.integers(0, 4)), draw(st.sampled_from(_SMALL_QS))
+    kind = draw(st.sampled_from(counts.applicable_kinds(family, q)))
+    g = math.gcd(n, q - 1) if n else 1
+    y = (draw(st.sampled_from([d for d in range(1, g + 1) if g % d == 0]))
+         if family == "SLQ" else None)
+    total = counts.count(family, n, q, kind, y_order=y).total
+    return _count_argv(family, n, q, kind, y), 0, total
+
+
+@st.composite
+def _usage_error(draw):
+    n, q = draw(st.integers(1, 6)), draw(st.sampled_from(_SMALL_QS))
+    case = draw(st.sampled_from(["y", "zeta_family", "zeta_even", "q",
+                                 "big_q", "n"]))
+    family, kind, y = "GL", "real", None
+    if case == "y":
+        family = "SLQ"
+        y = draw(st.integers(1, 12).filter(
+            lambda y: math.gcd(n, q - 1) % y))
+    elif case == "zeta_family":
+        family, kind = draw(st.sampled_from(["PGL", "PSL", "SLQ"])), \
+            "zeta_real"
+        y = 1 if family == "SLQ" else None
+    elif case == "zeta_even":
+        family, kind = draw(st.sampled_from(["GL", "SL"])), "zeta_real"
+        q = draw(st.sampled_from([q for q in _SMALL_QS if q % 2 == 0]))
+    elif case == "q":
+        q = draw(st.integers(0, 300).filter(
+            lambda q: q not in _PRIME_POWERS))
+    elif case == "big_q":
+        q = draw(st.sampled_from([q for q in _PRIME_POWERS if q > 128]))
+    else:
+        n = draw(st.integers(-5, -1))
+    return _count_argv(family, n, q, kind, y), 2, None
+
+
+@st.composite
+def _over_cap(draw):
+    # cells counted only by enumerating labels, each with at least one
+    family, n, kind = draw(st.sampled_from([
+        ("SL", 2, "zeta_real"), ("SL", 4, "zeta_real"),
+        ("SL", 2, "strongly_real"), ("PSL", 2, "strongly_real")]))
+    qs = [q for q in _SMALL_QS
+          if q % 2 and (family == "SL" or q % 4 == 3)]
+    return _count_argv(family, n, draw(st.sampled_from(qs)), kind,
+                       cap=0), 3, None
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(_valid_count(), _usage_error(), _over_cap()))
+def test_count_exit_code_contract(case):
+    # exit 0 with the library's total, 2 for a usage error, 3 for a label
+    # budget too small for an enumerated cell
+    argv, want, total = case
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == want, (argv, err.getvalue())
+    if want == 0:
+        assert json.loads(out.getvalue())["total"] == total
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(
+            "error:" if want == 2 else "budget exceeded:")
 
 
 def test_budget_exit(capsys):

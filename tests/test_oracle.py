@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import numpy as np
@@ -85,9 +86,11 @@ def test_certification_is_builtin():
     cid = base.class_of_mat(rep)
     assert brute * int(base.class_sizes[cid]) == gd.order
     assert set(base.stats) == {"enumerate_s", "classify_s", "certify_s",
-                               "conjugate_s", "hook_s", "hook_rounds",
-                               "top_blocks"}
+                               "conjugate_s", "hook_s", "spread_s",
+                               "hook_rounds", "top_blocks", "fiber_elements"}
     assert base.stats["top_blocks"] == 5 ** 2  # one per first row
+    # gcd(2, 5 - 1) = 2: the fiber det in {1, 2} is half the group
+    assert base.stats["fiber_elements"] == 480 // 2
     # a matrix outside the group (determinant 0) has no class
     assert base.maybe_class_of_mat(scalar_mat(gd.field, 0, 2)) == -1
 
@@ -227,6 +230,7 @@ def _bfs_class_ids(field, family, n, mats):
 
 @pytest.mark.parametrize("family,n,q", [
     ("GL", 2, 4), ("SL", 2, 9), ("GL", 3, 2), ("SL", 3, 3),
+    ("GL", 2, 5), ("GL", 2, 7),
 ])
 def test_class_ids_match_bfs_reference(family, n, q):
     base = oracle.BaseGroup(family, n, q, oracle.DEFAULT_CAP)
@@ -237,8 +241,23 @@ def test_class_ids_match_bfs_reference(family, n, q):
 
 
 # sha256 of class_id.tobytes() and of class_reps as int64 bytes, recorded
-# before the classifier moved to sparse conjugation and the rank bitmap
+# before the classifier moved to sparse conjugation and the rank bitmap;
+# GL_2(5), GL_2(7), GL_3(3) and GL_3(5), whose classes are spread from one
+# determinant fiber by scalars, recorded before the classifier hooked only
+# that fiber
 _GOLDEN_NUMBERING = {
+    ("GL", 2, 5): (
+        "2d1fa819ca92baad8f22a6a7f390641072b88a232decaf7b9e08e43c7699dd2b",
+        "341e118bd24a4685582cdb5710b6cde45e6c047b788f7fe3ea1a076d8a7d4a95"),
+    ("GL", 2, 7): (
+        "ded95c4cc569eee8c72413029f0903db571a4c6f9c354297985f8faf66495e35",
+        "683a94173227ac116ac7ee86d7fb13287a0fbd54c1352c880e80b352b727374b"),
+    ("GL", 3, 3): (
+        "2d3ac5326d376eb88600bae7f6e3f1e8a3646a0beddeaafc29bc11e06ae83aef",
+        "a9538bd4e5964cb703ab062d22ca2c7210faacfef0f18b965941eb8259edd76b"),
+    ("GL", 3, 5): (
+        "0dde653432db673fd3f5c1ff38d03ab8f46f8ccdc9e951bf08e5ee7108f70956",
+        "4450ff13bc4ab42434a784ffb81b944f091abf9af915c9a1e7f1de17764c49cf"),
     ("GL", 3, 4): (
         "d3b6dbc6248cd9d9359bc42bf716aa57865d7164975084174e6feef75d0f5190",
         "1bcb22fbe83a8ab09c05302860093b692700260df472de3c303fa0e0bc6df254"),
@@ -256,7 +275,9 @@ _GOLDEN_NUMBERING = {
 
 @pytest.mark.parametrize("family,n,q", sorted(_GOLDEN_NUMBERING))
 def test_class_numbering_is_golden(family, n, q):
-    base = enumerate_group(family, n, q).base
+    # GL_3(5) has 1,488,000 elements, over the default cap
+    base = enumerate_group(family, n, q,
+                           cap=group_order(family, n, q)).base
     assert base.class_id.dtype == np.int32
     got = (hashlib.sha256(base.class_id.tobytes()).hexdigest(),
            hashlib.sha256(np.asarray(base.class_reps, dtype=np.int64)
@@ -271,6 +292,40 @@ def test_chunking_leaves_the_numbering_alone(monkeypatch):
     assert got.class_id.tolist() == want.class_id.tolist()
     assert got.class_reps == want.class_reps
     assert got.class_sizes.tolist() == want.class_sizes.tolist()
+
+
+_FIELD_QS = (2, 3, 4, 5, 7, 8, 9)
+
+
+@pytest.mark.parametrize("q", _FIELD_QS)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_det_transversal(n, q):
+    field = field_for_order(q)
+    transversal, scalars = oracle._det_transversal(field, n)
+    assert len(transversal) == math.gcd(n, q - 1)
+    nth_powers = {field.pow(x, n) for x in field.units}
+    for d in field.units:
+        # one coset representative per unit, and one way to reach it
+        assert sum(field.mul(d, field.inv(t)) in nth_powers
+                   for t in transversal) == 1
+        assert sum(field.mul(t, field.pow(lam, n)) == d
+                   for t in transversal for lam in scalars) == 1
+
+
+@pytest.mark.parametrize("family,n,q", [
+    (family, n, q) for family in ("GL", "SL") for n in range(5)
+    for q in _FIELD_QS if group_order(family, n, q) <= 200_000])
+def test_only_the_fiber_is_hooked(family, n, q):
+    base = oracle.BaseGroup(family, n, q, oracle.DEFAULT_CAP)
+    hooked = base.stats["fiber_elements"]
+    if family == "SL":
+        assert hooked == base.order
+    else:
+        assert hooked * (q - 1) == base.order * math.gcd(n, q - 1)
+    # the classes are still numbered by their least element
+    least = np.full(base.num_classes, base.order)
+    np.minimum.at(least, base.class_id, np.arange(base.order))
+    assert least.tolist() == base.class_reps
 
 
 def test_class_ids_ordered_by_least_element():
