@@ -19,13 +19,13 @@ n-cycle, so conjugation by it changes few entries of a matrix, each a
 short sum of entries times field constants: a chunk of codes is decoded
 once, only the changed entries are recomputed, and (new - old) q^pos is
 added to each code.  Each generator so becomes one permutation array,
-and the classes are the orbits of those permutations, found by min-label
+and the classes are the orbits of those arrays, found by min-label
 hooking with pointer jumping (Shiloach-Vishkin).
 
 Only one determinant fiber per coset of n-th powers is hooked: the
 elements whose determinant lies in a transversal D of F_q^* / (F_q^*)^n,
 |D| = gcd(n, q - 1).  Conjugation keeps the determinant and commutes with
-X -> lam X, and det(lam X) = lam^n det X, so the permutations act on the
+X -> lam X, and det(lam X) = lam^n det X, so the arrays act on the
 fiber alone (a second rank bitmap indexes it), and every GL-class is lam C
 for one fiber class C and one of the (q - 1) / gcd(n, q - 1) scalars lam.
 One pass multiplies the fiber by each scalar and numbers the pairs
@@ -168,28 +168,9 @@ def mat_inv(field, a):
     return tuple(tuple(row[n:]) for row in rows)
 
 
-def mat_rank(field, a):
-    return len(_rref(field, a)[1])
-
-
 def mat_det(field, a):
     _, pivots, scale = _rref(field, a)
     return scale if len(pivots) == len(a) else field.zero
-
-
-def _perm_parity(perm):
-    seen = [False] * len(perm)
-    parity = 0
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, ln = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        parity ^= (ln - 1) & 1
-    return parity
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +447,7 @@ class _RankBitmap:
 
 
 def _orbit_roots(perms, size):
-    """The least point of each point's orbit under the permutations.
+    """The least point of each point's orbit under the permutation arrays.
 
     Min-label hooking with pointer jumping (Shiloach-Vishkin 1982): every
     edge i -- perm[i] whose ends carry different labels hooks the larger
@@ -516,7 +497,7 @@ class BaseGroup:
 
     ``stats`` records the seconds spent enumerating, classifying and
     certifying (``classify_s`` splits into ``conjugate_s``, the rank
-    bitmaps and the permutations, ``hook_s``, the orbit roots, and
+    bitmaps and the permutation arrays, ``hook_s``, the orbit roots, and
     ``spread_s``, numbering the classes and spreading them by scalars),
     the hooking rounds the class union took, ``fiber_elements``, the
     points hooked, and the number of top blocks whose cofactors the
@@ -925,91 +906,72 @@ def enumerate_group(family, n, q, y_order=None, cap=None):
 # ---------------------------------------------------------------------------
 # matrices to labels
 
-def char_poly(field, mat):
-    """det(tI - mat) as a monic polynomial over the field."""
-    n = len(mat)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append((field.neg(mat[i][j]), field.one))
-            else:
-                row.append((field.neg(mat[i][j]),))
-        entries.append(row)
-    acc = ()
-    for perm in itertools.permutations(range(n)):
-        prod = polys.ONE
-        for i in range(n):
-            prod = polys.poly_mul(field, prod, entries[i][perm[i]])
-        if _perm_parity(perm):
-            prod = polys.poly_neg(field, prod)
-        acc = polys.poly_add(field, acc, prod)
-    return acc
+def invariant_factors(field, mat):
+    """The monic invariant factors f_1 | f_2 | ... | f_r of degree > 0 of a
+    square matrix: the diagonal of the Smith form of tI - mat over F_q[t].
 
-
-def poly_at_matrix(field, f, mat):
+    Each pivot is a nonzero entry of least degree; its column and row are
+    cleared by division, and a remainder, or an entry the pivot does not
+    divide (whose row is added to the pivot row), yields a pivot of lower
+    degree.
+    """
     n = len(mat)
-    acc = scalar_mat(field, field.zero, n)
-    for c in reversed(f):
-        acc = mat_mul(field, acc, mat)
-        if c != field.zero:
-            acc = tuple(tuple(field.add(x, c) if i == j else x
-                              for j, x in enumerate(row))
-                        for i, row in enumerate(acc))
-    return acc
+    m = [[polys.normalize((field.neg(x), field.one) if i == j
+                          else (field.neg(x),)) for j, x in enumerate(row)]
+         for i, row in enumerate(mat)]
+    out = []
+    for k in range(n):
+        while True:
+            _, i, j = min((len(m[r][c]), r, c) for r in range(k, n)
+                          for c in range(k, n) if m[r][c])
+            m[k], m[i] = m[i], m[k]
+            for row in m:
+                row[k], row[j] = row[j], row[k]
+            piv = m[k][k]
+            for r in range(k + 1, n):
+                quo, m[r][k] = polys.poly_divmod(field, m[r][k], piv)
+                if quo:
+                    minus = polys.poly_neg(field, quo)
+                    m[r][k + 1:] = [polys.poly_add(
+                        field, x, polys.poly_mul(field, minus, y))
+                        for x, y in zip(m[r][k + 1:], m[k][k + 1:])]
+            if any(m[r][k] for r in range(k + 1, n)):
+                continue
+            # column k is clear below the pivot, so clearing row k by
+            # column operations changes no other row
+            for c in range(k + 1, n):
+                m[k][c] = polys.poly_divmod(field, m[k][c], piv)[1]
+            if any(m[k][c] for c in range(k + 1, n)):
+                continue
+            bad = next((r for r in range(k + 1, n) for c in range(k + 1, n)
+                        if polys.poly_divmod(field, m[r][c], piv)[1]), None)
+            if bad is None:
+                break
+            m[k] = [polys.poly_add(field, x, y) for x, y in zip(m[k], m[bad])]
+        if polys.degree(piv) > 0:
+            out.append(polys.monicize(field, piv))
+    return out
 
 
 def matrix_to_label(field, mat):
     """The conjugacy-class label of an invertible matrix.
 
-    Each irreducible factor of the characteristic polynomial contributes
-    its reversed (constant-term-1) form to the u_i picked out by its block
-    sizes, so the label's roots are the inverse eigenvalues and label_det
-    agrees with the matrix determinant.
+    Each elementary divisor p^e (p irreducible, read from the invariant
+    factors) puts the reversed (constant-term-1) form of p into u_e, so the
+    label's roots are the inverse eigenvalues and label_det agrees with the
+    matrix determinant.
     """
-    n = len(mat)
-    chi = char_poly(field, mat)
-    fact = polys.factorize(field, chi)
     slots = {}
-    for f, mult in fact.factors:
-        if polys.poly_eval(field, f, field.zero) == field.zero:
-            raise ValueError("matrix is singular")
-        d = polys.degree(f)
-        if mult == 1:
-            block_counts = {1: 1}
-        else:
-            b = poly_at_matrix(field, f, mat)
-            ge = []
-            prev = 0
-            power = b
-            while True:
-                nullity = n - mat_rank(field, power)
-                step = nullity - prev
-                assert step % d == 0
-                g = step // d
-                if g == 0:
-                    break
-                ge.append(g)
-                prev = nullity
-                power = mat_mul(field, power, b)
-                if len(ge) > mult:
-                    raise AssertionError("runaway block computation")
-            block_counts = {}
-            for i in range(1, len(ge) + 1):
-                m_i = ge[i - 1] - (ge[i] if i < len(ge) else 0)
-                if m_i:
-                    block_counts[i] = m_i
-        rev = tuple(reversed(f))
-        for i, m_i in block_counts.items():
-            cur = slots.get(i, polys.ONE)
-            slots[i] = polys.poly_mul(field, cur,
-                                      polys.poly_pow(field, rev, m_i))
-    top = max(slots) if slots else 0
-    label = labels.make_label(field,
-                              [slots.get(i, polys.ONE)
-                               for i in range(1, top + 1)])
-    assert labels.label_n(label) == n
+    for f in invariant_factors(field, mat):
+        for p, e in polys.factorize(field, f).factors:
+            if p[0] == field.zero:
+                raise ValueError("matrix is singular")
+            slots[e] = polys.poly_mul(field, slots.get(e, polys.ONE),
+                                      tuple(reversed(p)))
+    top = max(slots, default=0)
+    label = labels.make_label(field, [slots.get(i, polys.ONE)
+                                      for i in range(1, top + 1)])
+    assert labels.label_n(label) == len(mat)
     assert labels.label_det(field, label) == mat_det(field, mat)
     return label
 

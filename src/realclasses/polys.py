@@ -76,13 +76,6 @@ def poly_mul(field, f, g):
     return normalize(out)
 
 
-def poly_pow(field, f, e):
-    acc = ONE
-    for _ in range(e):
-        acc = poly_mul(field, acc, f)
-    return acc
-
-
 def poly_divmod(field, f, g):
     """Quotient and remainder of f by g, in one pass from the top of f down:
     subtracting c t^shift g clears the top coefficient exactly, so only the

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realclasses import cli, counts
+from realclasses import cli, counts, oracle
 from realclasses.errors import UsageError
 from realclasses.fields import prime_power
 
@@ -213,14 +213,20 @@ def _count_argv(family, n, q, kind, y=None, cap=None):
     return argv
 
 
+def _y_orders(family, n, q):
+    """The orders of the central subgroups Y of SL_n(q); [None] off SLQ."""
+    if family != "SLQ":
+        return [None]
+    g = math.gcd(n, q - 1) if n else 1
+    return [d for d in range(1, g + 1) if g % d == 0]
+
+
 @st.composite
 def _valid_count(draw):
     family = draw(st.sampled_from(counts.FAMILIES))
     n, q = draw(st.integers(0, 4)), draw(st.sampled_from(_SMALL_QS))
     kind = draw(st.sampled_from(counts.applicable_kinds(family, q)))
-    g = math.gcd(n, q - 1) if n else 1
-    y = (draw(st.sampled_from([d for d in range(1, g + 1) if g % d == 0]))
-         if family == "SLQ" else None)
+    y = draw(st.sampled_from(_y_orders(family, n, q)))
     total = counts.count(family, n, q, kind, y_order=y).total
     return _count_argv(family, n, q, kind, y), 0, total
 
@@ -264,22 +270,105 @@ def _over_cap(draw):
                        cap=0), 3, None
 
 
+def _assert_exit(argv, want):
+    """Run argv and check its exit code; a usage error (2) or a budget (3)
+    prints nothing on stdout and says which on stderr.  Returns stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == want, (argv, err.getvalue())
+    if want in (2, 3):
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(
+            "error:" if want == 2 else "budget exceeded:")
+    return out.getvalue()
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.one_of(_valid_count(), _usage_error(), _over_cap()))
 def test_count_exit_code_contract(case):
     # exit 0 with the library's total, 2 for a usage error, 3 for a label
     # budget too small for an enumerated cell
     argv, want, total = case
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    assert code == want, (argv, err.getvalue())
+    out = _assert_exit(argv, want)
     if want == 0:
-        assert json.loads(out.getvalue())["total"] == total
-    else:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith(
-            "error:" if want == 2 else "budget exceeded:")
+        assert json.loads(out)["total"] == total
+
+
+_VERIFY_GROUPS = [(f, n, q, y) for f in counts.FAMILIES for n in (1, 2, 3)
+                  for q in _SMALL_QS for y in _y_orders(f, n, q)
+                  if 1 < oracle.group_order(f, n, q, y) <= 10 ** 4]
+_DESK_QS = [q for q in _SMALL_QS if q <= 9]
+
+
+def _argv(command, n, q, zeta=False):
+    """A valid command line, or one asking for zeta-real classes."""
+    if command == "verify":
+        return ["verify", "--family", "GL", "--n", str(n), "--q", str(q)] + (
+            ["--kind", "zeta_real"] if zeta else [])
+    if command == "enumerate":
+        return ["enumerate", "--n", str(n), "--q", str(q)] + (
+            ["--filter", "zeta_real"] if zeta else [])
+    return [command, "--q", str(q)] + (["--n", str(n)] if n < 0 else [])
+
+
+@st.composite
+def _subcommand_usage_error(draw, command):
+    cases = ["q", "big_q", "n", "no_q"]
+    if command in ("verify", "enumerate"):
+        cases.append("zeta_even")
+    case = draw(st.sampled_from(cases))
+    n, q = draw(st.integers(1, 3)), draw(st.sampled_from(_DESK_QS))
+    if case == "q":
+        q = draw(st.integers(0, 300).filter(
+            lambda q: q not in _PRIME_POWERS))
+    elif case == "big_q":
+        q = draw(st.sampled_from([q for q in _PRIME_POWERS if q > 128]))
+    elif case == "n":
+        n = draw(st.integers(-5, -1))
+    elif case == "zeta_even":
+        q = draw(st.sampled_from([q for q in _DESK_QS if q % 2 == 0]))
+    argv = _argv(command, n, q, zeta=case == "zeta_even")
+    if case == "no_q":
+        i = argv.index("--q")
+        argv = argv[:i] + argv[i + 2:]
+    return argv, 2
+
+
+@st.composite
+def _subcommand_answer(draw, command):
+    """A command line in range, with the exit code it must give, 3 where
+    the cap is set below the group or label count."""
+    if command == "verify":
+        family, n, q, y = draw(st.sampled_from(_VERIFY_GROUPS))
+        argv = ["verify", "--family", family, "--n", str(n), "--q", str(q)]
+        argv += [] if y is None else ["--y", str(y)]
+        over = draw(st.booleans())
+        return argv + (["--cap", "1"] if over else []), 3 if over else 0
+    q = draw(st.sampled_from(_DESK_QS))
+    if command == "table13":
+        return ["table13", "--q", str(q)], 1 if q % 2 else 0
+    if command == "genfun":
+        terms = draw(st.integers(0, 4))
+        return ["genfun", "--q", str(q), "--terms", str(terms)], 0
+    # a cap of 0 is exceeded only by a nonempty dump, and the zeta-real
+    # filter leaves none at odd n, so the cap goes on the unfiltered dump
+    over = draw(st.booleans())
+    argv = _argv("enumerate", draw(st.integers(0, 3)), q,
+                 zeta=not over and q % 2 == 1 and draw(st.booleans()))
+    return argv + (["--cap", "0"] if over else []), 3 if over else 0
+
+
+@pytest.mark.parametrize("command", ["verify", "table13", "genfun",
+                                     "enumerate"])
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_subcommand_exit_code_contract(command, data):
+    # verify matches on groups of order <= 10^4 and exceeds --cap 1;
+    # table13 flags the disputed rows at odd q; a usage error exits 2
+    argv, want = data.draw(st.one_of(_subcommand_answer(command),
+                                     _subcommand_usage_error(command)))
+    _assert_exit(argv + ["--format", "json"], want)
 
 
 def test_budget_exit(capsys):

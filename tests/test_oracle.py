@@ -5,15 +5,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from realclasses import cli, counts, labels, oracle
+from realclasses import cli, counts, labels, oracle, polys
 from realclasses.errors import BudgetExceeded, UsageError
 from realclasses.fields import (MAX_Q, canonical_nonsquare, field_for_order,
                                 prime_power)
 from realclasses.oracle import (enumerate_group, group_order, identity_mat,
-                                mat_det, mat_inv, mat_mul, mat_rank,
-                                matrix_to_label, scalar_mat, verify_group)
+                                mat_det, mat_inv, mat_mul, matrix_to_label,
+                                scalar_mat, verify_group)
 from realclasses.polys import ONE
+from test_polys import poly_pow, tilde
 
 
 def test_group_order_formulas():
@@ -43,9 +46,9 @@ def test_exact_matrix_algebra():
     for _ in range(20):
         m = tuple(tuple(rng.randrange(7) for _ in range(3)) for _ in range(3))
         if mat_det(f7, m) == 0:
-            assert mat_rank(f7, m) < 3
+            assert len(oracle._rref(f7, m)[1]) < 3
             continue
-        assert mat_rank(f7, m) == 3
+        assert len(oracle._rref(f7, m)[1]) == 3
         inv = mat_inv(f7, m)
         assert mat_mul(f7, m, inv) == identity_mat(f7, 3)
     with pytest.raises(ValueError):
@@ -536,6 +539,110 @@ def test_matrix_to_label_rejects_singular():
     f3 = field_for_order(3)
     with pytest.raises(ValueError):
         matrix_to_label(f3, ((1, 0), (0, 0)))
+
+
+def _companion(field, g):
+    """C(g) of a monic g: ones below the diagonal, -g in the last column."""
+    d = polys.degree(g)
+    return tuple(tuple(field.neg(g[i]) if j == d - 1
+                       else field.one if i == j + 1 else field.zero
+                       for j in range(d)) for i in range(d))
+
+
+def _block_sum(field, blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[field.zero] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return tuple(map(tuple, out))
+
+
+def _chain_to_matrix(field, label):
+    """A matrix with the given label: each irreducible p of multiplicity m
+    in u_i gives m blocks C((p*)^i), p* the monic reversal of p."""
+    blocks = []
+    for i, u in enumerate(label, 1):
+        for p, m in polys.factorize(field, u).factors:
+            star = tilde(field, p)
+            blocks += [_companion(field, poly_pow(field, star, i))] * m
+    return _block_sum(field, blocks)
+
+
+@pytest.mark.parametrize("q,top", [(2, 6), (3, 6), (4, 4), (5, 4), (7, 3),
+                                   (8, 3), (9, 3)])
+def test_label_round_trip_through_companion_blocks(q, top):
+    field = field_for_order(q)
+    for n in range(top + 1):
+        for lab in labels.enumerate_labels(field, n):
+            assert matrix_to_label(field, _chain_to_matrix(field, lab)) == lab
+
+
+@st.composite
+def _chain_case(draw):
+    """(field, A, h, r): A random invertible (r = 1) or a block sum with a
+    block repeated r >= 2 times, and h a random invertible P L U."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    field = field_for_order(q)
+    elt, unit = st.integers(0, q - 1), st.integers(1, q - 1)
+
+    def square(k):
+        return tuple(tuple(draw(elt) for _ in range(k)) for _ in range(k))
+
+    def invertible(k):
+        low = [[field.one if i == j else draw(elt) if i > j else field.zero
+                for j in range(k)] for i in range(k)]
+        up = [[draw(unit) if i == j else draw(elt) if i < j else field.zero
+               for j in range(k)] for i in range(k)]
+        perm = draw(st.permutations(range(k)))
+        return mat_mul(field, [low[i] for i in perm], up)
+
+    if draw(st.booleans()):
+        n, r = draw(st.integers(1, 6)), 1
+        a = invertible(n)
+    else:
+        n = draw(st.integers(2, 6))
+        s = draw(st.integers(1, n // 2))
+        r = draw(st.integers(2, n // s))
+        a = _block_sum(field, [square(s)] * r + [square(n - r * s)])
+    return field, a, invertible(n), r
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_chain_case())
+def test_invariant_factors_properties(case):
+    field, a, h, r = case
+    n = len(a)
+    chain = oracle.invariant_factors(field, a)
+    assert len(chain) >= r
+    assert all(polys.degree(f) > 0 and f[-1] == field.one for f in chain)
+    for f, g in zip(chain, chain[1:]):
+        assert polys.poly_divmod(field, g, f)[1] == ()
+    # the product is det(tI - A): both monic of degree n, so they agree
+    # once they agree at q >= n points
+    chi = polys.ONE
+    for f in chain:
+        chi = polys.poly_mul(field, chi, f)
+    assert polys.degree(chi) == n
+    if field.q >= n:
+        for c in range(field.q):
+            c_minus_a = tuple(tuple(field.sub(c if i == j else field.zero, x)
+                                    for j, x in enumerate(row))
+                              for i, row in enumerate(a))
+            assert polys.poly_eval(field, chi, c) == mat_det(field, c_minus_a)
+    conj = mat_mul(field, mat_mul(field, h, a), mat_inv(field, h))
+    assert oracle.invariant_factors(field, conj) == chain
+
+
+def test_invariant_factors_separate_classes():
+    for n, q in ((3, 3), (2, 5)):
+        field = field_for_order(q)
+        gd = enumerate_group("GL", n, q)
+        chains = {tuple(oracle.invariant_factors(field, gd.rep_mat(c)))
+                  for c in range(gd.num_classes)}
+        assert len(chains) == gd.num_classes
 
 
 # ---------------------------------------------------------------------------

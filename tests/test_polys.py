@@ -11,11 +11,19 @@ from realclasses.polys import (ONE, count_nqd, degree, enumerate_S,
                                is_self_reciprocal, is_zeta_self_reciprocal,
                                irreducibles, monicize, normalize,
                                poly_add, poly_divmod, poly_eval, poly_mul,
-                               poly_pow, poly_str, sigma)
+                               poly_str, sigma)
 
 
-# Reference maps on polynomials, for the tests here and in test_labels and
-# test_acceptance; the package itself reads them off labels directly.
+# Reference maps and powers of polynomials, for the tests here and in
+# test_labels, test_oracle and test_acceptance; the package itself does not
+# use them.
+
+def poly_pow(field, f, e):
+    acc = ONE
+    for _ in range(e):
+        acc = poly_mul(field, acc, f)
+    return acc
+
 
 def tilde(field, f):
     """Monic polynomial whose roots are the inverses of the roots of f.
