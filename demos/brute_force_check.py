@@ -22,9 +22,9 @@ gd = oracle.enumerate_group(family, n, q)
 print("%s_%d(%d): %d elements in %d conjugacy classes"
       % (family, n, q, gd.order, gd.num_classes))
 
-# For every class: its size, its label (read from the characteristic
-# polynomial and rank data of a representative), and the brute-force
-# reality verdicts.
+# For every class: its size, its label (read from the invariant factors
+# of tI - g for a representative g), and the brute-force reality
+# verdicts.
 strong = set(gd.strongly_real_class_ids())
 print()
 print("  size  real  strongly  label")
@@ -33,7 +33,7 @@ for cid in range(gd.num_classes):
     lab = oracle.matrix_to_label(field, rep)
     shown = "; ".join(poly_str(field, u) for u in lab)
     print("  %4d  %4s  %8s  [%s]"
-          % (gd.class_sizes[cid], "yes" if gd.is_real(cid) else "no",
+          % (gd.class_sizes[cid], "yes" if gd.is_zeta_real(cid, 1) else "no",
              "yes" if cid in strong else "no", shown))
 
 # Tally and compare against the closed-form counts.

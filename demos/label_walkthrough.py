@@ -38,7 +38,7 @@ assert total == report.total
 # matrix in the class, read off the label alone.
 print()
 print("the %d labels, spelled out" % report.total)
-for lab in labels.enumerate_labels(field, n, filt="real"):
+for lab in labels.enumerate_labels(field, n, twist=1):
     shown = ", ".join(poly_str(field, u) for u in lab)
     det = labels.label_det(field, lab)
     print("  [%s]   det %d" % (shown, det))

@@ -184,9 +184,9 @@ def cmd_genfun(args):
 
 def cmd_enumerate(args):
     field = field_for_order(args.q)
-    zeta = (canonical_nonsquare(field)
-            if "zeta_real" in counts.applicable_kinds("GL", args.q) else None)
-    labs = labels.enumerate_labels(field, args.n, filt=args.filter,
+    zeta = canonical_nonsquare(field) if args.q % 2 else None
+    twist = {None: None, "real": field.one, "zeta_real": zeta}[args.filter]
+    labs = labels.enumerate_labels(field, args.n, twist=twist,
                                    budget=_budget(args))
     header = ("n", "q", "label", "nu", "det", "real", "zeta_real",
               "sl_real", "sl_strongly_real", "psl_strongly_real")
@@ -202,9 +202,9 @@ def cmd_enumerate(args):
         rec = {"n": args.n, "q": args.q,
                "label": labels.label_to_json(lab),
                "det": det,
-               "real": labels.is_real_label(field, lab)}
+               "real": labels.is_twisted_real_label(field, lab, field.one)}
         if zeta is not None:
-            rec["zeta_real"] = labels.is_zeta_real_label(field, lab, zeta)
+            rec["zeta_real"] = labels.is_twisted_real_label(field, lab, zeta)
         if det == field.one:
             rec["sl_real"] = labels.sl_real(lab, args.n, args.q)
             rec["sl_strongly_real"] = labels.sl_strongly_real(field, lab)

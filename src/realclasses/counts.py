@@ -24,7 +24,7 @@ from . import labels
 from .errors import UsageError
 from .fields import (MAX_Q, canonical_nonsquare, constrained_nonsquare,
                      field_for_order, prime_power, two_adic)
-from .polys import count_nqd, sigma
+from .polys import count_nqd, is_nonsquare, sigma
 
 FAMILIES = ("GL", "SL", "PGL", "PSL", "SLQ")
 KINDS = ("real", "strongly_real", "zeta_real")
@@ -208,19 +208,19 @@ def _as_int(x, what):
 _ORBIT_CACHE = {}
 
 
-def _label_tally(field, n, zeta, budget, in_sl=None):
-    """Real labels of weight n by type; zeta-real ones when zeta is given.
+def _label_tally(field, n, twist, budget, in_sl=None):
+    """Labels of weight n by type, twisted-real for ``twist``: the real
+    ones for twist 1, the zeta-real ones for a non-square.
 
     With ``in_sl(field, label, n)`` the tally keeps the det-1 labels
     passing that criterion and weights each by h_nu, the number of
     SL_n(q)-classes its GL-class splits into.  Only det-1 labels are
     generated then, and the type comes with each label.
     """
-    filt = "real" if zeta is None else "zeta_real"
     out = {}
     weight = {}
     for nu, lab in labels.enumerate_labels(
-            field, n, filt=filt, zeta=zeta, budget=budget,
+            field, n, twist=twist, budget=budget,
             det=None if in_sl is None else field.one, typed=True):
         if in_sl is None:
             out[nu] = out.get(nu, 0) + 1
@@ -243,15 +243,16 @@ def _pgl_real_orbits(field, n, budget):
     (``labels.equivalence_classes``).  A cached pool passes the same
     label-budget check that enumerating it afresh would.
     """
-    filts = ("real", "zeta_real") if field.q % 2 == 1 else ("real",)
+    twists = (field.one, canonical_nonsquare(field)) if field.q % 2 else (
+        field.one,)
     key = (field.q, n)
     if key in _ORBIT_CACHE:
-        for filt in filts:
-            labels.check_label_budget(field.q, n, filt, budget)
+        for twist in twists:
+            labels.check_label_budget(field.q, n, twist, budget)
     else:
         pools = {}
-        for filt in filts:
-            for nu, lab in labels.enumerate_labels(field, n, filt=filt,
+        for twist in twists:
+            for nu, lab in labels.enumerate_labels(field, n, twist=twist,
                                                    budget=budget, typed=True):
                 pools.setdefault(nu, []).append(lab)
         cache = _ORBIT_CACHE[key] = []
@@ -262,7 +263,7 @@ def _pgl_real_orbits(field, n, budget):
     return _ORBIT_CACHE[key]
 
 
-def _pgl_orbit_tally(field, n, zeta, budget):
+def _pgl_orbit_tally(field, n, twist, budget):
     return {nu: len(orbits)
             for nu, orbits, _ in _pgl_real_orbits(field, n, budget)}
 
@@ -304,7 +305,7 @@ def _psl_strong_orbit(field, rep, zeta):
     return False
 
 
-def _psl_orbit_tally(field, n, zeta, budget, strong=False):
+def _psl_orbit_tally(field, n, twist, budget, strong=False):
     """Orbits that meet PSL_n(q), weighted by h_nu.
 
     An orbit meets PSL when its determinant is an n-th power and, where
@@ -341,8 +342,8 @@ class _Entry:
     ``regime(n, q)`` names the case of the analysis that applies (SLQ:
     ``regime(n, q, y_order)``).  ``formula(nu, n, q)`` is the count of type
     nu, or None where the cell has no closed form; ``enum_only`` lists the
-    regimes where it has none either.  ``enumerate(field, n, zeta,
-    budget)`` is the label route, a map from type to count; zeta is None
+    regimes where it has none either.  ``enumerate(field, n, twist,
+    budget)`` is the label route, a map from type to count; the twist is 1
     unless the kind is zeta-real.  Criteria are looked up at call time,
     never stored, so that wrappers installed on the labels module see
     every call.
@@ -417,14 +418,18 @@ def applicable_kinds(family, q):
                  and (k != "zeta_real" or q % 2 == 1))
 
 
-def check_kind(family, q, kind):
-    """Raise UsageError unless ``kind`` is counted for ``family`` over F_q."""
+def check_kind(family, q, kind, zeta=None):
+    """Raise UsageError unless ``kind`` is counted for ``family`` over F_q,
+    and a ``zeta`` given is a non-square unit of F_q."""
     if kind not in KINDS:
         raise UsageError("unknown kind %r" % (kind,))
     if (family, kind) not in _REGISTRY:
         raise UsageError("zeta-real counts are for the matrix groups GL, SL")
     if kind not in applicable_kinds(family, q):
         raise UsageError("zeta-real classes need odd q")
+    if zeta is not None and not is_nonsquare(field_for_order(q), zeta):
+        raise UsageError("zeta must be a non-square unit of F_%d, got %r"
+                         % (q, zeta))
 
 
 def check_group(family, n, q, y_order=None):
@@ -458,7 +463,7 @@ def count(family, n, q, kind, y_order=None, method="formula", zeta=None,
     by default the least one.  Returns a CountReport.
     """
     check_group(family, n, q, y_order)
-    check_kind(family, q, kind)
+    check_kind(family, q, kind, zeta)
     if method not in METHODS:
         raise UsageError("unknown method %r" % (method,))
     return _count(family, n, q, kind, y_order, method, zeta, budget)
@@ -488,7 +493,7 @@ def _route(family, n, q, kind, entry, regime, method, zeta, budget):
     formula = None if regime in entry.enum_only else entry.formula
     if formula is None:
         method = "enumeration"
-    field = twist = None
+    field, twist = None, 1
     if kind == "zeta_real":
         field = field_for_order(q)
         if zeta is None:

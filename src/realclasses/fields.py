@@ -11,12 +11,13 @@ over F_p, comparing coefficient tuples lowest degree first: the first of
 ``polys.irreducibles`` over the prime field.  For example F_4 uses
 t^2 + t + 1 and F_9 uses t^2 + 1.
 
-A field builds one set of ``int16`` numpy tables (``add_table``,
-``mul_table``, ``neg_table``, ``inv_table``), which the oracle's vectorised
-``_Ops`` index in bulk.  Scalar operations, and the kernels in ``polys``,
-read plain-list views of them (``add_list`` and so on; a list index costs
-a fraction of a numpy scalar index) and the logarithms ``log`` and
-antilogarithms ``exp`` over ``generator``, the least element of order q - 1.
+A field builds one set of ``uint8`` numpy tables (``add_table``,
+``mul_table``, ``neg_table``), which the oracle's vectorised ``_Ops``
+index in bulk.  Scalar operations, and the kernels in ``polys``, read
+plain-list views of them (``add_list`` and so on; a list index costs a
+fraction of a numpy scalar index), the logarithms ``log`` and
+antilogarithms ``exp`` over ``generator``, the least element of order
+q - 1, and the inverses ``inv_list`` read from the logarithms.
 """
 
 import numpy as np
@@ -64,8 +65,8 @@ class Field:
         self.modulus = (0, 1) if k == 1 else polys.irreducibles(
             make_field(p, 1), k)[0]
 
-        add = np.zeros((q, q), dtype=np.int16)
-        mul = np.zeros((q, q), dtype=np.int16)
+        add = np.zeros((q, q), dtype=np.uint8)
+        mul = np.zeros((q, q), dtype=np.uint8)
         for a in range(q):
             da = self._digits(a)
             for b in range(a, q):
@@ -77,7 +78,7 @@ class Field:
         self.add_table = add
         self.mul_table = mul
 
-        neg = np.zeros(q, dtype=np.int16)
+        neg = np.zeros(q, dtype=np.uint8)
         for a in range(q):
             neg[a] = self._encode([(-x) % p for x in self._digits(a)])
         self.neg_table = neg
@@ -87,10 +88,8 @@ class Field:
         self.neg_list = neg.tolist()
         self.generator, self.exp, self.log = self._logarithms()
         # entry 0 is a placeholder: inv rejects 0
-        self.inv_table = np.array(
-            [0] + [self.exp[-self.log[a] % (q - 1)] for a in range(1, q)],
-            dtype=np.int16)
-        self.inv_list = self.inv_table.tolist()
+        self.inv_list = [0] + [self.exp[-self.log[a] % (q - 1)]
+                               for a in range(1, q)]
 
         self.zero = 0
         self.one = 1

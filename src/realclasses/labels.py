@@ -7,23 +7,20 @@ det(1 - t g) = prod u_i(t)^i, so the roots of the u_i are the inverses
 of the eigenvalues of g.  The degree sequence (n_1, ..., n_m) is the
 *type* of the class, a partition of n written in exponent form.
 
-Reality criteria on labels:
-
-* the class is real iff every u_i is self-reciprocal;
-* the class is conjugate to zeta^{-1} g^{-1} iff every u_i is
-  zeta-self-reciprocal (note the inverse: u-space swaps zeta and its
-  inverse because u-roots are inverse eigenvalues).
+Reality criteria on labels read one twist c: the class is conjugate to
+c^{-1} g^{-1} iff every u_i is a scalar multiple of t^d u_i(c/t)
+(``is_twisted_real_label``).  The twist c = 1 reads reality, a
+non-square c zeta-reality (note the inverse: u-space swaps zeta and its
+inverse because u-roots are inverse eigenvalues).
 
 Scaling g by a unit eta translates the label coefficientwise
 (u_i(t) -> u_i(eta t)); orbits of that action are the classes of
 PGL_n(q).  Translation keeps each degree and multiplies the leading
 coefficient of a degree-d slot by eta^d, so ``equivalence_classes``
 translates a label only by the units that carry its leads to the leads
-of some label of the set.  Two lead facts bound the readings of a
-label: a self-reciprocal slot has lead 1 or -1, and a
-zeta-self-reciprocal slot of degree d has lead +-zeta^(-d/2) (the
-reciprocity tests at the constant term force lead^2 = 1 and
-lead^2 = zeta^(-d)).
+of some label of the set.  One lead fact bounds the readings of a
+label: a slot of degree d read with twist c has lead +-c^(-d/2) (the
+test at the constant term forces lead^2 = c^(-d)).
 """
 
 import itertools
@@ -32,7 +29,7 @@ from functools import lru_cache
 
 from . import polys
 from .errors import BudgetExceeded
-from .fields import canonical_nonsquare, two_adic
+from .fields import two_adic
 
 
 @lru_cache(maxsize=None)
@@ -133,12 +130,9 @@ def label_det(field, label):
     return acc
 
 
-def is_real_label(field, label):
-    return all(polys.is_self_reciprocal(field, u) for u in label)
-
-
-def is_zeta_real_label(field, label, zeta):
-    return all(polys.is_zeta_self_reciprocal(field, u, zeta) for u in label)
+def is_twisted_real_label(field, label, c):
+    """Whether every slot of the label is twisted-reciprocal for c."""
+    return all(polys.is_twisted_reciprocal(field, u, c) for u in label)
 
 
 @lru_cache(maxsize=None)
@@ -198,37 +192,34 @@ def const1_polys(field, d):
             yield (1,) + mid + (lead,)
 
 
-def _poly_pools(field, nu, filt, zeta):
+def _poly_pools(field, nu, twist):
     pools = []
     for ni in nu:
         if ni == 0:
             pools.append([polys.ONE])
-        elif filt is None:
+        elif twist is None:
             pools.append(list(const1_polys(field, ni)))
-        elif filt == "real":
+        elif twist == field.one:
             pools.append(polys.enumerate_T(field, ni))
-        elif filt == "zeta_real":
-            pools.append(polys.enumerate_S(field, ni, zeta))
         else:
-            raise ValueError("unknown filter %r" % (filt,))
+            pools.append(polys.enumerate_S(field, ni, twist))
     return pools
 
 
-def check_label_budget(q, n, filt, budget):
+def check_label_budget(q, n, twist, budget):
     """Raise BudgetExceeded if the labels enumerate_labels would yield for
-    (q, n, filt) number more than the budget; counted, not generated."""
+    (q, n, twist) number more than the budget; counted, not generated."""
     total = 0
     for nu in partitions_of(n):
         prod = 1
         for ni in nu:
             if not ni:
                 continue
-            if filt is None:
+            if twist is None:
                 prod *= (q - 1) * q ** (ni - 1)
-            elif filt == "real":
-                prod *= polys.count_nqd(q, ni)
-            elif filt == "zeta_real":
-                prod *= polys.count_nqd(q, ni) * polys.sigma(ni)
+            else:
+                prod *= polys.count_nqd(q, ni) * (
+                    1 if twist == 1 else polys.sigma(ni))
         total += prod
     if total > budget:
         raise BudgetExceeded("%d labels exceed the budget of %d" % (total, budget))
@@ -261,9 +252,11 @@ def _combinations(field, pools, target):
     return expand()
 
 
-def enumerate_labels(field, n, filt=None, zeta=None, budget=10 ** 7,
-                     det=None, typed=False):
-    """Yield all labels of weight n, optionally only real / zeta_real ones.
+def enumerate_labels(field, n, twist=None, budget=10 ** 7, det=None,
+                     typed=False):
+    """Yield all labels of weight n, or with a ``twist`` c only those whose
+    slots are twisted-reciprocal for c: c = 1 the real labels, a
+    non-square c the zeta-real ones.  Any other twist is a ValueError.
 
     ``det`` keeps only the labels of that determinant, expanding just the
     combinations of slot polynomials that reach it.  ``typed`` yields
@@ -274,16 +267,16 @@ def enumerate_labels(field, n, filt=None, zeta=None, budget=10 ** 7,
     (before yielding anything) if the labels of every determinant pass the
     budget.
     """
-    if filt == "zeta_real" and zeta is None:
-        zeta = canonical_nonsquare(field)
-    check_label_budget(field.q, n, filt, budget)
+    if twist is not None:
+        polys.check_twist(field, twist)
+    check_label_budget(field.q, n, twist, budget)
     # det = (-1)^n prod lead(u_i)^i
     target = None if det is None else (
         field.neg(det) if n % 2 else det)
 
     def gen():
         for nu in partitions_of(n):
-            pools = _poly_pools(field, nu, filt, zeta)
+            pools = _poly_pools(field, nu, twist)
             for label in _combinations(field, pools, target):
                 yield (nu, label) if typed else label
 
@@ -394,11 +387,9 @@ def _factors_all_even_and_fixed_deg_div4(field, u, c):
 
 
 def _psl_readings(field, label, zeta):
-    # c = 1 when the label is real, c = zeta when it is zeta-real
-    readings = [field.one] if is_real_label(field, label) else []
-    if field.q % 2 == 1 and is_zeta_real_label(field, label, zeta):
-        readings.append(zeta)
-    return readings
+    """The twists c in (1, zeta) this label reads."""
+    return [c for c in (field.one, zeta)
+            if is_twisted_real_label(field, label, c)]
 
 
 def psl_criterion_applies(field, label, zeta):

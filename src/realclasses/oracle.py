@@ -35,8 +35,9 @@ certified through the class equation and the orbit-stabilizer equation
 |class| * |centralizer| = |order|.
 
 Quotients by a central subgroup Y reuse the base classification: the
-classes of G/Y are the Y-orbits of classes of G, reality asks whether the
-inverse class lands in the orbit, and strong reality whether the orbit
+classes of G/Y are the Y-orbits of classes of G, reality (twist c = 1)
+and zeta-reality (a non-square twist c) ask whether the class of c g^{-1}
+lands in the orbit of g, and strong reality whether the orbit
 lies in P P for P = {h : h^2 in Y}, found from the class representatives.
 """
 
@@ -186,9 +187,6 @@ class _Ops:
         # entries as the arithmetic below wants them: unreduced sums and
         # products need int32, table indices fit uint8
         self.dtype = np.int32 if self.integer else np.uint8
-        self.mul_table = field.mul_table.astype(np.uint8)
-        self.add_table = field.add_table.astype(np.uint8)
-        self.neg_table = field.neg_table.astype(np.uint8)
 
     def matmul(self, a, b):
         """Batched matrix product of coded matrices; broadcasts like @."""
@@ -199,24 +197,24 @@ class _Ops:
         for k in range(self.n):
             lhs = a[..., :, k]
             rhs = b[..., k, :]
-            term = self.mul_table[lhs[..., :, None], rhs[..., None, :]]
-            acc = term if acc is None else self.add_table[acc, term]
+            term = self.field.mul_table[lhs[..., :, None], rhs[..., None, :]]
+            acc = term if acc is None else self.field.add_table[acc, term]
         return acc
 
     # Elementwise field arithmetic.  Over a prime field products and sums
     # stay unreduced int32 (below n * p^2) until _sum reduces them mod p.
     def _mul(self, a, b):
-        return a * b if self.integer else self.mul_table[a, b]
+        return a * b if self.integer else self.field.mul_table[a, b]
 
     def _neg(self, a):
-        return -a if self.integer else self.neg_table[a]
+        return -a if self.integer else self.field.neg_table[a]
 
     def _sum(self, terms):
         if self.integer:
             return sum(terms) % self.q
         acc = terms[0]
         for term in terms[1:]:
-            acc = self.add_table[acc, term]
+            acc = self.field.add_table[acc, term]
         return acc
 
     def dot(self, c, x):
@@ -536,8 +534,6 @@ class BaseGroup:
             self.codes[self.class_reps], n, q)]
         self._certify()
         self.stats["certify_s"] = time.perf_counter() - start
-        self._inverse_class = [
-            self.class_of_mat(mat_inv(self.field, m)) for m in self._rep_mats]
 
     # -- enumeration
 
@@ -719,19 +715,12 @@ class BaseGroup:
         # under _ADDRESS_LIMIT the q^m combinations number at most 2^17,
         # at GL_5(2) (SL_4(3): 3^10)
         m = len(basis)
-        combos = np.zeros((q ** m, n * n), dtype=np.uint8)
+        dtype = self.ops.dtype
+        # coeffs[j] holds the j-th coefficient of every combination, as a
+        # column against the row basis[j]
         coeffs = np.array(list(itertools.product(range(q), repeat=m)),
-                          dtype=np.uint8)
-        if self.ops.integer:
-            combos = (coeffs.astype(np.int64)
-                      @ np.array(basis, dtype=np.int64)) % q
-            combos = combos.astype(np.uint8)
-        else:
-            for t in range(m):
-                term = self.ops.mul_table[
-                    coeffs[:, t][:, None],
-                    np.array(basis[t], dtype=np.uint8)[None, :]]
-                combos = self.ops.add_table[combos, term]
+                          dtype=dtype).T[:, :, None]
+        combos = self.ops.dot(coeffs, np.array(basis, dtype=dtype))
         dets = self.ops.det(combos.reshape(-1, n, n))
         if self.family == "SL":
             return int(np.count_nonzero(dets == field.one))
@@ -753,9 +742,6 @@ class BaseGroup:
         idx, member = self._ranks.lookup(
             np.array([_single_code(self.field, mat)]))
         return int(self.class_id[idx[0]]) if member[0] else -1
-
-    def inverse_class(self, cid):
-        return self._inverse_class[cid]
 
     def product_classes(self, y_codes):
         """Mask over class ids of P P, P = {h : h^2 in the central set Y}:
@@ -852,20 +838,17 @@ class GroupData:
     def rep_mat(self, cid):
         return self.base.rep_mat(self.orbits[cid][0])
 
-    def is_real(self, cid):
-        inv = self.base.inverse_class(self.orbits[cid][0])
-        return inv in self.orbits[cid] if self.y_order > 1 else \
-            inv == self.orbits[cid][0]
-
-    def is_zeta_real(self, cid, zeta):
+    def is_zeta_real(self, cid, c):
+        """Whether the class of c g^{-1}, g the representative, lies in g's
+        Y-orbit: c = 1 asks reality, a non-square c zeta-reality."""
         rep = self.rep_mat(cid)
-        twisted = mat_scale(self.field, zeta, mat_inv(self.field, rep))
-        # zeta * g^{-1} can fall outside SL (det zeta^n != 1); then g is not
+        twisted = mat_scale(self.field, c, mat_inv(self.field, rep))
+        # c * g^{-1} can fall outside SL (det c^n != 1); then g is not
         # zeta-real rather than an error.
-        return self.base.maybe_class_of_mat(twisted) == self.orbits[cid][0]
+        return self.base.maybe_class_of_mat(twisted) in self.orbits[cid]
 
     def real_class_ids(self):
-        return [c for c in range(self.num_classes) if self.is_real(c)]
+        return [c for c in range(self.num_classes) if self.is_zeta_real(c, 1)]
 
     def strongly_real_class_ids(self):
         # P P is Y-stable (y t is in P with t), so an orbit is in or out
@@ -880,7 +863,7 @@ class GroupData:
         return ids
 
     def zeta_real_class_ids(self, zeta=None):
-        counts.check_kind(self.family, self.q, "zeta_real")
+        counts.check_kind(self.family, self.q, "zeta_real", zeta)
         if zeta is None:
             zeta = canonical_nonsquare(self.field)
         return [c for c in range(self.num_classes)
@@ -985,7 +968,7 @@ def verify_group(family, n, q, y_order=None, kinds=None, zeta=None, cap=None):
     if kinds is None:
         kinds = counts.applicable_kinds(family, q)
     for kind in kinds:
-        counts.check_kind(family, q, kind)
+        counts.check_kind(family, q, kind, zeta)
     gd = enumerate_group(family, n, q, y_order=y_order, cap=cap)
     checks = []
     ok = True

@@ -4,17 +4,13 @@ A polynomial is a tuple of field element indices, lowest degree first,
 with no trailing zeros; () is the zero polynomial.  All operations take
 the field as first argument.
 
-The module knows about the two polynomial families driving the counting
-work:
-
-* T_d, the self-reciprocal polynomials of degree d with constant term 1
-  (coefficient rule a_{d-j} = a_d * a_j, forcing a_d = +-1);
-* S_d(z), the z-twisted analogue for a non-square z (coefficient rule
-  a_{d-j} = s * a_j * z^{j - d/2} with overall scalar s = +-1 after
-  normalising; empty for odd d).
-
-Both are enumerated directly from their closed coefficient templates
-rather than by filtering all polynomials, once per field, degree and z.
+The module knows about the polynomial families driving the counting work:
+for a twist c, the degree-d polynomials f with constant term 1 and
+t^d f(c/t) = s * f for a scalar s, whose roots are closed under
+alpha -> c / alpha.  The twist c = 1 gives T_d, the self-reciprocal
+polynomials; a non-square c gives S_d(c), empty for odd d.  Both are
+built from one closed coefficient template (``_pool``) rather than by
+filtering all polynomials, once per field, degree and twist.
 
 Factoring starts from the distinct-degree parts of a polynomial
 (``distinct_degree``), found by gcds with t^(q^e) - t.
@@ -22,6 +18,7 @@ Factoring starts from the distinct-degree parts of a polynomial
 
 import itertools
 from collections import namedtuple
+from functools import lru_cache
 
 
 def normalize(coeffs):
@@ -105,31 +102,39 @@ def monicize(field, f):
     return poly_scale(field, field.inv(f[-1]), f)
 
 
-def is_self_reciprocal(field, f):
-    """Whether f (constant term 1) is a scalar multiple of its own reversal."""
-    if not f or f[0] != 1:
-        raise ValueError("self-reciprocal test requires constant term 1")
-    d = degree(f)
-    times_lead = field.mul_list[f[-1]]
-    return all(f[d - j] == times_lead[f[j]] for j in range(d + 1))
+def is_nonsquare(field, c):
+    """Whether c is a non-square unit of the field (so q is odd)."""
+    return isinstance(c, int) and 0 < c < field.q and not field.is_square(c)
 
 
-def is_zeta_self_reciprocal(field, f, zeta):
-    """Whether f (constant term 1, q odd) is a scalar multiple of t^d f(zeta/t)."""
-    if field.q % 2 == 0:
-        raise ValueError("zeta-self-reciprocal polynomials require odd q")
-    if field.is_square(zeta):
-        raise ValueError("zeta must be a non-square")
+def check_twist(field, c):
+    """Raise ValueError unless c twists the reality tests: c = 1 reads
+    reality, a non-square unit c zeta-reality."""
+    if c != field.one and not is_nonsquare(field, c):
+        raise ValueError("the twist must be 1 or a non-square unit of %r, "
+                         "got %r" % (field, c))
+
+
+def is_twisted_reciprocal(field, f, c):
+    """Whether t^d f(c/t) = s f for a scalar s, f of constant term 1.
+
+    Coefficientwise a_j c^j = s a_{d-j} with s = a_d c^d.  The test at
+    j = 0 gives s^2 = c^d, under which the test at j implies the one at
+    d - j, so only j <= d/2 are read.  For a non-square c and odd d no
+    such s exists.
+    """
+    check_twist(field, c)
     if not f or f[0] != 1:
-        raise ValueError("zeta-self-reciprocal test requires constant term 1")
-    d = degree(f)
-    if d % 2 == 1:
-        return False
-    # coefficients of t^d f(zeta/t), lowest degree first
+        raise ValueError("twisted reciprocity needs constant term 1")
     mul = field.mul_list
-    b = [mul[f[d - j]][field.pow(zeta, d - j)] for j in range(d + 1)]
-    times_s = mul[b[0]]
-    return all(b[j] == times_s[f[j]] for j in range(d + 1))
+    d = degree(f)
+    times_s = mul[mul[f[-1]][field.pow(c, d)]]
+    c_j = 1
+    for j in range(d // 2 + 1):
+        if mul[f[j]][c_j] != times_s[f[d - j]]:
+            return False
+        c_j = mul[c_j][c]
+    return True
 
 
 def count_nqd(q, d):
@@ -148,79 +153,48 @@ def sigma(d):
     return 1 if d % 2 == 0 else 0
 
 
-# the T_d and S_d pools, built once per field, degree (and zeta)
-_POOL_CACHE = {}
-
-
 def enumerate_T(field, d):
     """All self-reciprocal degree-d polynomials with constant term 1, sorted."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    key = ("T", field.p, field.k, d)
-    if key not in _POOL_CACHE:
-        _POOL_CACHE[key] = _build_T(field, d)
-    return list(_POOL_CACHE[key])
-
-
-def _build_T(field, d):
-    if d == 0:
-        return (ONE,)
-    out = set()
-    half = d // 2
-    for eps in (1, field.minus_one):
-        for free in itertools.product(field.elements, repeat=half):
-            c = [0] * (d + 1)
-            c[0] = 1
-            for j in range(1, half + 1):
-                c[j] = free[j - 1]
-            # middle coefficient must be eps-symmetric with itself
-            if d % 2 == 0 and c[half] != field.mul(eps, c[half]):
-                continue
-            for j in range((d + 1) // 2):
-                c[d - j] = field.mul(eps, c[j])
-            f = tuple(c)
-            if f[-1] != 0:
-                out.add(f)
-    return tuple(sorted(out))
+    return list(_pool(field, d, field.one))
 
 
 def enumerate_S(field, d, zeta):
     """All zeta-self-reciprocal degree-d polynomials with constant term 1, sorted."""
-    if field.q % 2 == 0:
-        raise ValueError("zeta-self-reciprocal polynomials require odd q")
-    if field.is_square(zeta):
-        raise ValueError("zeta must be a non-square")
+    if not is_nonsquare(field, zeta):
+        raise ValueError("zeta must be a non-square unit of %r, got %r"
+                         % (field, zeta))
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    key = ("S", field.p, field.k, d, zeta)
-    if key not in _POOL_CACHE:
-        _POOL_CACHE[key] = _build_S(field, d, zeta)
-    return list(_POOL_CACHE[key])
+    return list(_pool(field, d, zeta))
 
 
-def _build_S(field, d, zeta):
-    if d % 2 == 1:
-        return ()
-    if d == 0:
-        return (ONE,)
-    out = set()
+@lru_cache(maxsize=None)
+def _pool(field, d, c):
+    """The degree-d f with f(0) = 1 and t^d f(c/t) = s f, sorted.
+
+    Coefficientwise a_{d-j} = s a_j c^(j-d), and j = 0 forces s^2 = c^d:
+    for each square root s and each choice of a_1, ..., a_{d//2} the rest
+    follows, and at even d the middle coefficient must be its own image.
+    """
     half = d // 2
-    for eps in (1, field.minus_one):
-        s = field.mul(eps, field.pow(zeta, half))
+    c_d = field.pow(c, d)
+    mul = field.mul_list
+    scale = [field.pow(c, j - d) for j in range(half + 1)]
+    out = []
+    for s in field.units:
+        if mul[s][s] != c_d:
+            continue
         for free in itertools.product(field.elements, repeat=half):
-            c = [0] * (d + 1)
-            c[0] = 1
-            for j in range(1, half + 1):
-                c[j] = free[j - 1]
-            ok = True
-            for j in range(0, half + 1):
-                v = field.mul(s, field.mul(c[j], field.pow(zeta, j - d)))
-                if d - j <= half and c[d - j] != v:
-                    ok = False
+            a = [1, *free] + [0] * (d - half)
+            for j in range(half + 1):
+                image = mul[s][mul[a[j]][scale[j]]]
+                if d - j == j and image != a[j]:
                     break
-                c[d - j] = v
-            if ok and c[-1] != 0:
-                out.add(tuple(c))
+                a[d - j] = image
+            else:
+                out.append(tuple(a))
     return tuple(sorted(out))
 
 

@@ -225,7 +225,7 @@ def test_criterion_9_property_suite():
         assert sum(len(v) for v in per_label.values()) == gd.num_classes
         for lab, cids in per_label.items():
             assert len(cids) == labels.h_nu(labels.label_type(lab), q)
-            flags = {gd.is_real(c) for c in cids}
+            flags = {gd.is_zeta_real(c, 1) for c in cids}
             assert len(flags) == 1, (lab, cids)
     for family, n, q in [("GL", 2, 5), ("SL", 2, 7), ("GL", 3, 3)]:
         field = field_for_order(q)
@@ -261,7 +261,7 @@ def test_criterion_9_property_suite():
     for q in (3, 4, 5, 9):
         field = field_for_order(q)
         for n in (2, 3, 4):
-            real = set(labels.enumerate_labels(field, n, filt="real"))
+            real = set(labels.enumerate_labels(field, n, twist=1))
             orbits = labels.equivalence_classes(field, real)
             assert sum(len(o) for o in orbits) == len(real)
             for orbit in orbits:

@@ -7,7 +7,7 @@ from realclasses.fields import (canonical_nonsquare, constrained_nonsquare,
 from realclasses.labels import (enumerate_labels,
                                 equivalence_classes, eta_translate,
                                 exponent_two_adic, h_nu, has_odd_part,
-                                is_real_label, is_zeta_real_label, label_det,
+                                is_twisted_real_label, label_det,
                                 label_n, label_to_json, label_type,
                                 make_label, partitions_of,
                                 sl_real, sl_strongly_real)
@@ -77,15 +77,25 @@ def test_label_count(q, n):
 
 def test_enumerate_labels_filters():
     f3 = field_for_order(3)
-    real = list(enumerate_labels(f3, 2, filt="real"))
+    real = list(enumerate_labels(f3, 2, twist=1))
     assert len(real) == 6
-    assert all(is_real_label(f3, lab) for lab in real)
-    zreal = list(enumerate_labels(f3, 2, filt="zeta_real"))
-    assert len(zreal) == 4
+    assert all(is_twisted_real_label(f3, lab, 1) for lab in real)
     zeta = canonical_nonsquare(f3)
-    assert all(is_zeta_real_label(f3, lab, zeta) for lab in zreal)
+    zreal = list(enumerate_labels(f3, 2, twist=zeta))
+    assert len(zreal) == 4
+    assert all(is_twisted_real_label(f3, lab, zeta) for lab in zreal)
+    for bad in (0, 3, "zeta_real"):
+        with pytest.raises(ValueError):
+            list(enumerate_labels(f3, 2, twist=bad))
     with pytest.raises(ValueError):
-        list(enumerate_labels(f3, 2, filt="imaginary"))
+        list(enumerate_labels(field_for_order(5), 2, twist=4))  # a square
+
+
+def _twist(field, filt):
+    """The twist a filter name stands for."""
+    if filt is None:
+        return None
+    return 1 if filt == "real" else canonical_nonsquare(field)
 
 
 @pytest.mark.parametrize("q,n,filt", [
@@ -96,9 +106,10 @@ def test_enumerate_labels_by_determinant(q, n, filt):
     # det= yields exactly the labels of that determinant; typed= pairs each
     # label with its type
     field = field_for_order(q)
-    every = list(enumerate_labels(field, n, filt=filt))
+    twist = _twist(field, filt)
+    every = list(enumerate_labels(field, n, twist=twist))
     for det in field.units:
-        typed = list(enumerate_labels(field, n, filt=filt, det=det,
+        typed = list(enumerate_labels(field, n, twist=twist, det=det,
                                       typed=True))
         assert all(nu == label_type(lab) for nu, lab in typed)
         found = [lab for _, lab in typed]
@@ -143,7 +154,7 @@ def test_eta_translate_action():
     # the power-table translation agrees with the logarithm reference
     for q in (4, 7, 9):
         field = field_for_order(q)
-        for lab in enumerate_labels(field, 4, filt="real"):
+        for lab in enumerate_labels(field, 4, twist=1):
             for eta in field.units:
                 assert eta_translate(field, lab, eta) == tuple(
                     eta_act(field, u, eta) for u in lab)
@@ -177,7 +188,8 @@ def test_equivalence_classes_match_full_unit_scan(q):
     for n in range(5):
         by_type = {}
         for filt in filts:
-            for nu, lab in enumerate_labels(field, n, filt=filt, typed=True):
+            for nu, lab in enumerate_labels(field, n, twist=_twist(field, filt),
+                                            typed=True):
                 by_type.setdefault(nu, set()).add(lab)
         every = set().union(*by_type.values())
         assert equivalence_classes(field, every) == _reference_classes(
@@ -202,11 +214,12 @@ def test_orbit_joined_by_a_unit_other_than_minus_one():
     f5 = field_for_order(5)
     zeta = canonical_nonsquare(f5)
     a, b = make_label(f5, [(1, 0, 2)]), make_label(f5, [(1, 0, 3)])
-    assert is_zeta_real_label(f5, a, zeta) and is_zeta_real_label(f5, b, zeta)
+    assert (is_twisted_real_label(f5, a, zeta)
+            and is_twisted_real_label(f5, b, zeta))
     assert eta_translate(f5, a, 2) == b
     assert eta_translate(f5, a, f5.minus_one) == a
     orbits = equivalence_classes(
-        f5, enumerate_labels(f5, 2, filt="zeta_real", zeta=zeta))
+        f5, enumerate_labels(f5, 2, twist=zeta))
     assert (a, b) in orbits
 
 
@@ -235,12 +248,12 @@ def test_psl_strong_orbit_matches_full_scan(q):
 def test_equivalence_classes_orbit_sizes():
     for q in (3, 5):
         field = field_for_order(q)
-        real = set(enumerate_labels(field, 2, filt="real"))
+        real = set(enumerate_labels(field, 2, twist=1))
         orbits = equivalence_classes(field, real)
         assert all(len(o) in (1, 2) for o in orbits)
         assert sum(len(o) for o in orbits) == len(real)
     field = field_for_order(4)
-    real = set(enumerate_labels(field, 2, filt="real"))
+    real = set(enumerate_labels(field, 2, twist=1))
     orbits = equivalence_classes(field, real)
     assert all(len(o) == 1 for o in orbits)
 

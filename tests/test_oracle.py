@@ -474,6 +474,21 @@ def test_zeta_real_conventions():
         gd.zeta_real_class_ids()
 
 
+@pytest.mark.parametrize("zeta", [0, 1, 4, 7])
+def test_zeta_must_be_a_nonsquare_unit(zeta):
+    # over F_5 the non-squares are 2 and 3: 0 is no unit, 1 and 4 are
+    # squares, 7 is no element
+    for family in ("GL", "SL"):
+        for method in counts.METHODS:
+            with pytest.raises(UsageError):
+                counts.count(family, 2, 5, "zeta_real", method=method,
+                             zeta=zeta)
+        with pytest.raises(UsageError):
+            enumerate_group(family, 2, 5).zeta_real_class_ids(zeta)
+        with pytest.raises(UsageError):
+            oracle.verify_group(family, 2, 5, zeta=zeta)
+
+
 def test_counts_summary():
     gd = enumerate_group("GL", 2, 3)
     assert gd.counts() == {"real": 6, "strongly_real": 6, "zeta_real": 4}

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from realclasses.fields import canonical_nonsquare, field_for_order
 from realclasses.polys import (ONE, count_nqd, degree, enumerate_S,
-                               enumerate_T, factorize,
-                               is_self_reciprocal, is_zeta_self_reciprocal,
+                               enumerate_T, factorize, is_twisted_reciprocal,
                                irreducibles, monicize, normalize,
                                poly_add, poly_divmod, poly_eval, poly_mul,
                                poly_str, sigma)
@@ -167,10 +166,10 @@ def test_breve_involutive(q):
 
 def test_self_reciprocal_examples():
     f3 = field_for_order(3)
-    assert is_self_reciprocal(f3, (1, 1, 1))
-    assert is_self_reciprocal(f3, (1, 2, 1))
-    assert is_self_reciprocal(f3, (1, 0, 2))      # anti-palindromic
-    assert not is_self_reciprocal(f3, (1, 1, 2))
+    assert is_twisted_reciprocal(f3, (1, 1, 1), 1)
+    assert is_twisted_reciprocal(f3, (1, 2, 1), 1)
+    assert is_twisted_reciprocal(f3, (1, 0, 2), 1)      # anti-palindromic
+    assert not is_twisted_reciprocal(f3, (1, 1, 2), 1)
     # anti-palindromic polynomials vanish at both 1 and -1
     f = (1, 0, 2)
     assert poly_eval(f3, f, 1) == 0 and poly_eval(f3, f, f3.minus_one) == 0
@@ -190,28 +189,50 @@ def test_count_nqd_closed_form():
     assert count_nqd(9, 6) == 810
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def _const1(field, d):
+    """Every degree-d polynomial with constant term 1, sorted."""
+    return sorted((1,) + mid + (lead,)
+                  for mid in itertools.product(field.elements, repeat=d - 1)
+                  for lead in field.units)
+
+
+def _degrees(q):
+    return range(1, 7 if q == 3 else 5)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
 def test_enumerate_T_matches_count(q):
+    # T_d is the brute-force filter by the tilde reference
     field = field_for_order(q)
-    for d in range(1, 5):
+    for d in _degrees(q):
         found = enumerate_T(field, d)
         assert len(found) == count_nqd(q, d)
         assert len(set(found)) == len(found)
         assert found == sorted(found)
         for f in found:
             assert f[0] == 1 and degree(f) == d
-            assert is_self_reciprocal(field, f)
+            assert is_twisted_reciprocal(field, f, 1)
+        assert found == [
+            f for f in _const1(field, d)
+            if tilde(field, monicize(field, f)) == monicize(field, f)]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_enumerate_S_matches_count(q):
+    # S_d(zeta) for every non-square zeta, the canonical one and the
+    # zeta^{-1} the counts read alike, is the filter by the breve reference
     field = field_for_order(q)
-    zeta = canonical_nonsquare(field)
-    for d in range(1, 5):
-        found = enumerate_S(field, d, zeta)
-        assert len(found) == count_nqd(q, d) * sigma(d)
-        for f in found:
-            assert is_zeta_self_reciprocal(field, f, zeta)
+    for zeta in field.units:
+        if field.is_square(zeta):
+            continue
+        for d in _degrees(q):
+            found = enumerate_S(field, d, zeta)
+            assert len(found) == count_nqd(q, d) * sigma(d)
+            for f in found:
+                assert is_twisted_reciprocal(field, f, zeta)
+            assert found == [
+                f for f in _const1(field, d)
+                if breve(field, monicize(field, f), zeta) == monicize(field, f)]
 
 
 def test_enumerate_S_requires_odd_q():
