@@ -20,7 +20,7 @@ import traceback
 
 from . import counts, labels, oracle, polys
 from .errors import BudgetExceeded, UsageError
-from .fields import canonical_nonsquare, constrained_nonsquare, field_for_order
+from .fields import canonical_nonsquare, field_for_order
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -194,8 +194,7 @@ def cmd_enumerate(args):
     text = []
     count = 0
     out = sys.stdout
-    psl_regime = args.n % 4 == 2 and args.q % 4 == 3
-    psl_zeta = constrained_nonsquare(field, args.n) if psl_regime else None
+    psl_zeta = labels.psl_nonsquare(field, args.n)
     for lab in labs:
         count += 1
         det = labels.label_det(field, lab)
@@ -208,8 +207,8 @@ def cmd_enumerate(args):
         if det == field.one:
             rec["sl_real"] = labels.sl_real(lab, args.n, args.q)
             rec["sl_strongly_real"] = labels.sl_strongly_real(field, lab)
-            if psl_regime and labels.psl_criterion_applies(field, lab,
-                                                           psl_zeta):
+            if psl_zeta is not None and labels.psl_criterion_applies(
+                    field, lab, psl_zeta):
                 rec["psl_strongly_real"] = labels.psl_strongly_real(
                     field, lab, psl_zeta)
         if args.format == "json":

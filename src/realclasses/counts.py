@@ -18,12 +18,12 @@ hard error, never a rounding.
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from . import labels
 from .errors import UsageError
-from .fields import (MAX_Q, canonical_nonsquare, constrained_nonsquare,
-                     field_for_order, prime_power, two_adic)
+from .fields import (MAX_Q, canonical_nonsquare, field_for_order,
+                     prime_power, two_adic)
 from .polys import count_nqd, is_nonsquare, sigma
 
 FAMILIES = ("GL", "SL", "PGL", "PSL", "SLQ")
@@ -235,16 +235,22 @@ def _pgl_real_orbits(field, n, budget):
     """Scalar-translation orbits of the real and zeta-real labels, as
     (nu, orbits of type nu, determinants of their representatives).
 
-    Each orbit is one real PGL_n(q)-conjugacy class; the backend is
-    insensitive to the choice of non-square because the orbit of a label
-    sweeps out every twist.  Translation keeps the type, so the orbits
+    Each orbit is one real PGL_n(q)-conjugacy class: the full orbit of a
+    label sweeps out every twist, so it meets the real or the zeta-real
+    labels for any non-square zeta.  The zeta is the one the PSL criterion
+    reads (``labels.psl_nonsquare``) where there is one, so each cached
+    orbit is exactly the set of lifts that criterion reads; elsewhere it
+    is the least non-square.  Translation keeps the type, so the orbits
     are built type by type, each label translated only by the units that
     carry its leading coefficients to those of a pool label
     (``labels.equivalence_classes``).  A cached pool passes the same
     label-budget check that enumerating it afresh would.
     """
-    twists = (field.one, canonical_nonsquare(field)) if field.q % 2 else (
-        field.one,)
+    if field.q % 2:
+        zeta = labels.psl_nonsquare(field, n) or canonical_nonsquare(field)
+        twists = (field.one, zeta)
+    else:
+        twists = (field.one,)
     key = (field.q, n)
     if key in _ORBIT_CACHE:
         for twist in twists:
@@ -268,65 +274,29 @@ def _pgl_orbit_tally(field, n, twist, budget):
             for nu, orbits, _ in _pgl_real_orbits(field, n, budget)}
 
 
-@lru_cache(maxsize=None)
-def _psl_read_units(field, key, zeta):
-    """The units eta for which L(eta t) can be real or zeta-real, L a label
-    with lead_key ``key``.
-
-    A self-reciprocal slot has lead 1 or -1, and a zeta-self-reciprocal
-    slot of degree d has lead +-zeta^(-d/2): the translate's leads must
-    all be of the one kind or all of the other.
-    """
-    signs = (field.one, field.minus_one)
-    zeta_leads = {d: {field.mul(s, field.pow(zeta, -(d // 2))) for s in signs}
-                  for d, _ in key if d % 2 == 0}
-    out = []
-    for eta in field.units:
-        moved = labels.translate_key(field, key, eta)
-        if (all(lead in signs for _, lead in moved)
-                or all(lead in zeta_leads.get(d, ()) for d, lead in moved)):
-            out.append(eta)
-    return tuple(out)
-
-
-def _psl_strong_orbit(field, rep, zeta):
-    """Whether some lift of the orbit of ``rep`` passes the PSL criterion.
-
-    The criterion runs over the whole eta-orbit {eta * rep}, on the members
-    it reads (real or zeta-real for this zeta): the cached orbit holds only
-    the members zeta-real for the canonical non-square.  Only the translates
-    whose leading coefficients allow either reading are made.
-    """
-    for eta in _psl_read_units(field, labels.lead_key(rep), zeta):
-        lab = labels.eta_translate(field, rep, eta)
-        if (labels.psl_criterion_applies(field, lab, zeta)
-                and labels.psl_strongly_real(field, lab, zeta)):
-            return True
-    return False
-
-
 def _psl_orbit_tally(field, n, twist, budget, strong=False):
     """Orbits that meet PSL_n(q), weighted by h_nu.
 
     An orbit meets PSL when its determinant is an n-th power and, where
     reality is lost on descent (n = 2 mod 4, q = 3 mod 4), it carries an
-    odd part.  In that corner strong reality telescopes the per-label
-    criterion over every orbit member (any strongly real lift suffices),
-    with the non-square zeta, zeta^{n/2} = -1, so that determinants behave
-    like the real case.
+    odd part.  In that corner an orbit is strongly real when some member
+    passes the per-label criterion (any strongly real lift suffices); the
+    cached orbit holds exactly the members it reads, real or zeta-real
+    for the non-square zeta, zeta^{n/2} = -1.
     """
     q = field.q
     nth_powers = frozenset(field.pow(u, n) for u in field.units)
-    exceptional = q % 2 == 1 and n % 4 == 2 and q % 4 == 3
-    zeta = constrained_nonsquare(field, n) if strong and exceptional else None
+    zeta = labels.psl_nonsquare(field, n)
+    strong = strong and zeta is not None
     out = {}
     for nu, orbits, dets in _pgl_real_orbits(field, n, budget):
-        if exceptional and not labels.has_odd_part(nu):
+        if zeta is not None and not labels.has_odd_part(nu):
             continue
         meets = 0
         for orb, det in zip(orbits, dets):
-            if det in nth_powers and (
-                    zeta is None or _psl_strong_orbit(field, orb[0], zeta)):
+            if det in nth_powers and (not strong or any(
+                    labels.psl_strongly_real(field, lab, zeta)
+                    for lab in orb)):
                 meets += 1
         out[nu] = meets * labels.h_nu(nu, q)
     return out
@@ -447,9 +417,10 @@ def check_group(family, n, q, y_order=None):
             raise UsageError("family SLQ needs the order of Y")
         # Y is central in SL_n(q), which for n = 0 is trivial
         full = math.gcd(n, q - 1) if n else 1
-        if y_order < 1 or full % y_order != 0:
-            raise UsageError("|Y| = %d must divide gcd(n, q-1) = %d"
-                             % (y_order, full))
+        if (not isinstance(y_order, int) or y_order < 1
+                or full % y_order != 0):
+            raise UsageError("|Y| = %r must be a positive integer dividing "
+                             "gcd(n, q-1) = %d" % (y_order, full))
 
 
 def count(family, n, q, kind, y_order=None, method="formula", zeta=None,
@@ -590,36 +561,18 @@ def genfun_real_gl(q, terms=8):
     integer arithmetic throughout.
     """
     prime_power(q)
-    if terms < 0:
-        raise UsageError("terms must be nonnegative")
-    e = math.gcd(2, q - 1)
-
-    def mul(a, b):
-        out = [0] * (terms + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if i + j > terms:
-                    break
-                out[i + j] += ai * bj
-        return out
-
+    if not isinstance(terms, int) or terms < 0:
+        raise UsageError("terms must be a nonnegative integer, got %r"
+                         % (terms,))
     series = [1] + [0] * terms
     for r in range(1, terms + 1):
-        factor = [0] * (terms + 1)
-        factor[0] = 1
-        if r <= terms:
-            factor[r] = e
-        if e == 2 and 2 * r <= terms:
-            factor[2 * r] = 1
-        series = mul(series, factor)
-        geo = [0] * (terms + 1)
-        k = 0
-        while 2 * r * k <= terms:
-            geo[2 * r * k] = q ** k
-            k += 1
-        series = mul(series, geo)
+        # times (1 + t^r)^(2,q-1), each factor high index first
+        for _ in range(math.gcd(2, q - 1)):
+            for i in range(terms, r - 1, -1):
+                series[i] += series[i - r]
+        # over 1 - q t^{2r}, low index first
+        for i in range(2 * r, terms + 1):
+            series[i] += q * series[i - 2 * r]
     return series
 
 

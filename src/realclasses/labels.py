@@ -18,9 +18,7 @@ Scaling g by a unit eta translates the label coefficientwise
 PGL_n(q).  Translation keeps each degree and multiplies the leading
 coefficient of a degree-d slot by eta^d, so ``equivalence_classes``
 translates a label only by the units that carry its leads to the leads
-of some label of the set.  One lead fact bounds the readings of a
-label: a slot of degree d read with twist c has lead +-c^(-d/2) (the
-test at the constant term forces lead^2 = c^(-d)).
+of some label of the set.
 """
 
 import itertools
@@ -29,7 +27,7 @@ from functools import lru_cache
 
 from . import polys
 from .errors import BudgetExceeded
-from .fields import two_adic
+from .fields import constrained_nonsquare, two_adic
 
 
 @lru_cache(maxsize=None)
@@ -153,14 +151,6 @@ def _translate(mul, label, powers):
     # powers lists eta^0, eta^1, ... at least as far as the largest degree
     return tuple([tuple([mul[c][e] for c, e in zip(u, powers)])
                   for u in label])
-
-
-def eta_translate(field, label, eta):
-    """L(t) -> L(eta t): the t^k coefficient of every slot scales by eta^k."""
-    if not eta:
-        raise ValueError("eta must be a unit")
-    d = max(map(len, label), default=1) - 1
-    return _translate(field.mul_list, label, _unit_powers(field, d)[eta])
 
 
 def lead_key(label):
@@ -384,6 +374,14 @@ def _factors_all_even_and_fixed_deg_div4(field, u, c):
             if e == 2 and not polys.poly_divmod(field, g, (minus_c, 0, 1))[1]:
                 return False
     return True
+
+
+def psl_nonsquare(field, n):
+    """The non-square zeta, zeta^(n/2) = -1, that the PSL criterion reads
+    in its corner n = 2 mod 4, q = 3 mod 4; None outside that corner."""
+    if n % 4 == 2 and field.q % 4 == 3:
+        return constrained_nonsquare(field, n)
+    return None
 
 
 def _psl_readings(field, label, zeta):

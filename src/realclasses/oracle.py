@@ -871,6 +871,7 @@ class GroupData:
 
     def class_ids(self, kind, zeta=None):
         """Ids of the real, strongly real or zeta-real classes."""
+        counts.check_kind(self.family, self.q, kind)
         if kind == "zeta_real":
             return self.zeta_real_class_ids(zeta)
         if kind == "strongly_real":

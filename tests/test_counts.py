@@ -21,7 +21,7 @@ from realclasses.counts import (applicable_kinds, count, genfun_real_gl,
                                 strongly_real_pgl, strongly_real_psl,
                                 strongly_real_sl, strongly_real_slq,
                                 zeta_real_gl, zeta_real_sl)
-from realclasses.errors import BudgetExceeded
+from realclasses.errors import BudgetExceeded, UsageError
 
 BOTH = dict(method="both")
 
@@ -199,6 +199,11 @@ def test_slq_y_validation():
     # SL_0(q) is trivial, so its only central subgroup is trivial
     with pytest.raises(ValueError):
         real_slq(0, 5, 2)
+    # |Y| is an order: 2.0 and "2" are usage errors, as a float n or q is
+    for y in (2.0, "2"):
+        for method in counts.METHODS:
+            with pytest.raises(UsageError):
+                count("SLQ", 4, 5, "real", y_order=y, method=method)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
@@ -427,5 +432,8 @@ def test_genfun_known_prefix():
     assert genfun_real_gl(3, terms=0) == [1]
     with pytest.raises(ValueError):
         genfun_real_gl(3, terms=-1)
+    for terms in (2.0, "3"):
+        with pytest.raises(UsageError):
+            genfun_real_gl(3, terms=terms)
     with pytest.raises(ValueError):
         genfun_real_gl(6, terms=3)

@@ -4,8 +4,7 @@ from realclasses import counts, labels, polys
 from realclasses.errors import BudgetExceeded
 from realclasses.fields import (canonical_nonsquare, constrained_nonsquare,
                                 field_for_order)
-from realclasses.labels import (enumerate_labels,
-                                equivalence_classes, eta_translate,
+from realclasses.labels import (enumerate_labels, equivalence_classes,
                                 exponent_two_adic, h_nu, has_odd_part,
                                 is_twisted_real_label, label_det,
                                 label_n, label_to_json, label_type,
@@ -141,25 +140,6 @@ def test_exponent_two_adic_and_odd_part():
     assert not has_odd_part((0, 2))
 
 
-def test_eta_translate_action():
-    f5 = field_for_order(5)
-    lab = make_label(f5, [(1, 1), (1, 2)])
-    # every slot is translated the same way: t coefficient scaled by eta
-    moved = eta_translate(f5, lab, 2)
-    assert moved == ((1, 2), (1, 4))
-    # translating by 1 fixes everything
-    assert eta_translate(f5, lab, 1) == lab
-    with pytest.raises(ValueError):
-        eta_translate(f5, lab, 0)
-    # the power-table translation agrees with the logarithm reference
-    for q in (4, 7, 9):
-        field = field_for_order(q)
-        for lab in enumerate_labels(field, 4, twist=1):
-            for eta in field.units:
-                assert eta_translate(field, lab, eta) == tuple(
-                    eta_act(field, u, eta) for u in lab)
-
-
 def _reference_classes(field, labs):
     """The eta-orbits by translating every label by all q - 1 units."""
     pool = set(labs)
@@ -216,33 +196,39 @@ def test_orbit_joined_by_a_unit_other_than_minus_one():
     a, b = make_label(f5, [(1, 0, 2)]), make_label(f5, [(1, 0, 3)])
     assert (is_twisted_real_label(f5, a, zeta)
             and is_twisted_real_label(f5, b, zeta))
-    assert eta_translate(f5, a, 2) == b
-    assert eta_translate(f5, a, f5.minus_one) == a
+    assert tuple(eta_act(f5, u, 2) for u in a) == b
+    assert tuple(eta_act(f5, u, f5.minus_one) for u in a) == a
     orbits = equivalence_classes(
         f5, enumerate_labels(f5, 2, twist=zeta))
     assert (a, b) in orbits
 
 
-@pytest.mark.parametrize("q", [3, 7, 11])
-def test_psl_strong_orbit_matches_full_scan(q):
-    # every orbit representative of n = 6, read with the zeta^3 = -1
-    # non-square of the PSL_6 count: the pruned scan gives the full scan's
-    # answer, and every unit it skips makes a member the criterion cannot
-    # read
+def test_psl_nonsquare_names_the_corner():
+    # the zeta^(n/2) = -1 non-square at n = 2 mod 4, q = 3 mod 4, and
+    # nothing elsewhere
+    for q, n in ((3, 2), (3, 6), (7, 6), (11, 10), (19, 6)):
+        field = field_for_order(q)
+        assert labels.psl_nonsquare(field, n) == constrained_nonsquare(
+            field, n)
+    for q, n in ((5, 6), (9, 6), (3, 4), (7, 3), (4, 6), (3, 0)):
+        assert labels.psl_nonsquare(field_for_order(q), n) is None
+
+
+@pytest.mark.parametrize("q,n", [(3, 6), (7, 6), (11, 6), (3, 10)],
+                         ids=["3", "7", "11", "3-n10"])
+def test_psl_strong_orbit_matches_full_scan(q, n):
+    # every cached orbit is exactly the set of members of the full eta-orbit
+    # of its representative that the PSL criterion reads (real, or
+    # zeta-real for the zeta^(n/2) = -1 non-square)
     field = field_for_order(q)
-    zeta = constrained_nonsquare(field, 6)
-    for _, orbits, _ in counts._pgl_real_orbits(field, 6, 10 ** 7):
+    zeta = labels.psl_nonsquare(field, n)
+    for _, orbits, _ in counts._pgl_real_orbits(field, n, 10 ** 7):
         for orbit in orbits:
-            rep = orbit[0]
-            kept = counts._psl_read_units(field, labels.lead_key(rep), zeta)
-            full = False
-            for eta in field.units:
-                lab = tuple(eta_act(field, u, eta) for u in rep)
-                reads = labels.psl_criterion_applies(field, lab, zeta)
-                assert reads <= (eta in kept)
-                full = full or (reads and
-                                labels.psl_strongly_real(field, lab, zeta))
-            assert counts._psl_strong_orbit(field, rep, zeta) == full
+            full = {tuple(eta_act(field, u, eta) for u in orbit[0])
+                    for eta in field.units}
+            assert set(orbit) == {
+                lab for lab in full
+                if labels.psl_criterion_applies(field, lab, zeta)}
 
 
 def test_equivalence_classes_orbit_sizes():

@@ -496,6 +496,16 @@ def test_counts_summary():
     assert gd.counts() == {"real": 5, "strongly_real": 5}
 
 
+def test_class_ids_checks_the_kind():
+    # an unknown kind is a usage error, not the real classes
+    gd = enumerate_group("GL", 2, 3)
+    for kind in ("bogus", "REAL", None):
+        with pytest.raises(UsageError):
+            gd.class_ids(kind)
+    with pytest.raises(UsageError):
+        enumerate_group("PSL", 2, 5).class_ids("zeta_real")
+
+
 # ---------------------------------------------------------------------------
 # matrices to labels
 
@@ -686,3 +696,5 @@ def test_slq_validation():
         enumerate_group("SLQ", 2, 5)
     with pytest.raises(ValueError):
         enumerate_group("XX", 2, 5)
+    with pytest.raises(UsageError):
+        oracle.verify_group("SLQ", 2, 5, y_order=2.0)
