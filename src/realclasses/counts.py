@@ -5,9 +5,11 @@ one dispatcher over it.  Most cells can be computed by two independent
 routes:
 
 * ``formula`` -- closed-form case dispatch, partition by partition;
-* ``enumeration`` -- direct generation of class labels (and, for the
-  projective families, their scalar-translation orbits) filtered by the
-  per-label reality criteria.
+* ``enumeration`` -- the class labels counted type by type from the
+  polynomial pools of their slots: each pool polynomial is read once as
+  a signature, and a type's signatures fold into a histogram (for the
+  projective families, each label weighted by the share of its
+  scalar-translation orbit it stands for).
 
 ``method="both"`` runs the two routes and insists on exact per-partition
 agreement before reporting.  Fractional intermediate values (the paired
@@ -18,7 +20,7 @@ hard error, never a rounding.
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from . import labels
 from .errors import UsageError
@@ -109,11 +111,11 @@ def psl_nu(nu, n, q):
         return Fraction(gl_nu(nu, q), 2)
     if t2n > t2q:
         return Fraction(sl_nu(nu, q)) if d > 1 else Fraction(sl_nu(nu, q), 2)
-    if n % 4 == 0:
+    if not labels.descent_corner(n, q):
+        # equal two-adic parts, at least 4: n = 0 mod 4
         if d > 1 and odd:
             return Fraction(gl_nu(nu, q), 2)
         return Fraction(sl_nu(nu, q), 2)
-    # n = 2 mod 4 and q = 3 mod 4
     if d > 1 and odd:
         return Fraction(gl_nu(nu, q), 2)
     if d == 1 and odd:
@@ -122,10 +124,9 @@ def psl_nu(nu, n, q):
 
 
 def _sl_real_nu(nu, n, q):
-    # in the corner n = 2 mod 4, q = 3 mod 4 the types with even parts only
-    # lose reality in SL_n(q); every other det-1 real GL-class stays real
-    # and splits into h_nu SL-classes
-    if n % 4 == 2 and q % 4 == 3 and not labels.has_odd_part(nu):
+    # a det-1 real GL-class that stays real in SL_n(q) splits into h_nu
+    # SL-classes
+    if not labels.real_on_descent(nu, n, q):
         return 0
     return labels.h_nu(nu, q) * sl_nu(nu, q)
 
@@ -136,9 +137,9 @@ def _sl_real_nu(nu, n, q):
 def sl_regime(n, q):
     if q % 2 == 0:
         return "q_even"
-    if n % 4 != 2:
+    if not labels.sl_strong_by_roots(n, q):
         return "n_not_2_mod_4"
-    return "n2mod4_q1mod4" if q % 4 == 1 else "n2mod4_q3mod4"
+    return "n2mod4_q3mod4" if labels.descent_corner(n, q) else "n2mod4_q1mod4"
 
 
 def pgl_regime(n, q):
@@ -148,12 +149,12 @@ def pgl_regime(n, q):
 def psl_regime(n, q):
     if q % 2 == 0:
         return "q_even"
+    if labels.descent_corner(n, q):
+        return "n2mod4_q3mod4"
     t2n, t2q = two_adic(n), two_adic(q - 1)
     if t2n < t2q:
         return "two_adic_lt"
-    if t2n > t2q:
-        return "two_adic_gt"
-    return "two_adic_eq_4div" if n % 4 == 0 else "n2mod4_q3mod4"
+    return "two_adic_gt" if t2n > t2q else "two_adic_eq_4div"
 
 
 def slq_regime(n, q, y_order):
@@ -203,102 +204,191 @@ def _as_int(x, what):
 
 
 # ---------------------------------------------------------------------------
-# enumeration backends (label side)
+# enumeration backends (label side): per-slot signatures folded by type
+#
+# A set of units is an int mask over their logarithms: bit j stands for
+# g^j, g the field's generator.  The twist set C(u) of a slot polynomial
+# u is every c for which u is twisted-reciprocal.  If u is c0-twisted it
+# is c-twisted iff u(t c0 / c) = u(t), so C(u) = c0 Stab(u), where
+# Stab(u) = mu_g, g = gcd(q - 1, {j >= 1 : u_j != 0}), fixes u under
+# u(t) -> u(eta t).  A label L lies in the pool of the twists W when
+# C(L), the intersection of its slots' sets, meets W.
 
-_ORBIT_CACHE = {}
+
+@lru_cache(maxsize=None)
+def _coset_mask(q, a, r):
+    """The units whose logarithms are a mod r (r divides q - 1)."""
+    return sum(1 << j for j in range(a % r, q - 1, r))
 
 
-def _label_tally(field, n, twist, budget, in_sl=None):
-    """Labels of weight n by type, twisted-real for ``twist``: the real
-    ones for twist 1, the zeta-real ones for a non-square.
+@lru_cache(maxsize=None)
+def _pool_signatures(field, d, c0, root, psl_bad):
+    """Signatures of the degree-d polynomials twisted-real for c0, as
+    ((C, lead, root, bad), count) pairs.
 
-    With ``in_sl(field, label, n)`` the tally keeps the det-1 labels
-    passing that criterion and weights each by h_nu, the number of
-    SL_n(q)-classes its GL-class splits into.  Only det-1 labels are
-    generated then, and the type comes with each label.
+    C is the twist set C(u); lead is log lead(u).  With ``root``, root is
+    ``labels.sl_strong_slot``, otherwise False.  With ``psl_bad``, bad is
+    the set of c in C(u) at which u fails the PSL reading
+    (``labels.psl_reading_fails``): translation by Stab(u) fixes u and
+    moves c by Stab(u)^2, so that takes at most two calls.  Otherwise bad
+    is every unit.
     """
+    q = field.q
+    log, exp = field.log, field.exp
+    a = log[c0]
+    hist = {}
+    for u in labels.twist_pool(field, d, c0):
+        g = q - 1
+        for j in range(1, d + 1):
+            if u[j]:
+                g = math.gcd(g, j)
+                if g == 1:
+                    break
+        r = (q - 1) // g
+        bad = (1 << (q - 1)) - 1
+        if psl_bad:
+            # the cosets of Stab(u)^2 in C(u): logarithms mod 2r at even g
+            step = r * (2 - g % 2)
+            bad = 0
+            for b in range(a, a + step, r):
+                if labels.psl_reading_fails(field, u, exp[b % (q - 1)]):
+                    bad |= _coset_mask(q, b, step)
+        key = (_coset_mask(q, a, r), log[u[-1]],
+               root and labels.sl_strong_slot(field, u), bad)
+        hist[key] = hist.get(key, 0) + 1
+    return tuple(hist.items())
+
+
+def _type_histograms(field, n, twists, budget, lead_mod=1, flag=False,
+                     psl_bad=False):
+    """Yield (nu, histogram) for every type of weight n: the labels whose
+    twist set meets ``twists``, counted by signature (C, lead, flag, bad).
+
+    Slot i of a label contributes its polynomial's C, i lead mod
+    ``lead_mod`` and, at odd i only, its root flag and bad set; even
+    slots carry False and every unit.  A label's signature folds its
+    slots': C and bad intersect, leads add, flags OR, so its determinant
+    is (-1)^n g^lead.  C is every unit unless there are two twists; the
+    flag is False unless asked for.  Raises BudgetExceeded if the labels
+    of any twist pass the budget, before reading any pool.
+    """
+    q = field.q
+    for twist in twists:
+        labels.check_label_budget(q, n, twist, budget)
+    full = (1 << (q - 1)) - 1
+    wanted = sum(1 << field.log[c] for c in twists)
+    slots = {}
+
+    def slot(d, i):
+        if (d, i) not in slots:
+            odd = i % 2 == 1
+            hist = {}
+            earlier = 0
+            for twist in twists:
+                for (C, lead, root, bad), cnt in _pool_signatures(
+                        field, d, twist, flag, psl_bad):
+                    if C & earlier:
+                        continue    # read from an earlier twist's pool
+                    key = (C if len(twists) > 1 else full,
+                           i * lead % lead_mod, odd and root,
+                           bad if odd else full)
+                    hist[key] = hist.get(key, 0) + cnt
+                earlier |= 1 << field.log[twist]
+            slots[d, i] = hist
+        return slots[d, i]
+
+    for nu in labels.partitions_of(n):
+        hist = {(full, 0, False, full): 1}
+        for i, ni in enumerate(nu, 1):
+            if not ni:
+                continue
+            out = {}
+            for (c1, l1, f1, b1), n1 in hist.items():
+                for (c2, l2, f2, b2), n2 in slot(ni, i).items():
+                    C = c1 & c2
+                    if C & wanted:
+                        key = (C, (l1 + l2) % lead_mod, f1 or f2, b1 & b2)
+                        out[key] = out.get(key, 0) + n1 * n2
+            hist = out
+        yield nu, hist
+
+
+def _gl_tally(field, n, twist, budget):
+    """Labels of weight n by type, twisted-real for ``twist``: the real
+    ones for twist 1, the zeta-real ones for a non-square."""
+    return {nu: sum(hist.values())
+            for nu, hist in _type_histograms(field, n, (twist,), budget)}
+
+
+def _sl_tally(field, n, twist, budget, kind="real"):
+    """The det-1 labels of ``_gl_tally`` that stay ``kind`` in SL_n(q), by
+    type, each weighted by h_nu: the number of SL_n(q)-classes its
+    GL-class splits into."""
+    q = field.q
+    labels.check_label_budget(q, n, twist, budget)
+    if field.pow(twist, n) != field.one:
+        # g in SL_n(q) conjugate to zeta g^{-1} (twist zeta^{-1}) has
+        # 1 = det(zeta g^{-1}) = zeta^n
+        return {}
+    strong = kind == "strongly_real" and labels.sl_strong_by_roots(n, q)
+    # det = (-1)^n g^(lead sum) = 1
+    target = (q - 1) // 2 if n % 2 and q % 2 else 0
     out = {}
-    weight = {}
-    for nu, lab in labels.enumerate_labels(
-            field, n, twist=twist, budget=budget,
-            det=None if in_sl is None else field.one, typed=True):
-        if in_sl is None:
-            out[nu] = out.get(nu, 0) + 1
-        elif in_sl(field, lab, n):
-            if nu not in weight:
-                weight[nu] = labels.h_nu(nu, field.q)
-            out[nu] = out.get(nu, 0) + weight[nu]
+    for nu, hist in _type_histograms(field, n, (twist,), budget,
+                                     lead_mod=q - 1, flag=strong):
+        if kind != "zeta_real" and not labels.real_on_descent(nu, n, q):
+            continue
+        out[nu] = labels.h_nu(nu, q) * sum(
+            cnt for (_, lead, f, _), cnt in hist.items()
+            if lead == target and (f or not strong))
     return out
 
 
-def _pgl_real_orbits(field, n, budget):
-    """Scalar-translation orbits of the real and zeta-real labels, as
-    (nu, orbits of type nu, determinants of their representatives).
+def _orbit_tally(field, n, twist, budget, family="PGL", strong=False):
+    """Real PGL_n(q)-classes by type, or (``family="PSL"``) those lying in
+    PSL_n(q) weighted by h_nu: eta-orbits of the labels twisted-real for
+    1 or (q odd) the least non-square zeta, W = {1, zeta}.
 
-    Each orbit is one real PGL_n(q)-conjugacy class: the full orbit of a
-    label sweeps out every twist, so it meets the real or the zeta-real
-    labels for any non-square zeta.  The zeta is the one the PSL criterion
-    reads (``labels.psl_nonsquare``) where there is one, so each cached
-    orbit is exactly the set of lifts that criterion reads; elsewhere it
-    is the least non-square.  Translation keeps the type, so the orbits
-    are built type by type, each label translated only by the units that
-    carry its leading coefficients to those of a pool label
-    (``labels.equivalence_classes``).  A cached pool passes the same
-    label-budget check that enumerating it afresh would.
-    """
-    if field.q % 2:
-        zeta = labels.psl_nonsquare(field, n) or canonical_nonsquare(field)
-        twists = (field.one, zeta)
-    else:
-        twists = (field.one,)
-    key = (field.q, n)
-    if key in _ORBIT_CACHE:
-        for twist in twists:
-            labels.check_label_budget(field.q, n, twist, budget)
-    else:
-        pools = {}
-        for twist in twists:
-            for nu, lab in labels.enumerate_labels(field, n, twist=twist,
-                                                   budget=budget, typed=True):
-                pools.setdefault(nu, []).append(lab)
-        cache = _ORBIT_CACHE[key] = []
-        for nu, pool in pools.items():
-            orbits = labels.equivalence_classes(field, pool)
-            cache.append((nu, orbits, [labels.label_det(field, orb[0])
-                                       for orb in orbits]))
-    return _ORBIT_CACHE[key]
+    Translation u(t) -> u(eta t) takes C(L) to eta^-2 C(L), so the orbit
+    of L meets the pool at the translates by E(L) = {eta : C(L) meets
+    eta^2 W}, and holds |E(L)| / |Stab(L)| pool labels, |Stab(L)| = |C(L)|.
+    Each pool label weighs |C(L)| / |E(L)|.  Every twist set meets W up to
+    a square, so the orbits are the real PGL-classes whatever zeta is.
 
-
-def _pgl_orbit_tally(field, n, twist, budget):
-    return {nu: len(orbits)
-            for nu, orbits, _ in _pgl_real_orbits(field, n, budget)}
-
-
-def _psl_orbit_tally(field, n, twist, budget, strong=False):
-    """Orbits that meet PSL_n(q), weighted by h_nu.
-
-    An orbit meets PSL when its determinant is an n-th power and, where
-    reality is lost on descent (n = 2 mod 4, q = 3 mod 4), it carries an
-    odd part.  In that corner an orbit is strongly real when some member
-    passes the per-label criterion (any strongly real lift suffices); the
-    cached orbit holds exactly the members it reads, real or zeta-real
-    for the non-square zeta, zeta^{n/2} = -1.
+    An orbit meets PSL when its determinant is an n-th power, a lead sum
+    of 0 mod gcd(n, q-1), and (``labels.real_on_descent``) it does not lose
+    reality on descent.  In the descent corner it is strongly real when
+    some member's reading passes the PSL criterion; over the orbit the
+    readings run through all of C(L), so that is C(L) not inside the bad
+    sets of the odd slots.
     """
     q = field.q
-    nth_powers = frozenset(field.pow(u, n) for u in field.units)
-    zeta = labels.psl_nonsquare(field, n)
-    strong = strong and zeta is not None
+    twists = (field.one, canonical_nonsquare(field)) if q % 2 else (
+        field.one,)
+    strong = strong and labels.descent_corner(n, q)
+    psl = family == "PSL"
+    wanted = [field.log[c] for c in twists]
+    reached = {}
+
+    def weight(C):
+        # |C| / |E(C)|, E(C) = {g^e : C meets g^(2e) W}
+        if C not in reached:
+            e_size = sum(1 for e in range(q - 1) if any(
+                C >> ((2 * e + w) % (q - 1)) & 1 for w in wanted))
+            reached[C] = Fraction(C.bit_count(), e_size)
+        return reached[C]
+
     out = {}
-    for nu, orbits, dets in _pgl_real_orbits(field, n, budget):
-        if zeta is not None and not labels.has_odd_part(nu):
+    for nu, hist in _type_histograms(
+            field, n, twists, budget,
+            lead_mod=math.gcd(n, q - 1) if psl else 1, psl_bad=strong):
+        if psl and not labels.real_on_descent(nu, n, q):
             continue
-        meets = 0
-        for orb, det in zip(orbits, dets):
-            if det in nth_powers and (not strong or any(
-                    labels.psl_strongly_real(field, lab, zeta)
-                    for lab in orb)):
-                meets += 1
-        out[nu] = meets * labels.h_nu(nu, q)
+        orbits = sum(cnt * weight(C) for (C, lead, _, bad), cnt
+                     in hist.items()
+                     if lead == 0 and not (strong and (C & ~bad) == 0))
+        orbits = _as_int(orbits, ("%s_%d(%d)" % (family, n, q), nu))
+        out[nu] = orbits * labels.h_nu(nu, q) if psl else orbits
     return out
 
 
@@ -324,52 +414,44 @@ class _Entry:
     enum_only: tuple = ()
 
 
-def _sl_real_label(field, lab, n):
-    return labels.sl_real(lab, n, field.q)
-
-
-def _sl_strong_label(field, lab, n):
-    return labels.sl_strongly_real(field, lab)
-
-
 def _psl_real_nu(nu, n, q):
     return labels.h_nu(nu, q) * psl_nu(nu, n, q)
 
 
 # every real class of GL_n(q) and of PGL_n(q) is strongly real
 _GL = _Entry(lambda n, q: "generic", lambda nu, n, q: gl_nu(nu, q),
-             _label_tally)
-_PGL = _Entry(pgl_regime, lambda nu, n, q: pgl_nu(nu, q), _pgl_orbit_tally)
+             _gl_tally)
+_PGL = _Entry(pgl_regime, lambda nu, n, q: pgl_nu(nu, q), _orbit_tally)
 # the intermediate quotients SL_n(q)/Y (the regimes not in _SLQ_ENDPOINT)
 # count exactly the det-1 real labels, and each such class is strongly real
 _SLQ = _Entry(slq_regime, lambda nu, n, q: labels.h_nu(nu, q) * sl_nu(nu, q),
-              partial(_label_tally, in_sl=_sl_real_label))
+              _sl_tally)
 _REGISTRY = {
     ("GL", "real"): _GL,
     ("GL", "strongly_real"): _GL,
     # g conjugate to zeta * g^{-1}: the same count for every non-square zeta
     ("GL", "zeta_real"): _Entry(lambda n, q: "generic",
                                 lambda nu, n, q: zeta_gl_nu(nu, q),
-                                _label_tally),
-    ("SL", "real"): _Entry(sl_regime, _sl_real_nu,
-                           partial(_label_tally, in_sl=_sl_real_label)),
+                                _gl_tally),
+    ("SL", "real"): _Entry(sl_regime, _sl_real_nu, _sl_tally),
     # strong reality is reality unless n = 2 mod 4 with q odd; there the
     # criterion (some odd-position u_i vanishing at 1 or -1) has no closed
     # form
     ("SL", "strongly_real"): _Entry(
-        sl_regime, _sl_real_nu, partial(_label_tally, in_sl=_sl_strong_label),
+        sl_regime, _sl_real_nu, partial(_sl_tally, kind="strongly_real"),
         enum_only=("n2mod4_q1mod4", "n2mod4_q3mod4")),
     # unlike GL the answer can depend on which non-square is used, and
     # there is no closed form: det-1 labels weighted by the h_nu splitting
     ("SL", "zeta_real"): _Entry(
-        sl_regime, None,
-        partial(_label_tally, in_sl=lambda field, lab, n: True)),
+        sl_regime, None, partial(_sl_tally, kind="zeta_real")),
     ("PGL", "real"): _PGL,
     ("PGL", "strongly_real"): _PGL,
-    ("PSL", "real"): _Entry(psl_regime, _psl_real_nu, _psl_orbit_tally),
+    ("PSL", "real"): _Entry(psl_regime, _psl_real_nu,
+                            partial(_orbit_tally, family="PSL")),
     # strong reality is reality except at n = 2 mod 4, q = 3 mod 4
     ("PSL", "strongly_real"): _Entry(
-        psl_regime, _psl_real_nu, partial(_psl_orbit_tally, strong=True),
+        psl_regime, _psl_real_nu,
+        partial(_orbit_tally, family="PSL", strong=True),
         enum_only=("n2mod4_q3mod4",)),
     ("SLQ", "real"): _SLQ,
     ("SLQ", "strongly_real"): _SLQ,

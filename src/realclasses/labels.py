@@ -182,6 +182,14 @@ def const1_polys(field, d):
             yield (1,) + mid + (lead,)
 
 
+def twist_pool(field, d, c):
+    """The degree-d slot polynomials twisted-reciprocal for c: T_d at
+    c = 1, S_d(c) at a non-square c."""
+    if c == field.one:
+        return polys.enumerate_T(field, d)
+    return polys.enumerate_S(field, d, c)
+
+
 def _poly_pools(field, nu, twist):
     pools = []
     for ni in nu:
@@ -189,10 +197,8 @@ def _poly_pools(field, nu, twist):
             pools.append([polys.ONE])
         elif twist is None:
             pools.append(list(const1_polys(field, ni)))
-        elif twist == field.one:
-            pools.append(polys.enumerate_T(field, ni))
         else:
-            pools.append(polys.enumerate_S(field, ni, twist))
+            pools.append(twist_pool(field, ni, twist))
     return pools
 
 
@@ -315,38 +321,55 @@ def equivalence_classes(field, labels):
 
 
 # ---------------------------------------------------------------------------
-# per-label reality criteria in the linear and projective special groups
+# reality criteria in the linear and projective special groups, slot by slot
+
+def descent_corner(n, q):
+    """Whether n = 2 mod 4 and q = 3 mod 4: the corner where a real class
+    of a type with even parts only loses reality in SL_n(q) and PSL_n(q),
+    and where strong reality in PSL_n(q) has its own criterion."""
+    return n % 4 == 2 and q % 4 == 3
+
+
+def real_on_descent(nu, n, q):
+    """Whether the real det-1 classes of type nu stay real in SL_n(q), and
+    the PGL-real classes of type nu meeting PSL_n(q) stay real there.
+
+    Descent only bites in its corner (n = 2 mod 4, q = 3 mod 4): there a
+    class stays real iff some odd i has n_i > 0.
+    """
+    return not descent_corner(n, q) or has_odd_part(nu)
+
 
 def sl_real(label, n, q):
-    """Whether a real det-1 label stays real after restriction to SL_n(q).
+    """Whether a real det-1 label stays real after restriction to SL_n(q)
+    (``real_on_descent`` of its type)."""
+    return real_on_descent(label_type(label), n, q)
 
-    Restriction only bites when n = 2 mod 4 and q = 3 mod 4: there the
-    class of g is real in SL_n(q) iff some odd i has n_i > 0.
-    """
-    if n % 4 != 2 or q % 4 != 3:
-        return True
-    return has_odd_part(label_type(label))
+
+def sl_strong_by_roots(n, q):
+    """Whether strong reality in SL_n(q) is decided by ``sl_strong_slot``
+    rather than agreeing with reality: q odd and n = 2 mod 4."""
+    return q % 2 == 1 and n % 4 == 2
+
+
+def sl_strong_slot(field, u):
+    """Whether u, in an odd position i of a label, makes the label strongly
+    real in SL_n(q) at q odd, n = 2 mod 4: u has 1 or -1 as a root."""
+    return (polys.poly_eval(field, u, field.one) == 0
+            or polys.poly_eval(field, u, field.minus_one) == 0)
 
 
 def sl_strongly_real(field, label):
     """Whether a real-in-SL det-1 label is strongly real in SL_n(q).
 
-    Away from n = 2 mod 4 with q odd, strong reality agrees with reality.
-    In that regime the criterion is that some u_i with i odd has 1 or -1
-    as a root.
+    Strong reality agrees with reality unless ``sl_strong_by_roots``; then
+    the criterion is that some slot u_i with i odd passes
+    ``sl_strong_slot``.
     """
     n = label_n(label)
-    q = field.q
-    if q % 2 == 0 or n % 4 != 2:
-        return sl_real(label, n, q)
-    one, minus_one = field.one, field.minus_one
-    for i, u in enumerate(label, 1):
-        if i % 2 == 1 and polys.degree(u) > 0:
-            if polys.poly_eval(field, u, one) == 0:
-                return True
-            if polys.poly_eval(field, u, minus_one) == 0:
-                return True
-    return False
+    if not sl_strong_by_roots(n, field.q):
+        return sl_real(label, n, field.q)
+    return any(sl_strong_slot(field, u) for u in label[::2])
 
 
 @lru_cache(maxsize=None)
@@ -376,10 +399,26 @@ def _factors_all_even_and_fixed_deg_div4(field, u, c):
     return True
 
 
+def psl_reading_fails(field, u, c):
+    """Whether an odd-position slot u, twisted-reciprocal for c, fails to
+    make the c-reading of its label strongly real in PSL_n(q): every
+    irreducible factor of u has even degree and the factors fixed by
+    alpha -> c / alpha have degree divisible by 4.
+    """
+    # u is c-twisted, so alpha -> c / alpha permutes its roots with their
+    # multiplicities and p -> p* its irreducible factors.  If the reading
+    # fails, the fixed factors have degree 0 mod 4, and each pair p != p*
+    # has two equal even degrees and equal multiplicities: every part of
+    # u, and so deg u, is 0 mod 4.  Any other degree passes.
+    if polys.degree(u) % 4:
+        return False
+    return _factors_all_even_and_fixed_deg_div4(field, u, c)
+
+
 def psl_nonsquare(field, n):
-    """The non-square zeta, zeta^(n/2) = -1, that the PSL criterion reads
-    in its corner n = 2 mod 4, q = 3 mod 4; None outside that corner."""
-    if n % 4 == 2 and field.q % 4 == 3:
+    """The non-square zeta, zeta^(n/2) = -1, that ``realclasses enumerate``
+    reads the PSL criterion with in the descent corner; None outside it."""
+    if descent_corner(n, field.q):
         return constrained_nonsquare(field, n)
     return None
 
@@ -399,20 +438,16 @@ def psl_strongly_real(field, label, zeta):
     """Strong reality in PSL_n(q) for n = 2 mod 4, q = 3 mod 4.
 
     The label must be real or zeta-real (as a label; both readings are
-    tried and either suffices).  A reading fails to produce a strongly
-    real class exactly when every u_i with i odd and n_i > 0 has all
-    factors of even degree with the self-paired factors of degree
-    divisible by 4.
+    tried and either suffices).  A reading c fails to produce a strongly
+    real class exactly when every u_i with i odd and n_i > 0 fails it
+    (``psl_reading_fails``).
     """
     readings = _psl_readings(field, label, zeta)
     if not readings:
         raise ValueError("label is neither real nor zeta-real")
-    odd_slots = [u for i, u in enumerate(label, 1) if i % 2 == 1 and polys.degree(u) > 0]
+    odd_slots = [u for u in label[::2] if polys.degree(u) > 0]
     if not odd_slots:
         # no odd part: the class is not real in PSL at all in this regime
         return False
-    for c in readings:
-        if not all(_factors_all_even_and_fixed_deg_div4(field, u, c)
-                   for u in odd_slots):
-            return True
-    return False
+    return any(not all(psl_reading_fails(field, u, c) for u in odd_slots)
+               for c in readings)

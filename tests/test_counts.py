@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realclasses import counts
+from realclasses import counts, labels
 from realclasses.counts import (applicable_kinds, count, genfun_real_gl,
                                 gl_nu, pgl_nu, psl_nu, real_gl, real_pgl,
                                 real_psl, real_sl, real_slq, section13_table,
@@ -22,6 +22,7 @@ from realclasses.counts import (applicable_kinds, count, genfun_real_gl,
                                 strongly_real_sl, strongly_real_slq,
                                 zeta_real_gl, zeta_real_sl)
 from realclasses.errors import BudgetExceeded, UsageError
+from realclasses.fields import field_for_order
 
 BOTH = dict(method="both")
 
@@ -343,15 +344,43 @@ def test_one_public_count_per_named_call(monkeypatch):
     assert [c[0] for c in calls] == ["SLQ", "SLQ", "SLQ", "SL"]
 
 
-def test_orbit_cache_keeps_the_budget(monkeypatch):
-    monkeypatch.setattr(counts, "_ORBIT_CACHE", {})
-    with pytest.raises(BudgetExceeded):            # cold
-        real_pgl(4, 5, method="enumeration", budget=10)
+def test_signature_cache_keeps_the_budget():
+    # the per-slot signatures are cached across counts; the budget is
+    # checked before any of them is read, cold or warm, PGL or PSL
+    cache = counts._pool_signatures
+    for count_it in (real_pgl, real_psl):
+        cache.cache_clear()
+        with pytest.raises(BudgetExceeded):        # cold
+            count_it(4, 5, method="enumeration", budget=10)
+        assert cache.cache_info().currsize == 0
     assert real_pgl(4, 5, method="enumeration").total == 45
-    with pytest.raises(BudgetExceeded):            # warm
-        real_pgl(4, 5, method="enumeration", budget=10)
-    with pytest.raises(BudgetExceeded):
-        real_psl(4, 5, method="enumeration", budget=10)
+    assert real_psl(4, 5, method="enumeration").total > 0
+    for count_it in (real_pgl, real_psl):
+        with pytest.raises(BudgetExceeded):        # warm
+            count_it(4, 5, method="enumeration", budget=10)
+
+
+def _nonsquares(field):
+    return [c for c in field.units if not field.is_square(c)]
+
+
+def test_zeta_real_sl_is_empty_unless_zeta_n_is_one():
+    # g in SL_n(q) conjugate to zeta g^{-1} forces zeta^n = 1: where it
+    # fails the count answers 0 without building a pool, and no det-1
+    # label is twisted-real for zeta^{-1}
+    cells = 0
+    for q in (3, 5, 7, 9, 11, 13):
+        field = field_for_order(q)
+        for n in range(1, 7):
+            for zeta in _nonsquares(field):
+                if field.pow(zeta, n) == field.one:
+                    continue
+                cells += 1
+                assert not list(labels.enumerate_labels(
+                    field, n, twist=field.inv(zeta), det=field.one))
+                assert zeta_real_sl(n, q, zeta=zeta).total == 0
+    assert cells == 111
+    assert count("SL", 8, 49, "zeta_real").total == 0
 
 
 def test_formula_route_has_no_rank_cap():

@@ -214,21 +214,81 @@ def test_psl_nonsquare_names_the_corner():
         assert labels.psl_nonsquare(field_for_order(q), n) is None
 
 
+def _twist_set(field, u):
+    """Every unit c, square or not, with t^d u(c/t) = s u for a scalar s:
+    coefficientwise u_(d-k) c^(d-k) = s u_k, s = u_d c^d."""
+    d = polys.degree(u)
+    return {c for c in field.units
+            if all(field.mul(u[d - k], field.pow(c, d - k))
+                   == field.mul(field.mul(u[d], field.pow(c, d)), u[k])
+                   for k in range(d + 1))}
+
+
+def _bad_set(field, u):
+    """The c in the twist set of u at which the unchanged helper holds."""
+    return {c for c in _twist_set(field, u)
+            if labels._factors_all_even_and_fixed_deg_div4(field, u, c)}
+
+
 @pytest.mark.parametrize("q,n", [(3, 6), (7, 6), (11, 6), (3, 10)],
                          ids=["3", "7", "11", "3-n10"])
 def test_psl_strong_orbit_matches_full_scan(q, n):
-    # every cached orbit is exactly the set of members of the full eta-orbit
-    # of its representative that the PSL criterion reads (real, or
-    # zeta-real for the zeta^(n/2) = -1 non-square)
+    # the fold calls an eta-orbit strongly real in PSL iff its twist set
+    # C(L) is not inside the bad sets of the odd slots; against a scan of
+    # the full orbit of each PGL-real label for a member the per-label
+    # criterion passes, with twist and bad sets found by trial
     field = field_for_order(q)
     zeta = labels.psl_nonsquare(field, n)
-    for _, orbits, _ in counts._pgl_real_orbits(field, n, 10 ** 7):
-        for orbit in orbits:
-            full = {tuple(eta_act(field, u, eta) for u in orbit[0])
+    everything = set(field.units)
+    strong_seen = {False: 0, True: 0}
+    pools = {}
+    for c in (field.one, zeta):
+        for nu, lab in enumerate_labels(field, n, twist=c, typed=True):
+            if has_odd_part(nu):
+                pools.setdefault(nu, set()).add(lab)
+    for pool in pools.values():
+        for orbit in equivalence_classes(field, pool):
+            lab = orbit[0]
+            full = {tuple(eta_act(field, u, eta) for u in lab)
                     for eta in field.units}
-            assert set(orbit) == {
-                lab for lab in full
-                if labels.psl_criterion_applies(field, lab, zeta)}
+            scanned = any(labels.psl_criterion_applies(field, m, zeta)
+                          and labels.psl_strongly_real(field, m, zeta)
+                          for m in full)
+            twists = set.intersection(*(_twist_set(field, u) for u in lab))
+            bad = everything.intersection(*(
+                _bad_set(field, u) for i, u in enumerate(lab, 1)
+                if i % 2 == 1 and polys.degree(u) > 0))
+            assert scanned == (not twists <= bad), lab
+            strong_seen[scanned] += 1
+    assert strong_seen[False] and strong_seen[True]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
+def test_pool_signatures_match_trial(q):
+    # each (C, lead, root, bad) key of a pool, C and bad built from at most
+    # two helper calls, against every unit tried on every pool polynomial
+    field = field_for_order(q)
+    twists = (field.one, canonical_nonsquare(field)) if q % 2 else (
+        field.one,)
+
+    def mask(units):
+        return sum(1 << field.log[c] for c in units)
+
+    for d in range(1, 6):
+        pool = set()
+        for c in twists:
+            pool |= set(labels.twist_pool(field, d, c))
+        want = {}
+        for u in pool:
+            key = (mask(_twist_set(field, u)), field.log[u[-1]],
+                   labels.sl_strong_slot(field, u), mask(_bad_set(field, u)))
+            want[key] = want.get(key, 0) + 1
+        got = {}
+        for c in twists:
+            for key, cnt in counts._pool_signatures(field, d, c, True, True):
+                if not key[0] & 1 or c == field.one:   # read once, from T_d
+                    got[key] = got.get(key, 0) + cnt
+        assert got == want
 
 
 def test_equivalence_classes_orbit_sizes():
@@ -324,3 +384,24 @@ def test_psl_criterion_matches_trial_division(q):
                     root_of_zeta += 1
     # the breve-fixed factor t^2 - zeta, which no t^(q+1) - zeta test sees
     assert root_of_zeta > 0
+
+
+@pytest.mark.parametrize("q,max_d", [(3, 8), (7, 8), (11, 6)])
+def test_psl_reading_passes_at_degree_not_div4(q, max_d):
+    # a c-twisted u whose fixed factors have degree 0 mod 4 and whose other
+    # factors pair off at equal even degrees has degree 0 mod 4, so every
+    # other degree passes: the unchanged helper is False there at every c
+    # in the twist set, and psl_reading_fails need not call it
+    field = field_for_order(q)
+    read = 0
+    for d in range(1, max_d + 1):
+        if d % 4 == 0:
+            continue
+        pool = set(polys.enumerate_T(field, d))
+        pool |= set(polys.enumerate_S(field, d, canonical_nonsquare(field)))
+        for u in sorted(pool):
+            for c in _twist_set(field, u):
+                assert not labels._factors_all_even_and_fixed_deg_div4(
+                    field, u, c), (u, c)
+                read += 1
+    assert read > 0
