@@ -207,10 +207,10 @@ def cmd_enumerate(args):
         if det == field.one:
             rec["sl_real"] = labels.sl_real(lab, args.n, args.q)
             rec["sl_strongly_real"] = labels.sl_strongly_real(field, lab)
-            if psl_zeta is not None and labels.psl_criterion_applies(
-                    field, lab, psl_zeta):
-                rec["psl_strongly_real"] = labels.psl_strongly_real(
-                    field, lab, psl_zeta)
+            if psl_zeta is not None:
+                strong = labels.psl_strongly_real(field, lab, psl_zeta)
+                if strong is not None:
+                    rec["psl_strongly_real"] = strong
         if args.format == "json":
             # dumps runs the C encoder; dump to a stream does not
             out.write(json.dumps(rec, sort_keys=True) + "\n")

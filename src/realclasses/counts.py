@@ -525,9 +525,11 @@ def count(family, n, q, kind, y_order=None, method="formula", zeta=None,
 def _count(family, n, q, kind, y_order, method, zeta, budget):
     if n == 0 and family != "GL":
         # SL_0(q) = GL_0(q) is trivial, and so are its quotients; the SL
-        # splitting factor h_nu would count the empty type q - 1 times
+        # splitting factor h_nu would count the empty type q - 1 times; only
+        # SLQ reports its |Y|
         rep = _count("GL", 0, q, kind, None, method, zeta, budget)
-        return replace(rep, family=family, regime="trivial", y_order=y_order)
+        return replace(rep, family=family, regime="trivial",
+                       y_order=y_order if family == "SLQ" else None)
     entry = _REGISTRY[family, kind]
     if family != "SLQ":
         return _route(family, n, q, kind, entry, entry.regime(n, q), method,

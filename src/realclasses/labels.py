@@ -15,10 +15,9 @@ inverse because u-roots are inverse eigenvalues).
 
 Scaling g by a unit eta translates the label coefficientwise
 (u_i(t) -> u_i(eta t)); orbits of that action are the classes of
-PGL_n(q).  Translation keeps each degree and multiplies the leading
-coefficient of a degree-d slot by eta^d, so ``equivalence_classes``
-translates a label only by the units that carry its leads to the leads
-of some label of the set.
+PGL_n(q).  ``equivalence_classes`` builds these orbits inside a label
+set; the counts never build one (they fold per-slot signatures), so it
+serves as the reference the fold is checked against.
 """
 
 import itertools
@@ -133,38 +132,6 @@ def is_twisted_real_label(field, label, c):
     return all(polys.is_twisted_reciprocal(field, u, c) for u in label)
 
 
-@lru_cache(maxsize=None)
-def _unit_powers(field, d):
-    """Row eta of the table, for each unit eta, is (eta^0, ..., eta^d);
-    row 0 is empty."""
-    mul = field.mul_list
-    rows = [()]
-    for eta in field.units:
-        row = [field.one]
-        for _ in range(d):
-            row.append(mul[row[-1]][eta])
-        rows.append(tuple(row))
-    return rows
-
-
-def _translate(mul, label, powers):
-    # powers lists eta^0, eta^1, ... at least as far as the largest degree
-    return tuple([tuple([mul[c][e] for c, e in zip(u, powers)])
-                  for u in label])
-
-
-def lead_key(label):
-    """The (degree, leading coefficient) of each slot of a label."""
-    return tuple([(len(u) - 1, u[-1]) for u in label])
-
-
-def translate_key(field, key, eta):
-    """The lead_key of L(eta t) from that of L: translation scales the
-    leading coefficient of a degree-d slot by eta^d."""
-    mul = field.mul_list
-    return tuple((d, mul[lead][field.pow(eta, d)]) for d, lead in key)
-
-
 def label_to_json(label):
     return {"nu": [len(u) - 1 for u in label], "polys": [list(u) for u in label]}
 
@@ -221,60 +188,22 @@ def check_label_budget(q, n, twist, budget):
         raise BudgetExceeded("%d labels exceed the budget of %d" % (total, budget))
 
 
-def _combinations(field, pools, target):
-    """The combinations of one type's slot pools, or with ``target`` only
-    those whose leading coefficients give prod lead(u_i)^i = target.
-
-    Each slot's pool is grouped by its factor lead(u_i)^i, so only the
-    groups whose factors multiply to the target are expanded.
-    """
-    if target is None:
-        return itertools.product(*pools)
-    mul = field.mul_list
-    slots = []
-    for i, pool in enumerate(pools, 1):
-        groups = {}
-        for u in pool:
-            groups.setdefault(field.pow(u[-1], i), []).append(u)
-        slots.append(sorted(groups.items()))
-
-    def expand():
-        for keyed in itertools.product(*slots):
-            acc = field.one
-            for factor, _ in keyed:
-                acc = mul[acc][factor]
-            if acc == target:
-                yield from itertools.product(*(group for _, group in keyed))
-    return expand()
-
-
-def enumerate_labels(field, n, twist=None, budget=10 ** 7, det=None,
-                     typed=False):
+def enumerate_labels(field, n, twist=None, budget=10 ** 7):
     """Yield all labels of weight n, or with a ``twist`` c only those whose
     slots are twisted-reciprocal for c: c = 1 the real labels, a
     non-square c the zeta-real ones.  Any other twist is a ValueError.
 
-    ``det`` keeps only the labels of that determinant, expanding just the
-    combinations of slot polynomials that reach it.  ``typed`` yields
-    (nu, label) pairs, the type nu read off the partition being expanded.
-    Deterministic order: partitions in partitions_of order, then (with
-    ``det``) the slots' lead(u_i)^i groups in ascending order, then
+    Deterministic order: partitions in partitions_of order, then
     polynomials in sorted order within each slot.  Raises BudgetExceeded
-    (before yielding anything) if the labels of every determinant pass the
-    budget.
+    (before yielding anything) if the labels pass the budget.
     """
     if twist is not None:
         polys.check_twist(field, twist)
     check_label_budget(field.q, n, twist, budget)
-    # det = (-1)^n prod lead(u_i)^i
-    target = None if det is None else (
-        field.neg(det) if n % 2 else det)
 
     def gen():
         for nu in partitions_of(n):
-            pools = _poly_pools(field, nu, twist)
-            for label in _combinations(field, pools, target):
-                yield (nu, label) if typed else label
+            yield from itertools.product(*_poly_pools(field, nu, twist))
 
     return gen()
 
@@ -285,36 +214,23 @@ def equivalence_classes(field, labels):
     Returns a list of orbits, each a sorted tuple of labels; the first entry
     of each orbit (lexicographically least) is its canonical representative.
     Orbits are listed in order of their representatives.
-
-    A label is translated only by the units eta that carry its lead_key to
-    the lead_key of some label in the set; no other translate can be in it.
     """
-    # the orbits keep the given label objects, not their translated copies,
-    # so they share polynomials with the pools the labels came from
-    pool = {lab: lab for lab in labels}
-    keys = {lab: lead_key(lab) for lab in pool}
-    present = set(keys.values())
-    powers = _unit_powers(field, max(
-        (d for key in present for d, _ in key), default=0))
+    pool = set(labels)
     mul = field.mul_list
-    reaching = {}
+    top = max((len(u) for lab in pool for u in lab), default=0)
+    # u(eta t) multiplies the t^k coefficient of u by eta^k
+    powers = [[field.pow(eta, k) for k in range(top)] for eta in field.units]
     seen = set()
     orbits = []
     for lab in sorted(pool):
         if lab in seen:
             continue
-        key = keys[lab]
-        etas = reaching.get(key)
-        if etas is None:
-            etas = reaching[key] = [
-                eta for eta in field.units
-                if eta != field.one
-                and translate_key(field, key, eta) in present]
-        orbit = {pool[lab]}
-        for eta in etas:
-            g = pool.get(_translate(mul, lab, powers[eta]))
-            if g is not None:
-                orbit.add(g)
+        orbit = set()
+        for row in powers:
+            moved = tuple([tuple([mul[a][e] for a, e in zip(u, row)])
+                           for u in lab])
+            if moved in pool:
+                orbit.add(moved)
         orbits.append(tuple(sorted(orbit)))
         seen |= orbit
     return orbits
@@ -423,28 +339,18 @@ def psl_nonsquare(field, n):
     return None
 
 
-def _psl_readings(field, label, zeta):
-    """The twists c in (1, zeta) this label reads."""
-    return [c for c in (field.one, zeta)
-            if is_twisted_real_label(field, label, c)]
-
-
-def psl_criterion_applies(field, label, zeta):
-    """Whether psl_strongly_real reads this label: it is real or zeta-real."""
-    return bool(_psl_readings(field, label, zeta))
-
-
 def psl_strongly_real(field, label, zeta):
-    """Strong reality in PSL_n(q) for n = 2 mod 4, q = 3 mod 4.
+    """Strong reality in PSL_n(q) for n = 2 mod 4, q = 3 mod 4, or None
+    for a label that is neither real nor zeta-real.
 
-    The label must be real or zeta-real (as a label; both readings are
-    tried and either suffices).  A reading c fails to produce a strongly
-    real class exactly when every u_i with i odd and n_i > 0 fails it
-    (``psl_reading_fails``).
+    Both readings c in (1, zeta) the label has are tried and either
+    suffices.  A reading c fails to produce a strongly real class exactly
+    when every u_i with i odd and n_i > 0 fails it (``psl_reading_fails``).
     """
-    readings = _psl_readings(field, label, zeta)
+    readings = [c for c in (field.one, zeta)
+                if is_twisted_real_label(field, label, c)]
     if not readings:
-        raise ValueError("label is neither real nor zeta-real")
+        return None
     odd_slots = [u for u in label[::2] if polys.degree(u) > 0]
     if not odd_slots:
         # no odd part: the class is not real in PSL at all in this regime

@@ -49,6 +49,16 @@ def test_count_json(capsys):
     assert data["group"] == {"family": "PGL", "n": 5, "q": 3}
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_count_json_leaves_y_out_of_other_families(n, capsys):
+    for family in ("GL", "SL", "PGL", "PSL"):
+        code, out, _ = run(["count", "--family", family, "--n", str(n),
+                            "--q", "5", "--y", "9", "--format", "json"],
+                           capsys)
+        assert code == 0
+        assert json.loads(out)["group"] == {"family": family, "n": n, "q": 5}
+
+
 def test_count_slq(capsys):
     code, out, _ = run(["count", "--family", "SLQ", "--n", "4", "--q", "5",
                         "--y", "2", "--kind", "strongly_real"], capsys)

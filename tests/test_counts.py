@@ -217,6 +217,16 @@ def test_trivial_group_has_one_class(q):
                 assert rep.total == 1, (family, kind, method)
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_only_slq_reports_y(n):
+    # a |Y| passed to another family is dropped from its report, at the
+    # trivial n = 0 as at n = 2
+    for family in ("GL", "SL", "PGL", "PSL"):
+        rep = count(family, n, 5, "real", y_order=9)
+        assert rep.y_order is None and "y" not in rep.to_json()["group"]
+    assert count("SLQ", n, 5, "real", y_order=1).to_json()["group"]["y"] == 1
+
+
 # ---------------------------------------------------------------------------
 # the registry sweep
 
@@ -376,8 +386,9 @@ def test_zeta_real_sl_is_empty_unless_zeta_n_is_one():
                 if field.pow(zeta, n) == field.one:
                     continue
                 cells += 1
-                assert not list(labels.enumerate_labels(
-                    field, n, twist=field.inv(zeta), det=field.one))
+                assert not [lab for lab in labels.enumerate_labels(
+                                field, n, twist=field.inv(zeta))
+                            if labels.label_det(field, lab) == field.one]
                 assert zeta_real_sl(n, q, zeta=zeta).total == 0
     assert cells == 111
     assert count("SL", 8, 49, "zeta_real").total == 0

@@ -20,12 +20,11 @@ def _tally(field, n, twist, in_sl=None):
     """Twisted-real labels by type; with ``in_sl(label)`` the det-1 ones
     passing it, each weighted by h_nu."""
     out = {}
-    for nu, lab in labels.enumerate_labels(
-            field, n, twist=twist, typed=True,
-            det=None if in_sl is None else field.one):
+    for lab in labels.enumerate_labels(field, n, twist=twist):
+        nu = labels.label_type(lab)
         if in_sl is None:
             out[nu] = out.get(nu, 0) + 1
-        elif in_sl(lab):
+        elif labels.label_det(field, lab) == field.one and in_sl(lab):
             out[nu] = out.get(nu, 0) + labels.h_nu(nu, field.q)
     return out
 
@@ -41,9 +40,8 @@ def _orbits(q, n):
                       or canonical_nonsquare(field))
     pools = {}
     for twist in twists:
-        for nu, lab in labels.enumerate_labels(field, n, twist=twist,
-                                               typed=True):
-            pools.setdefault(nu, set()).add(lab)
+        for lab in labels.enumerate_labels(field, n, twist=twist):
+            pools.setdefault(labels.label_type(lab), set()).add(lab)
     return [(nu, labels.equivalence_classes(field, pool))
             for nu, pool in pools.items()]
 

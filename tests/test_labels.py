@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from realclasses import counts, labels, polys
@@ -97,26 +100,6 @@ def _twist(field, filt):
     return 1 if filt == "real" else canonical_nonsquare(field)
 
 
-@pytest.mark.parametrize("q,n,filt", [
-    (3, 4, None), (4, 3, "real"), (5, 4, "real"), (7, 4, "zeta_real"),
-    (9, 3, None), (3, 6, "real"),
-])
-def test_enumerate_labels_by_determinant(q, n, filt):
-    # det= yields exactly the labels of that determinant; typed= pairs each
-    # label with its type
-    field = field_for_order(q)
-    twist = _twist(field, filt)
-    every = list(enumerate_labels(field, n, twist=twist))
-    for det in field.units:
-        typed = list(enumerate_labels(field, n, twist=twist, det=det,
-                                      typed=True))
-        assert all(nu == label_type(lab) for nu, lab in typed)
-        found = [lab for _, lab in typed]
-        assert len(set(found)) == len(found)
-        assert set(found) == {lab for lab in every
-                              if label_det(field, lab) == det}
-
-
 def test_enumerate_labels_budget():
     f5 = field_for_order(5)
     with pytest.raises(BudgetExceeded):
@@ -140,43 +123,38 @@ def test_exponent_two_adic_and_odd_part():
     assert not has_odd_part((0, 2))
 
 
-def _reference_classes(field, labs):
-    """The eta-orbits by translating every label by all q - 1 units."""
-    pool = set(labs)
-    seen = set()
-    orbits = []
-    for lab in sorted(pool):
-        if lab in seen:
-            continue
-        orbit = set()
-        for eta in field.units:
-            moved = tuple(eta_act(field, u, eta) for u in lab)
-            if moved in pool:
-                orbit.add(moved)
-        orbits.append(tuple(sorted(orbit)))
-        seen |= orbit
-    return orbits
+def _check_orbits(field, pool, orbits):
+    """The orbits partition the pool, each is the in-pool translates of its
+    least member and of each other member, and they are listed by least
+    member."""
+    members = [lab for orbit in orbits for lab in orbit]
+    assert len(members) == len(set(members)) and set(members) == pool
+    for orbit in orbits:
+        assert list(orbit) == sorted(orbit)
+        for lab in orbit:
+            assert {tuple(eta_act(field, u, eta) for u in lab)
+                    for eta in field.units} & pool == set(orbit)
+    reps = [orbit[0] for orbit in orbits]
+    assert reps == sorted(reps)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 9, 13])
 def test_equivalence_classes_match_full_unit_scan(q):
     # the real and zeta-real labels of weight n <= 4, every type in one set
-    # and (as the PGL counts build them) one type at a time
+    # and (as the label-fold reference builds them) one type at a time
     field = field_for_order(q)
     filts = ("real", "zeta_real") if q % 2 else ("real",)
     wide = 0
     for n in range(5):
         by_type = {}
         for filt in filts:
-            for nu, lab in enumerate_labels(field, n, twist=_twist(field, filt),
-                                            typed=True):
-                by_type.setdefault(nu, set()).add(lab)
+            for lab in enumerate_labels(field, n, twist=_twist(field, filt)):
+                by_type.setdefault(label_type(lab), set()).add(lab)
         every = set().union(*by_type.values())
-        assert equivalence_classes(field, every) == _reference_classes(
-            field, every)
+        _check_orbits(field, every, equivalence_classes(field, every))
         for pool in by_type.values():
             orbits = equivalence_classes(field, pool)
-            assert orbits == _reference_classes(field, pool)
+            _check_orbits(field, pool, orbits)
             for orbit in orbits:
                 signed = {tuple(eta_act(field, u, eta) for u in orbit[0])
                           for eta in (field.one, field.minus_one)}
@@ -243,7 +221,8 @@ def test_psl_strong_orbit_matches_full_scan(q, n):
     strong_seen = {False: 0, True: 0}
     pools = {}
     for c in (field.one, zeta):
-        for nu, lab in enumerate_labels(field, n, twist=c, typed=True):
+        for lab in enumerate_labels(field, n, twist=c):
+            nu = label_type(lab)
             if has_odd_part(nu):
                 pools.setdefault(nu, set()).add(lab)
     for pool in pools.values():
@@ -251,8 +230,7 @@ def test_psl_strong_orbit_matches_full_scan(q, n):
             lab = orbit[0]
             full = {tuple(eta_act(field, u, eta) for u in lab)
                     for eta in field.units}
-            scanned = any(labels.psl_criterion_applies(field, m, zeta)
-                          and labels.psl_strongly_real(field, m, zeta)
+            scanned = any(labels.psl_strongly_real(field, m, zeta)
                           for m in full)
             twists = set.intersection(*(_twist_set(field, u) for u in lab))
             bad = everything.intersection(*(
@@ -261,6 +239,37 @@ def test_psl_strong_orbit_matches_full_scan(q, n):
             assert scanned == (not twists <= bad), lab
             strong_seen[scanned] += 1
     assert strong_seen[False] and strong_seen[True]
+
+
+def test_psl_strongly_real_reads_only_real_or_psi_real_labels():
+    # at n = 6, q = 11 the PSL non-square psi = -1 = 10 is not the least
+    # non-square 2; the criterion answers None exactly for the det-1 labels
+    # that are neither real nor psi-real, and a bool for every real and
+    # every psi-real label
+    field = field_for_order(11)
+    psi = labels.psl_nonsquare(field, 6)
+    assert psi == 10 and canonical_nonsquare(field) == 2
+    read = set()
+    for c in (field.one, psi):
+        for lab in enumerate_labels(field, 6, twist=c):
+            assert isinstance(labels.psl_strongly_real(field, lab, psi), bool)
+            read.add(lab)
+    # every label of the types with at most 2000 labels, non-real ones too
+    unread = 0
+    for nu in partitions_of(6):
+        if math.prod(10 * 11 ** (ni - 1) for ni in nu if ni) > 2000:
+            continue
+        for lab in itertools.product(*(labels.const1_polys(field, ni)
+                                       for ni in nu)):
+            if label_det(field, lab) != field.one:
+                continue
+            got = labels.psl_strongly_real(field, lab, psi)
+            neither = not (is_twisted_real_label(field, lab, field.one)
+                           or is_twisted_real_label(field, lab, psi))
+            assert (got is None) == neither, lab
+            assert neither == (lab not in read)
+            unread += neither
+    assert unread > 0
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
