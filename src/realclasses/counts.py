@@ -22,7 +22,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from . import labels
+import numpy as np
+
+from . import labels, polys
 from .errors import UsageError
 from .fields import (MAX_Q, canonical_nonsquare, field_for_order,
                      prime_power, two_adic)
@@ -226,37 +228,56 @@ def _pool_signatures(field, d, c0, root, psl_bad):
     """Signatures of the degree-d polynomials twisted-real for c0, as
     ((C, lead, root, bad), count) pairs.
 
-    C is the twist set C(u); lead is log lead(u).  With ``root``, root is
-    ``labels.sl_strong_slot``, otherwise False.  With ``psl_bad``, bad is
-    the set of c in C(u) at which u fails the PSL reading
-    (``labels.psl_reading_fails``): translation by Stab(u) fixes u and
-    moves c by Stab(u)^2, so that takes at most two calls.  Otherwise bad
-    is every unit.
+    C is the twist set C(u); lead is log lead(u).  Both are read from the
+    pool array column by column, and the signatures counted by one int64
+    key per row.  With ``root``, root is ``labels.sl_strong_slot``,
+    otherwise False.  With ``psl_bad``, bad is the set of c in C(u) at
+    which u fails the PSL reading (``labels.psl_reading_fails``):
+    translation by Stab(u) fixes u and moves c by Stab(u)^2, so that takes
+    at most two calls.  Otherwise bad is every unit.
     """
     q = field.q
     log, exp = field.log, field.exp
     a = log[c0]
-    hist = {}
-    for u in labels.twist_pool(field, d, c0):
-        g = q - 1
-        for j in range(1, d + 1):
-            if u[j]:
-                g = math.gcd(g, j)
-                if g == 1:
-                    break
-        r = (q - 1) // g
-        bad = (1 << (q - 1)) - 1
+    pool = polys._pool(field, d, c0)
+    g = np.full(len(pool), q - 1)
+    for j in range(1, d + 1):
+        g = np.where(pool[:, j] != 0, np.gcd(g, j), g)
+    lead = np.array([0, *log[1:]])[pool[:, d]]
+
+    full = (1 << (q - 1)) - 1
+
+    def reading(u, g_u):
+        bad = full
         if psl_bad:
             # the cosets of Stab(u)^2 in C(u): logarithms mod 2r at even g
-            step = r * (2 - g % 2)
+            r = (q - 1) // g_u
+            step = r * (2 - g_u % 2)
             bad = 0
             for b in range(a, a + step, r):
                 if labels.psl_reading_fails(field, u, exp[b % (q - 1)]):
                     bad |= _coset_mask(q, b, step)
-        key = (_coset_mask(q, a, r), log[u[-1]],
-               root and labels.sl_strong_slot(field, u), bad)
-        hist[key] = hist.get(key, 0) + 1
-    return tuple(hist.items())
+        return root and labels.sl_strong_slot(field, u), bad
+
+    # row by row only where asked: which[row] indexes the row's reading
+    if root or psl_bad:
+        seen = {}
+        rows = zip(map(tuple, pool.tolist()), g.tolist())
+        which = np.array([seen.setdefault(reading(u, g_u), len(seen))
+                          for u, g_u in rows], dtype=np.int64)
+        readings = list(seen)
+    else:
+        readings = [(False, full)]
+        which = np.zeros(len(pool), dtype=np.int64)
+    keys, sizes = np.unique((which * q + g) * (q - 1) + lead,
+                            return_counts=True)
+    out = []
+    for key, cnt in zip(keys.tolist(), sizes.tolist()):
+        rest, lead_u = divmod(key, q - 1)
+        w, g_u = divmod(rest, q)
+        out.append(((_coset_mask(q, a, (q - 1) // g_u), lead_u) + readings[w],
+                    cnt))
+    return tuple(out)
 
 
 def _type_histograms(field, n, twists, budget, lead_mod=1, flag=False,

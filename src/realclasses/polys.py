@@ -10,7 +10,11 @@ t^d f(c/t) = s * f for a scalar s, whose roots are closed under
 alpha -> c / alpha.  The twist c = 1 gives T_d, the self-reciprocal
 polynomials; a non-square c gives S_d(c), empty for odd d.  Both are
 built from one closed coefficient template (``_pool``) rather than by
-filtering all polynomials, once per field, degree and twist.
+filtering all polynomials, once per field, degree and twist: one numpy
+block per square root s over the free coefficients, cached as a
+read-only uint8 array whose rows are the polynomials in sorted order.
+The counts read that array column by column; ``enumerate_T`` and
+``enumerate_S`` hand it out as a sorted list of int tuples.
 
 Factoring starts from the distinct-degree parts of a polynomial
 (``distinct_degree``), found by gcds with t^(q^e) - t.
@@ -19,6 +23,8 @@ Factoring starts from the distinct-degree parts of a polynomial
 import itertools
 from collections import namedtuple
 from functools import lru_cache
+
+import numpy as np
 
 
 def normalize(coeffs):
@@ -157,7 +163,7 @@ def enumerate_T(field, d):
     """All self-reciprocal degree-d polynomials with constant term 1, sorted."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return list(_pool(field, d, field.one))
+    return list(map(tuple, _pool(field, d, field.one).tolist()))
 
 
 def enumerate_S(field, d, zeta):
@@ -167,35 +173,41 @@ def enumerate_S(field, d, zeta):
                          % (field, zeta))
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return list(_pool(field, d, zeta))
+    return list(map(tuple, _pool(field, d, zeta).tolist()))
 
 
 @lru_cache(maxsize=None)
 def _pool(field, d, c):
-    """The degree-d f with f(0) = 1 and t^d f(c/t) = s f, sorted.
+    """The degree-d f with f(0) = 1 and t^d f(c/t) = s f, as a read-only
+    (N, d + 1) uint8 array of coefficient rows in sorted tuple order.
 
     Coefficientwise a_{d-j} = s a_j c^(j-d), and j = 0 forces s^2 = c^d:
-    for each square root s and each choice of a_1, ..., a_{d//2} the rest
-    follows, and at even d the middle coefficient must be its own image.
+    for each square root s, one block over all q^(d//2) choices of
+    a_1, ..., a_{d//2} fills in the rest from the field's multiplication
+    table, and at even d keeps the rows whose middle coefficient is its
+    own image.  Distinct s give distinct leads, so no row repeats.
     """
     half = d // 2
     c_d = field.pow(c, d)
-    mul = field.mul_list
-    scale = [field.pow(c, j - d) for j in range(half + 1)]
-    out = []
+    free = np.indices((field.q,) * half, dtype=np.uint8).reshape(
+        half, field.q ** half)
+    blocks = [np.zeros((d + 1, 0), dtype=np.uint8)]
     for s in field.units:
-        if mul[s][s] != c_d:
+        if field.mul(s, s) != c_d:
             continue
-        for free in itertools.product(field.elements, repeat=half):
-            a = [1, *free] + [0] * (d - half)
-            for j in range(half + 1):
-                image = mul[s][mul[a[j]][scale[j]]]
-                if d - j == j and image != a[j]:
-                    break
-                a[d - j] = image
-            else:
-                out.append(tuple(a))
-    return tuple(sorted(out))
+        a = np.zeros((d + 1, free.shape[1]), dtype=np.uint8)
+        a[0] = 1
+        a[1:half + 1] = free
+        middle = a[half].copy()
+        for k in range(d - half, d + 1):    # a_k = s c^(-k) a_(d-k)
+            a[k] = field.mul_table[field.mul(s, field.pow(c, -k))][a[d - k]]
+        if d % 2 == 0:
+            a = a[:, a[half] == middle]
+        blocks.append(a)
+    rows = np.concatenate(blocks, axis=1)
+    pool = np.ascontiguousarray(rows[:, np.lexsort(rows[::-1])].T)
+    pool.flags.writeable = False
+    return pool
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,9 @@ def test_both_routes_roundtrip():
     # method="both" raises unless the routes agree partition by partition
     for family, n, q, kind in [("GL", 2, 5, "real"), ("SL", 2, 5, "real"),
                                ("PGL", 3, 3, "real"), ("PSL", 4, 5, "real"),
-                               ("GL", 2, 7, "zeta_real")]:
+                               ("GL", 2, 7, "zeta_real"),
+                               ("GL", 8, 31, "real"), ("PGL", 8, 31, "real"),
+                               ("SL", 10, 13, "real")]:
         both = count(family, n, q, kind, method="both")
         enum = count(family, n, q, kind, method="enumeration")
         assert both.method == "both"

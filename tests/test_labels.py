@@ -272,7 +272,7 @@ def test_psl_strongly_real_reads_only_real_or_psi_real_labels():
     assert unread > 0
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11])
 def test_pool_signatures_match_trial(q):
     # each (C, lead, root, bad) key of a pool, C and bad built from at most
     # two helper calls, against every unit tried on every pool polynomial

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from realclasses import polys
 from realclasses.fields import canonical_nonsquare, field_for_order
 from realclasses.polys import (ONE, count_nqd, degree, enumerate_S,
                                enumerate_T, factorize, is_twisted_reciprocal,
@@ -197,10 +198,10 @@ def _const1(field, d):
 
 
 def _degrees(q):
-    return range(1, 7 if q == 3 else 5)
+    return range(1, {3: 7, 16: 4}.get(q, 5))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
 def test_enumerate_T_matches_count(q):
     # T_d is the brute-force filter by the tilde reference
     field = field_for_order(q)
@@ -233,6 +234,17 @@ def test_enumerate_S_matches_count(q):
             assert found == [
                 f for f in _const1(field, d)
                 if breve(field, monicize(field, f), zeta) == monicize(field, f)]
+
+
+def test_pool_array_is_read_only():
+    # the cached pool is shared by every caller: a write must fail
+    field = field_for_order(5)
+    for c in (1, canonical_nonsquare(field)):
+        pool = polys._pool(field, 4, c)
+        assert pool.shape == (len(pool), 5)
+        with pytest.raises(ValueError):
+            pool[0, 0] = 2
+        assert polys._pool(field, 4, c) is pool
 
 
 def test_enumerate_S_requires_odd_q():
