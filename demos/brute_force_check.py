@@ -39,8 +39,8 @@ for cid in range(gd.num_classes):
 # Tally and compare against the closed-form counts.
 found_real = len(gd.real_class_ids())
 found_strong = len(strong)
-want_real = counts.real_sl(n, q).total
-want_strong = counts.strongly_real_sl(n, q).total
+want_real = counts.count("SL", n, q, "real").total
+want_strong = counts.count("SL", n, q, "strongly_real").total
 print()
 print("real: %d by brute force, %d by formula" % (found_real, want_real))
 print("strongly real: %d by brute force, %d by formula"

@@ -28,7 +28,7 @@ for nu in labels.partitions_of(n):
     print("  nu=%-12s -> %3d   (%s)" % (nu, c, pieces or "empty product"))
     total += c
 
-report = counts.real_gl(n, q)
+report = counts.count("GL", n, q, "real")
 print("total: %d (report says %d, regime %r)" % (total, report.total,
                                                  report.regime))
 assert total == report.total

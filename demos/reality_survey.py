@@ -15,12 +15,12 @@ from realclasses import counts
 # columns below agree for every q we try.
 print("family   q   real   strongly")
 for q in (2, 3, 4, 5, 7, 9):
-    r = counts.real_gl(2, q).total
-    s = counts.strongly_real_gl(2, q).total
+    r = counts.count("GL", 2, q, "real").total
+    s = counts.count("GL", 2, q, "strongly_real").total
     print("GL_2   %3d  %5d  %9d" % (q, r, s))
 for q in (3, 5, 7, 9):
-    r = counts.real_pgl(2, q).total
-    s = counts.strongly_real_pgl(2, q).total
+    r = counts.count("PGL", 2, q, "real").total
+    s = counts.count("PGL", 2, q, "strongly_real").total
     print("PGL_2  %3d  %5d  %9d" % (q, r, s))
 
 # SL_2(q) with q odd is the classical counterexample: the only
@@ -30,14 +30,14 @@ for q in (3, 5, 7, 9):
 print()
 print("SL_2(q), q odd: the gap opens")
 for q in (3, 5, 7, 9):
-    r = counts.real_sl(2, q).total
-    s = counts.strongly_real_sl(2, q).total
+    r = counts.count("SL", 2, q, "real").total
+    s = counts.count("SL", 2, q, "strongly_real").total
     print("  q=%d: %d real, %d strongly real (gap %d)" % (q, r, s, r - s))
 
 # For even q there is no center to hide behind and no gap either.
 for q in (2, 4, 8):
-    r = counts.real_sl(2, q).total
-    s = counts.strongly_real_sl(2, q).total
+    r = counts.count("SL", 2, q, "real").total
+    s = counts.count("SL", 2, q, "strongly_real").total
     assert r == s
     print("  q=%d (even): %d real = %d strongly real" % (q, r, s))
 
@@ -46,7 +46,7 @@ for q in (2, 4, 8):
 print()
 print("PSL_2(q): the gap closes")
 for q in (3, 5, 7, 9):
-    r = counts.real_psl(2, q).total
-    s = counts.strongly_real_psl(2, q).total
+    r = counts.count("PSL", 2, q, "real").total
+    s = counts.count("PSL", 2, q, "strongly_real").total
     assert r == s
     print("  q=%d: %d real = %d strongly real" % (q, r, s))

@@ -11,19 +11,7 @@ from .counts import (
     CountReport,
     count,
     genfun_real_gl,
-    real_gl,
-    real_pgl,
-    real_psl,
-    real_sl,
-    real_slq,
     section13_table,
-    strongly_real_gl,
-    strongly_real_pgl,
-    strongly_real_psl,
-    strongly_real_sl,
-    strongly_real_slq,
-    zeta_real_gl,
-    zeta_real_sl,
 )
 from .errors import BudgetExceeded, UsageError
 from .fields import canonical_nonsquare, constrained_nonsquare, make_field
@@ -42,19 +30,7 @@ __all__ = [
     "genfun_real_gl",
     "make_field",
     "matrix_to_label",
-    "real_gl",
-    "real_pgl",
-    "real_psl",
-    "real_sl",
-    "real_slq",
     "section13_table",
-    "strongly_real_gl",
-    "strongly_real_pgl",
-    "strongly_real_psl",
-    "strongly_real_sl",
-    "strongly_real_slq",
     "verify_group",
-    "zeta_real_gl",
-    "zeta_real_sl",
     "__version__",
 ]

@@ -160,7 +160,7 @@ def cmd_genfun(args):
     checks = []
     ok = True
     for n, c in enumerate(coeffs):
-        direct = counts.real_gl(n, args.q).total
+        direct = counts.count("GL", n, args.q, "real").total
         match = c == direct
         ok = ok and match
         checks.append({"n": n, "coefficient": c, "real_gl": direct,

@@ -604,59 +604,6 @@ def _route(family, n, q, kind, entry, regime, method, zeta, budget):
 
 
 # ---------------------------------------------------------------------------
-# the named counts, one per registry cell
-
-def real_gl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    return count("GL", n, q, "real", method=method, budget=budget)
-
-
-def strongly_real_gl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    return count("GL", n, q, "strongly_real", method=method, budget=budget)
-
-
-def zeta_real_gl(n, q, method="formula", zeta=None, budget=DEFAULT_BUDGET):
-    return count("GL", n, q, "zeta_real", method=method, zeta=zeta,
-                 budget=budget)
-
-
-def real_sl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    return count("SL", n, q, "real", method=method, budget=budget)
-
-
-def strongly_real_sl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    return count("SL", n, q, "strongly_real", method=method, budget=budget)
-
-
-def zeta_real_sl(n, q, zeta=None, budget=DEFAULT_BUDGET):
-    return count("SL", n, q, "zeta_real", zeta=zeta, budget=budget)
-
-
-def real_pgl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    return count("PGL", n, q, "real", method=method, budget=budget)
-
-
-def strongly_real_pgl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    return count("PGL", n, q, "strongly_real", method=method, budget=budget)
-
-
-def real_psl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    return count("PSL", n, q, "real", method=method, budget=budget)
-
-
-def strongly_real_psl(n, q, method="formula", budget=DEFAULT_BUDGET):
-    return count("PSL", n, q, "strongly_real", method=method, budget=budget)
-
-
-def real_slq(n, q, y_order, method="formula", budget=DEFAULT_BUDGET):
-    return count("SLQ", n, q, "real", y_order, method=method, budget=budget)
-
-
-def strongly_real_slq(n, q, y_order, method="formula", budget=DEFAULT_BUDGET):
-    return count("SLQ", n, q, "strongly_real", y_order, method=method,
-                 budget=budget)
-
-
-# ---------------------------------------------------------------------------
 # generating function
 
 def genfun_real_gl(q, terms=8):

@@ -878,10 +878,6 @@ class GroupData:
             return self.strongly_real_class_ids()
         return self.real_class_ids()
 
-    def counts(self, zeta=None):
-        return {kind: len(self.class_ids(kind, zeta))
-                for kind in counts.applicable_kinds(self.family, self.q)}
-
 
 def enumerate_group(family, n, q, y_order=None, cap=None):
     return GroupData(family, n, q, y_order=y_order, cap=cap)

@@ -83,14 +83,14 @@ def test_criterion_3_odd_q_table_n_3_4_5():
 def test_criterion_4_n2_closed_forms():
     t0 = time.time()
     for q in (3, 5, 7, 9):
-        assert counts.real_gl(2, q).total == q + 3
-        assert counts.strongly_real_gl(2, q).total == q + 3
-        assert counts.real_pgl(2, q).total == q + 2
+        assert counts.count("GL", 2, q, "real").total == q + 3
+        assert counts.count("GL", 2, q, "strongly_real").total == q + 3
+        assert counts.count("PGL", 2, q, "real").total == q + 2
         want_sl = q + 4 if q % 4 == 1 else q
-        assert counts.real_sl(2, q).total == want_sl
-        assert counts.strongly_real_sl(2, q).total == 2
+        assert counts.count("SL", 2, q, "real").total == want_sl
+        assert counts.count("SL", 2, q, "strongly_real").total == 2
         want_psl = (q + 5) // 2 if q % 4 == 1 else (q + 1) // 2
-        assert counts.real_psl(2, q).total == want_psl
+        assert counts.count("PSL", 2, q, "real").total == want_psl
     _report("criterion 4: n=2 closed forms at q=3,5,7,9", 1, t0)
 
 
@@ -138,7 +138,7 @@ def test_criterion_6_generating_function():
     for q in (2, 3, 5):
         coeffs = counts.genfun_real_gl(q, terms=8)
         for n in range(9):
-            assert coeffs[n] == counts.real_gl(n, q).total
+            assert coeffs[n] == counts.count("GL", n, q, "real").total
     _report("criterion 6: generating function t^0..t^8 at q=2,3,5", 1, t0)
 
 
@@ -163,10 +163,10 @@ def test_criterion_8_dichotomy():
     # GL and PGL: real = strongly real, engine side across the board
     for q in (2, 3, 4, 5, 7, 9):
         for n in range(1, 7):
-            assert (counts.real_gl(n, q).total
-                    == counts.strongly_real_gl(n, q).total)
-            assert (counts.real_pgl(n, q).total
-                    == counts.strongly_real_pgl(n, q).total)
+            assert (counts.count("GL", n, q, "real").total
+                    == counts.count("GL", n, q, "strongly_real").total)
+            assert (counts.count("PGL", n, q, "real").total
+                    == counts.count("PGL", n, q, "strongly_real").total)
     # oracle side on enumerable groups
     for family, n, q in [("GL", 2, 5), ("GL", 3, 3), ("PGL", 2, 7),
                          ("PGL", 2, 4)]:
@@ -176,19 +176,20 @@ def test_criterion_8_dichotomy():
     for q in (2, 4, 8):
         gd = oracle.enumerate_group("SL", 2, q)
         assert len(gd.real_class_ids()) == len(gd.strongly_real_class_ids())
-        assert (counts.real_sl(2, q).total
-                == counts.strongly_real_sl(2, q).total)
+        assert (counts.count("SL", 2, q, "real").total
+                == counts.count("SL", 2, q, "strongly_real").total)
     # SL_2 over odd q: strict gap
     for q in (3, 5, 7, 9):
         gd = oracle.enumerate_group("SL", 2, q)
         assert len(gd.real_class_ids()) > len(gd.strongly_real_class_ids())
-        assert counts.real_sl(2, q).total > counts.strongly_real_sl(2, q).total
+        assert (counts.count("SL", 2, q, "real").total
+                > counts.count("SL", 2, q, "strongly_real").total)
     # PSL_2: the coincidence returns
     for q in (3, 5, 7, 9):
         gd = oracle.enumerate_group("PSL", 2, q)
         assert len(gd.real_class_ids()) == len(gd.strongly_real_class_ids())
-        assert (counts.real_psl(2, q).total
-                == counts.strongly_real_psl(2, q).total)
+        assert (counts.count("PSL", 2, q, "real").total
+                == counts.count("PSL", 2, q, "strongly_real").total)
     _report("criterion 8: real vs strongly-real dichotomy", 60, t0)
 
 

@@ -1,11 +1,14 @@
 """Golden command-line output: the sha256 of stdout and the exit code of
 ``count --format json`` for every accepted (family, kind, y) at n <= 6 over
-a fixed set of q, of ``table13 --format json`` at four q, and of three
-``enumerate --format json`` label dumps, which run the per-label criteria
-(``psl_strongly_real`` through ``factorize`` and ``poly_divmod``).
+a fixed set of q, of ``table13 --format json`` and ``genfun --format json``
+at four q, and of three ``enumerate --format json`` label dumps, which run
+the per-label criteria (``psl_strongly_real`` through ``factorize`` and
+``poly_divmod``).  ``genfun`` checks each coefficient against ``count``, so
+its digests pin that call from the command line.
 
 The digests in ``cli_golden.json`` were recorded from the engine before the
-counting API was folded into one (family, kind) registry; the test holding
+counting API was folded into one (family, kind) registry (the ``genfun``
+ones before the named count wrappers were retired); the test holding
 means that refactors of the engine leave the command line byte-identical.
 
 To record the file afresh (only when an output change is intended):
@@ -55,6 +58,7 @@ def argvs():
     yield from _count_argvs()
     for q in TABLE_QS:
         yield ["table13", "--q", str(q), "--format", "json"]
+        yield ["genfun", "--q", str(q), "--format", "json"]
     for n, q, filt in ENUMERATE_ARGS:
         yield ["enumerate", "--n", n, "--q", q, "--filter", filt,
                "--format", "json"]

@@ -10,17 +10,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from realclasses import counts, labels
 from realclasses.counts import (applicable_kinds, count, genfun_real_gl,
-                                gl_nu, pgl_nu, psl_nu, real_gl, real_pgl,
-                                real_psl, real_sl, real_slq, section13_table,
-                                sigma_nu, sl_nu, sl_regime, strongly_real_gl,
-                                strongly_real_pgl, strongly_real_psl,
-                                strongly_real_sl, strongly_real_slq,
-                                zeta_real_gl, zeta_real_sl)
+                                gl_nu, pgl_nu, psl_nu, section13_table,
+                                sigma_nu, sl_nu, sl_regime)
 from realclasses.errors import BudgetExceeded, UsageError
 from realclasses.fields import field_for_order
 
@@ -71,26 +65,26 @@ def test_psl_nu_is_fraction():
     (2, 2, 3), (2, 3, 6), (2, 5, 8), (3, 4, 6), (6, 3, 124),
 ])
 def test_real_gl_anchors(n, q, want):
-    assert real_gl(n, q, **BOTH).total == want
-    assert strongly_real_gl(n, q).total == want
+    assert count("GL", n, q, "real", **BOTH).total == want
+    assert count("GL", n, q, "strongly_real").total == want
 
 
 @pytest.mark.parametrize("n,q,want", [
     (2, 3, 4), (2, 5, 6), (3, 3, 0), (4, 5, 36),
 ])
 def test_zeta_real_gl_anchors(n, q, want):
-    assert zeta_real_gl(n, q, **BOTH).total == want
+    assert count("GL", n, q, "zeta_real", **BOTH).total == want
 
 
 def test_zeta_real_gl_vanishes_in_odd_dimension():
     for q in (3, 5, 7, 9):
         for n in (1, 3, 5):
-            assert zeta_real_gl(n, q).total == 0
+            assert count("GL", n, q, "zeta_real").total == 0
 
 
 def test_zeta_real_gl_rejects_even_q():
     with pytest.raises(ValueError):
-        zeta_real_gl(2, 4)
+        count("GL", 2, 4, "zeta_real")
 
 
 def test_zeta_real_gl_independent_of_zeta():
@@ -98,7 +92,8 @@ def test_zeta_real_gl_independent_of_zeta():
         field = counts.field_for_order(7)
         if field.is_square(z):
             continue
-        assert zeta_real_gl(2, 7, method="enumeration", zeta=z).total == 8
+        assert count("GL", 2, 7, "zeta_real", method="enumeration",
+                     zeta=z).total == 8
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +104,7 @@ def test_zeta_real_gl_independent_of_zeta():
     (4, 3, 29), (6, 3, 78), (6, 5, 268), (6, 7, 552),
 ])
 def test_real_sl_anchors(n, q, want):
-    assert real_sl(n, q, **BOTH).total == want
+    assert count("SL", n, q, "real", **BOTH).total == want
 
 
 @pytest.mark.parametrize("n,q,want", [
@@ -117,7 +112,7 @@ def test_real_sl_anchors(n, q, want):
     (4, 3, 29), (6, 3, 51), (6, 5, 97), (6, 7, 163),
 ])
 def test_strongly_real_sl_anchors(n, q, want):
-    assert strongly_real_sl(n, q).total == want
+    assert count("SL", n, q, "strongly_real").total == want
 
 
 def test_strongly_real_sl_engine_polynomial_n6():
@@ -126,7 +121,7 @@ def test_strongly_real_sl_engine_polynomial_n6():
     import math
     for q in (3, 5, 7):
         want = 2 * q * q + 7 * q + 10 + 2 * math.gcd(q - 1, 3)
-        assert strongly_real_sl(6, q).total == want
+        assert count("SL", 6, q, "strongly_real").total == want
 
 
 @pytest.mark.parametrize("n,q,zeta,want", [
@@ -134,7 +129,7 @@ def test_strongly_real_sl_engine_polynomial_n6():
     (4, 3, None, 17),
 ])
 def test_zeta_real_sl_anchors(n, q, zeta, want):
-    assert zeta_real_sl(n, q, zeta=zeta).total == want
+    assert count("SL", n, q, "zeta_real", zeta=zeta).total == want
 
 
 def test_sl_regimes():
@@ -152,8 +147,8 @@ def test_sl_regimes():
     (4, 5, 45), (5, 3, 28), (6, 3, 90), (6, 5, 252), (6, 7, 558),
 ])
 def test_real_pgl_anchors(n, q, want):
-    assert real_pgl(n, q, **BOTH).total == want
-    assert strongly_real_pgl(n, q).total == want
+    assert count("PGL", n, q, "real", **BOTH).total == want
+    assert count("PGL", n, q, "strongly_real").total == want
 
 
 @pytest.mark.parametrize("n,q,want", [
@@ -164,7 +159,7 @@ def test_real_pgl_anchors(n, q, want):
     (6, 3, 46), (6, 5, 164), (6, 7, 306), (6, 9, 608), (6, 13, 1566),
 ])
 def test_real_psl_anchors(n, q, want):
-    assert real_psl(n, q, **BOTH).total == want
+    assert count("PSL", n, q, "real", **BOTH).total == want
 
 
 @pytest.mark.parametrize("n,q,want", [
@@ -174,7 +169,7 @@ def test_real_psl_anchors(n, q, want):
     (6, 11, 895), (6, 19, 4071), (6, 23, 6973),
 ])
 def test_strongly_real_psl_anchors(n, q, want):
-    assert strongly_real_psl(n, q).total == want
+    assert count("PSL", n, q, "strongly_real").total == want
 
 
 # ---------------------------------------------------------------------------
@@ -182,24 +177,28 @@ def test_strongly_real_psl_anchors(n, q, want):
 
 def test_real_slq_endpoints_and_middle():
     # |Y| = 1 is SL, |Y| = gcd(n, q-1) is PSL
-    assert real_slq(2, 5, 1).total == real_sl(2, 5).total
-    assert real_slq(2, 5, 2).total == real_psl(2, 5).total
+    assert (count("SLQ", 2, 5, "real", y_order=1).total
+            == count("SL", 2, 5, "real").total)
+    assert (count("SLQ", 2, 5, "real", y_order=2).total
+            == count("PSL", 2, 5, "real").total)
     # middle regime at n = 4, q = 5: strictly between SL and PSL behavior
-    assert real_slq(4, 5, 2, **BOTH).total == 57
-    assert strongly_real_slq(4, 5, 2).total == 57
-    assert real_slq(4, 5, 4).total == real_psl(4, 5).total
+    assert count("SLQ", 4, 5, "real", y_order=2, **BOTH).total == 57
+    assert count("SLQ", 4, 5, "strongly_real", y_order=2).total == 57
+    assert (count("SLQ", 4, 5, "real", y_order=4).total
+            == count("PSL", 4, 5, "real").total)
     # the PSL endpoint in the corner n = 2 mod 4, q = 3 mod 4
-    assert strongly_real_slq(6, 11, 2).total == strongly_real_psl(6, 11).total
+    assert (count("SLQ", 6, 11, "strongly_real", y_order=2).total
+            == count("PSL", 6, 11, "strongly_real").total)
 
 
 def test_slq_y_validation():
     with pytest.raises(ValueError):
-        real_slq(4, 5, 3)
+        count("SLQ", 4, 5, "real", y_order=3)
     with pytest.raises(ValueError):
-        real_slq(2, 5, 0)
+        count("SLQ", 2, 5, "real", y_order=0)
     # SL_0(q) is trivial, so its only central subgroup is trivial
     with pytest.raises(ValueError):
-        real_slq(0, 5, 2)
+        count("SLQ", 0, 5, "real", y_order=2)
     # |Y| is an order: 2.0 and "2" are usage errors, as a float n or q is
     for y in (2.0, "2"):
         for method in counts.METHODS:
@@ -230,20 +229,17 @@ def test_only_slq_reports_y(n):
 # ---------------------------------------------------------------------------
 # the registry sweep
 
-# (n, q): every n <= 6 at the prime powers q <= 17, and n <= 8 at q <= 5
-_SWEEP_CELLS = sorted(
-    {(n, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17) for n in range(7)}
-    | {(n, q) for q in (2, 3, 4, 5) for n in (7, 8)})
+# (n, q): every n <= 8 at every prime power q <= 32, 162 cells
+_SWEEP_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(st.sampled_from(_SWEEP_CELLS))
-def test_registry_sweep(cell):
+@pytest.mark.parametrize("n,q", [(n, q) for n in range(9)
+                                 for q in _SWEEP_QS])
+def test_registry_sweep(n, q):
     # every (family, kind) of one group size, both routes: the routes agree
     # (method="both" raises otherwise), each total is a non-negative
     # integer, reality contains strong reality, and SL/Y sits between its
     # SL and PSL endpoints
-    n, q = cell
     full = math.gcd(n, q - 1) if n else 1
     ys = [y for y in range(1, full + 1) if full % y == 0]
     totals = {}
@@ -265,6 +261,19 @@ def test_registry_sweep(cell):
 # ---------------------------------------------------------------------------
 # dispatcher, reports, validation
 
+def test_public_api_has_one_count_entry_point():
+    import realclasses
+    assert sorted(realclasses.__all__) == sorted([
+        "BudgetExceeded", "CountReport", "UsageError", "canonical_nonsquare",
+        "constrained_nonsquare", "count", "enumerate_group", "genfun_real_gl",
+        "make_field", "matrix_to_label", "section13_table", "verify_group",
+        "__version__"])
+    for name in realclasses.__all__:
+        assert getattr(realclasses, name) is not None, name
+    assert realclasses.count is count
+    assert not hasattr(counts, "real_gl")
+
+
 def test_count_dispatch():
     assert count("SL", 2, 7, "real").total == 7
     assert count("PGL", 5, 3, "real").total == 28
@@ -284,9 +293,9 @@ def test_count_dispatch():
 def test_q_validation():
     for bad_q in (6, 1, 12, 100):
         with pytest.raises(ValueError):
-            real_gl(2, bad_q)
+            count("GL", 2, bad_q, "real")
     with pytest.raises(ValueError):
-        real_psl(-1, 3)
+        count("PSL", -1, 3, "real")
 
 
 def test_report_json_shape():
@@ -299,7 +308,7 @@ def test_report_json_shape():
     assert sum(item["count"] for item in data["per_nu"]) == 7
     data = count("SLQ", 4, 5, "real", y_order=2).to_json()
     assert data["group"]["y"] == 2
-    data = zeta_real_gl(2, 7).to_json()
+    data = count("GL", 2, 7, "zeta_real").to_json()
     assert data["zeta"] == 3
 
 
@@ -340,7 +349,7 @@ def test_applicable_kinds():
         assert applicable_kinds(family, 5) == ("real", "strongly_real")
 
 
-def test_one_public_count_per_named_call(monkeypatch):
+def test_slq_endpoints_do_not_reenter_count(monkeypatch):
     # SL_n(q)/Y reaches its SL and PSL endpoints without re-entering count
     calls = []
     original = counts.count
@@ -350,8 +359,10 @@ def test_one_public_count_per_named_call(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(counts, "count", spy)
-    for rep in (real_slq(4, 5, 4), strongly_real_slq(2, 5, 1),
-                real_slq(4, 5, 2), strongly_real_sl(6, 3)):
+    for rep in (counts.count("SLQ", 4, 5, "real", y_order=4),
+                counts.count("SLQ", 2, 5, "strongly_real", y_order=1),
+                counts.count("SLQ", 4, 5, "real", y_order=2),
+                counts.count("SL", 6, 3, "strongly_real")):
         assert rep.total > 0
     assert [c[0] for c in calls] == ["SLQ", "SLQ", "SLQ", "SL"]
 
@@ -360,16 +371,16 @@ def test_signature_cache_keeps_the_budget():
     # the per-slot signatures are cached across counts; the budget is
     # checked before any of them is read, cold or warm, PGL or PSL
     cache = counts._pool_signatures
-    for count_it in (real_pgl, real_psl):
+    for family in ("PGL", "PSL"):
         cache.cache_clear()
         with pytest.raises(BudgetExceeded):        # cold
-            count_it(4, 5, method="enumeration", budget=10)
+            count(family, 4, 5, "real", method="enumeration", budget=10)
         assert cache.cache_info().currsize == 0
-    assert real_pgl(4, 5, method="enumeration").total == 45
-    assert real_psl(4, 5, method="enumeration").total > 0
-    for count_it in (real_pgl, real_psl):
+    assert count("PGL", 4, 5, "real", method="enumeration").total == 45
+    assert count("PSL", 4, 5, "real", method="enumeration").total > 0
+    for family in ("PGL", "PSL"):
         with pytest.raises(BudgetExceeded):        # warm
-            count_it(4, 5, method="enumeration", budget=10)
+            count(family, 4, 5, "real", method="enumeration", budget=10)
 
 
 def _nonsquares(field):
@@ -391,7 +402,7 @@ def test_zeta_real_sl_is_empty_unless_zeta_n_is_one():
                 assert not [lab for lab in labels.enumerate_labels(
                                 field, n, twist=field.inv(zeta))
                             if labels.label_det(field, lab) == field.one]
-                assert zeta_real_sl(n, q, zeta=zeta).total == 0
+                assert count("SL", n, q, "zeta_real", zeta=zeta).total == 0
     assert cells == 111
     assert count("SL", 8, 49, "zeta_real").total == 0
 
@@ -400,7 +411,7 @@ def test_formula_route_has_no_rank_cap():
     coeffs = genfun_real_gl(3, 14)
     assert coeffs[13] == 9352
     for n in (13, 14):
-        assert real_gl(n, 3).total == coeffs[n]
+        assert count("GL", n, 3, "real").total == coeffs[n]
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +476,7 @@ def test_genfun_matches_direct_counts(q):
     coeffs = genfun_real_gl(q, terms=8)
     assert len(coeffs) == 9
     for n, c in enumerate(coeffs):
-        assert c == real_gl(n, q).total
+        assert c == count("GL", n, q, "real").total
 
 
 def test_genfun_known_prefix():
