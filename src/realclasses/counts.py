@@ -224,17 +224,18 @@ def _coset_mask(q, a, r):
 
 
 @lru_cache(maxsize=None)
-def _pool_signatures(field, d, c0, root, psl_bad):
+def _pool_signatures(field, d, c0, witness=None):
     """Signatures of the degree-d polynomials twisted-real for c0, as
-    ((C, lead, root, bad), count) pairs.
+    ((C, lead, good), count) pairs.
 
     C is the twist set C(u); lead is log lead(u).  Both are read from the
     pool array column by column, and the signatures counted by one int64
-    key per row.  With ``root``, root is ``labels.sl_strong_slot``,
-    otherwise False.  With ``psl_bad``, bad is the set of c in C(u) at
-    which u fails the PSL reading (``labels.psl_reading_fails``):
-    translation by Stab(u) fixes u and moves c by Stab(u)^2, so that takes
-    at most two calls.  Otherwise bad is every unit.
+    key per row.  good is the set of c in C(u) at which u, in an odd
+    position, witnesses strong reality: ``witness(field, u, c)``, one of
+    ``labels.sl_strong_slot`` and ``labels.psl_strong_slot``, or no c
+    without a witness.  Translation by Stab(u) fixes u and moves c by
+    Stab(u)^2, and neither witness tells those c apart (the SL one reads
+    no c at all), so good takes at most two calls per row.
     """
     q = field.q
     log, exp = field.log, field.exp
@@ -245,53 +246,47 @@ def _pool_signatures(field, d, c0, root, psl_bad):
         g = np.where(pool[:, j] != 0, np.gcd(g, j), g)
     lead = np.array([0, *log[1:]])[pool[:, d]]
 
-    full = (1 << (q - 1)) - 1
+    def good(u, g_u):
+        # the cosets of Stab(u)^2 in C(u): logarithms mod 2r at even g
+        r = (q - 1) // g_u
+        step = r * (2 - g_u % 2)
+        return sum(_coset_mask(q, b, step) for b in range(a, a + step, r)
+                   if witness(field, u, exp[b % (q - 1)]))
 
-    def reading(u, g_u):
-        bad = full
-        if psl_bad:
-            # the cosets of Stab(u)^2 in C(u): logarithms mod 2r at even g
-            r = (q - 1) // g_u
-            step = r * (2 - g_u % 2)
-            bad = 0
-            for b in range(a, a + step, r):
-                if labels.psl_reading_fails(field, u, exp[b % (q - 1)]):
-                    bad |= _coset_mask(q, b, step)
-        return root and labels.sl_strong_slot(field, u), bad
-
-    # row by row only where asked: which[row] indexes the row's reading
-    if root or psl_bad:
+    # row by row only with a witness: which[row] indexes the row's good set
+    if witness is None:
+        goods = [0]
+        which = np.zeros(len(pool), dtype=np.int64)
+    else:
         seen = {}
         rows = zip(map(tuple, pool.tolist()), g.tolist())
-        which = np.array([seen.setdefault(reading(u, g_u), len(seen))
+        which = np.array([seen.setdefault(good(u, g_u), len(seen))
                           for u, g_u in rows], dtype=np.int64)
-        readings = list(seen)
-    else:
-        readings = [(False, full)]
-        which = np.zeros(len(pool), dtype=np.int64)
+        goods = list(seen)
     keys, sizes = np.unique((which * q + g) * (q - 1) + lead,
                             return_counts=True)
     out = []
     for key, cnt in zip(keys.tolist(), sizes.tolist()):
         rest, lead_u = divmod(key, q - 1)
         w, g_u = divmod(rest, q)
-        out.append(((_coset_mask(q, a, (q - 1) // g_u), lead_u) + readings[w],
+        out.append(((_coset_mask(q, a, (q - 1) // g_u), lead_u, goods[w]),
                     cnt))
     return tuple(out)
 
 
-def _type_histograms(field, n, twists, budget, lead_mod=1, flag=False,
-                     psl_bad=False):
+def _type_histograms(field, n, twists, budget, lead_mod=1, witness=None):
     """Yield (nu, histogram) for every type of weight n: the labels whose
-    twist set meets ``twists``, counted by signature (C, lead, flag, bad).
+    twist set meets ``twists``, counted by signature (C, lead, good).
 
     Slot i of a label contributes its polynomial's C, i lead mod
-    ``lead_mod`` and, at odd i only, its root flag and bad set; even
-    slots carry False and every unit.  A label's signature folds its
-    slots': C and bad intersect, leads add, flags OR, so its determinant
-    is (-1)^n g^lead.  C is every unit unless there are two twists; the
-    flag is False unless asked for.  Raises BudgetExceeded if the labels
-    of any twist pass the budget, before reading any pool.
+    ``lead_mod`` and, at odd i only, its good set for ``witness`` (see
+    ``_pool_signatures``); even slots witness nothing.  A label's
+    signature folds its slots': C intersects, leads add, and good is the
+    union of the slots' good sets within C, so its determinant is
+    (-1)^n g^lead and some reading of it is witnessed iff C & good.  With
+    one twist both sets are read at that twist only: C is every unit and
+    good is the twist or nothing.  Raises BudgetExceeded if the labels of
+    any twist pass the budget, before reading any pool.
     """
     q = field.q
     for twist in twists:
@@ -302,33 +297,32 @@ def _type_histograms(field, n, twists, budget, lead_mod=1, flag=False,
 
     def slot(d, i):
         if (d, i) not in slots:
-            odd = i % 2 == 1
             hist = {}
             earlier = 0
             for twist in twists:
-                for (C, lead, root, bad), cnt in _pool_signatures(
-                        field, d, twist, flag, psl_bad):
+                for (C, lead, good), cnt in _pool_signatures(
+                        field, d, twist, witness):
                     if C & earlier:
                         continue    # read from an earlier twist's pool
-                    key = (C if len(twists) > 1 else full,
-                           i * lead % lead_mod, odd and root,
-                           bad if odd else full)
+                    if len(twists) == 1:
+                        C, good = full, good & wanted
+                    key = (C, i * lead % lead_mod, good if i % 2 else 0)
                     hist[key] = hist.get(key, 0) + cnt
                 earlier |= 1 << field.log[twist]
             slots[d, i] = hist
         return slots[d, i]
 
     for nu in labels.partitions_of(n):
-        hist = {(full, 0, False, full): 1}
+        hist = {(full, 0, 0): 1}
         for i, ni in enumerate(nu, 1):
             if not ni:
                 continue
             out = {}
-            for (c1, l1, f1, b1), n1 in hist.items():
-                for (c2, l2, f2, b2), n2 in slot(ni, i).items():
+            for (c1, l1, g1), n1 in hist.items():
+                for (c2, l2, g2), n2 in slot(ni, i).items():
                     C = c1 & c2
                     if C & wanted:
-                        key = (C, (l1 + l2) % lead_mod, f1 or f2, b1 & b2)
+                        key = (C, (l1 + l2) % lead_mod, (g1 | g2) & C)
                         out[key] = out.get(key, 0) + n1 * n2
             hist = out
         yield nu, hist
@@ -355,13 +349,14 @@ def _sl_tally(field, n, twist, budget, kind="real"):
     # det = (-1)^n g^(lead sum) = 1
     target = (q - 1) // 2 if n % 2 and q % 2 else 0
     out = {}
-    for nu, hist in _type_histograms(field, n, (twist,), budget,
-                                     lead_mod=q - 1, flag=strong):
+    for nu, hist in _type_histograms(
+            field, n, (twist,), budget, lead_mod=q - 1,
+            witness=labels.sl_strong_slot if strong else None):
         if kind != "zeta_real" and not labels.real_on_descent(nu, n, q):
             continue
         out[nu] = labels.h_nu(nu, q) * sum(
-            cnt for (_, lead, f, _), cnt in hist.items()
-            if lead == target and (f or not strong))
+            cnt for (C, lead, good), cnt in hist.items()
+            if lead == target and (C & good or not strong))
     return out
 
 
@@ -379,9 +374,8 @@ def _orbit_tally(field, n, twist, budget, family="PGL", strong=False):
     An orbit meets PSL when its determinant is an n-th power, a lead sum
     of 0 mod gcd(n, q-1), and (``labels.real_on_descent``) it does not lose
     reality on descent.  In the descent corner it is strongly real when
-    some member's reading passes the PSL criterion; over the orbit the
-    readings run through all of C(L), so that is C(L) not inside the bad
-    sets of the odd slots.
+    some member's reading is witnessed (``labels.psl_strong_slot``); over
+    the orbit the readings run through all of C(L), so that is C & good.
     """
     q = field.q
     twists = (field.one, canonical_nonsquare(field)) if q % 2 else (
@@ -402,12 +396,13 @@ def _orbit_tally(field, n, twist, budget, family="PGL", strong=False):
     out = {}
     for nu, hist in _type_histograms(
             field, n, twists, budget,
-            lead_mod=math.gcd(n, q - 1) if psl else 1, psl_bad=strong):
+            lead_mod=math.gcd(n, q - 1) if psl else 1,
+            witness=labels.psl_strong_slot if strong else None):
         if psl and not labels.real_on_descent(nu, n, q):
             continue
-        orbits = sum(cnt * weight(C) for (C, lead, _, bad), cnt
+        orbits = sum(cnt * weight(C) for (C, lead, good), cnt
                      in hist.items()
-                     if lead == 0 and not (strong and (C & ~bad) == 0))
+                     if lead == 0 and (C & good or not strong))
         orbits = _as_int(orbits, ("%s_%d(%d)" % (family, n, q), nu))
         out[nu] = orbits * labels.h_nu(nu, q) if psl else orbits
     return out

@@ -268,9 +268,10 @@ def sl_strong_by_roots(n, q):
     return q % 2 == 1 and n % 4 == 2
 
 
-def sl_strong_slot(field, u):
-    """Whether u, in an odd position i of a label, makes the label strongly
-    real in SL_n(q) at q odd, n = 2 mod 4: u has 1 or -1 as a root."""
+def sl_strong_slot(field, u, c):
+    """Whether u, in an odd position of a label, witnesses strong reality
+    in SL_n(q) at q odd, n = 2 mod 4: u has 1 or -1 as a root, whatever
+    the reading c."""
     return (polys.poly_eval(field, u, field.one) == 0
             or polys.poly_eval(field, u, field.minus_one) == 0)
 
@@ -279,13 +280,14 @@ def sl_strongly_real(field, label):
     """Whether a real-in-SL det-1 label is strongly real in SL_n(q).
 
     Strong reality agrees with reality unless ``sl_strong_by_roots``; then
-    the criterion is that some slot u_i with i odd passes
-    ``sl_strong_slot``.
+    some slot u_i with i odd must witness the reading 1
+    (``sl_strong_slot``): the fold's rule, C(L) meets the odd slots' good
+    sets, for one label.
     """
     n = label_n(label)
     if not sl_strong_by_roots(n, field.q):
         return sl_real(label, n, field.q)
-    return any(sl_strong_slot(field, u) for u in label[::2])
+    return any(sl_strong_slot(field, u, field.one) for u in label[::2])
 
 
 @lru_cache(maxsize=None)
@@ -315,20 +317,20 @@ def _factors_all_even_and_fixed_deg_div4(field, u, c):
     return True
 
 
-def psl_reading_fails(field, u, c):
-    """Whether an odd-position slot u, twisted-reciprocal for c, fails to
-    make the c-reading of its label strongly real in PSL_n(q): every
-    irreducible factor of u has even degree and the factors fixed by
-    alpha -> c / alpha have degree divisible by 4.
+def psl_strong_slot(field, u, c):
+    """Whether an odd-position slot u, twisted-reciprocal for c, witnesses
+    strong reality of the c-reading of its label in PSL_n(q): some
+    irreducible factor of u has odd degree, or some factor fixed by
+    alpha -> c / alpha has degree 2 mod 4.
     """
     # u is c-twisted, so alpha -> c / alpha permutes its roots with their
-    # multiplicities and p -> p* its irreducible factors.  If the reading
-    # fails, the fixed factors have degree 0 mod 4, and each pair p != p*
-    # has two equal even degrees and equal multiplicities: every part of
-    # u, and so deg u, is 0 mod 4.  Any other degree passes.
+    # multiplicities and p -> p* its irreducible factors.  If u witnesses
+    # nothing, the fixed factors have degree 0 mod 4, and each pair
+    # p != p* has two equal even degrees and equal multiplicities: every
+    # part of u, and so deg u, is 0 mod 4.  Any other degree witnesses.
     if polys.degree(u) % 4:
-        return False
-    return _factors_all_even_and_fixed_deg_div4(field, u, c)
+        return True
+    return not _factors_all_even_and_fixed_deg_div4(field, u, c)
 
 
 def psl_nonsquare(field, n):
@@ -344,16 +346,14 @@ def psl_strongly_real(field, label, zeta):
     for a label that is neither real nor zeta-real.
 
     Both readings c in (1, zeta) the label has are tried and either
-    suffices.  A reading c fails to produce a strongly real class exactly
-    when every u_i with i odd and n_i > 0 fails it (``psl_reading_fails``).
+    suffices: the class is strongly real when some u_i with i odd
+    witnesses one of them (``psl_strong_slot``).  A constant slot
+    witnesses nothing, so a label without an odd part is not strongly
+    real (nor real in PSL in this regime).
     """
     readings = [c for c in (field.one, zeta)
                 if is_twisted_real_label(field, label, c)]
     if not readings:
         return None
-    odd_slots = [u for u in label[::2] if polys.degree(u) > 0]
-    if not odd_slots:
-        # no odd part: the class is not real in PSL at all in this regime
-        return False
-    return any(not all(psl_reading_fails(field, u, c) for u in odd_slots)
-               for c in readings)
+    return any(psl_strong_slot(field, u, c)
+               for c in readings for u in label[::2])

@@ -132,12 +132,10 @@ def mat_scale(field, z, a):
 
 
 def _rref(field, rows):
-    """Gauss-Jordan elimination: the reduced rows, the pivot column of each
-    nonzero row in order, and the product of the pivots signed by the row
-    swaps, which is the determinant of a nonsingular square matrix."""
+    """Gauss-Jordan elimination: the reduced rows and the pivot column of
+    each nonzero row in order."""
     rows = [list(r) for r in rows]
     pivots = []
-    scale = field.one
     for col in range(len(rows[0]) if rows else 0):
         rank = len(pivots)
         piv = next((r for r in range(rank, len(rows))
@@ -146,8 +144,6 @@ def _rref(field, rows):
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
-            scale = field.neg(scale)
-        scale = field.mul(scale, rows[rank][col])
         inv = field.inv(rows[rank][col])
         rows[rank] = [field.mul(inv, x) for x in rows[rank]]
         for r in range(len(rows)):
@@ -156,22 +152,17 @@ def _rref(field, rows):
                 rows[r] = [field.sub(x, field.mul(c, y))
                            for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
-    return rows, pivots, scale
+    return rows, pivots
 
 
 def mat_inv(field, a):
     n = len(a)
-    rows, pivots, _ = _rref(field, [
+    rows, pivots = _rref(field, [
         list(row) + [field.one if i == j else field.zero for j in range(n)]
         for i, row in enumerate(a)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in rows)
-
-
-def mat_det(field, a):
-    _, pivots, scale = _rref(field, a)
-    return scale if len(pivots) == len(a) else field.zero
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +688,7 @@ class BaseGroup:
                 for k in range(n):
                     row[i * n + k] = field.sub(row[i * n + k], rep[k][j])
                 eqs.append(row)
-        rows, pivots, _ = _rref(field, eqs)
+        rows, pivots = _rref(field, eqs)
         free = [c for c in range(cells) if c not in pivots]
         basis = []
         for fc in free:
@@ -952,7 +943,8 @@ def matrix_to_label(field, mat):
     label = labels.make_label(field, [slots.get(i, polys.ONE)
                                       for i in range(1, top + 1)])
     assert labels.label_n(label) == len(mat)
-    assert labels.label_det(field, label) == mat_det(field, mat)
+    assert labels.label_det(field, label) == _Ops(field, len(mat)).det(
+        np.array(mat, dtype=np.uint8).reshape(len(mat), len(mat)))
     return label
 
 

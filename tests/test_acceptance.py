@@ -16,11 +16,10 @@ import time
 import pytest
 
 from realclasses import counts, labels, oracle, polys
-from realclasses.cli import DESK_MATRIX
+from realclasses.cli import _DESK_CAP as DESK_CAP, DESK_MATRIX
 from realclasses.fields import canonical_nonsquare, field_for_order
+from test_oracle import _leibniz_det
 from test_polys import breve, tilde
-
-DESK_CAP = 13_000_000
 
 
 def _report(name, budget, t0):
@@ -214,7 +213,7 @@ def test_criterion_9_property_suite():
         assert set(labs) == set(labels.enumerate_labels(field, n))
         for lab, cid in zip(labs, range(gd.num_classes)):
             assert (labels.label_det(field, lab)
-                    == oracle.mat_det(field, gd.rep_mat(cid)))
+                    == _leibniz_det(field, gd.rep_mat(cid)))
     for n, q in sl_groups:
         field = field_for_order(q)
         gd = oracle.enumerate_group("SL", n, q, cap=DESK_CAP)

@@ -274,30 +274,37 @@ def test_psl_strongly_real_reads_only_real_or_psi_real_labels():
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11])
 def test_pool_signatures_match_trial(q):
-    # each (C, lead, root, bad) key of a pool, C and bad built from at most
-    # two helper calls, against every unit tried on every pool polynomial
+    # each (C, lead, good) key of a pool, C and good built from at most two
+    # witness calls, against every unit of the twist set tried on every
+    # pool polynomial; the SL witness on T_d, the PSL one on T_d and S_d
     field = field_for_order(q)
-    twists = (field.one, canonical_nonsquare(field)) if q % 2 else (
-        field.one,)
+    nonsquare = (canonical_nonsquare(field),) if q % 2 else ()
 
     def mask(units):
         return sum(1 << field.log[c] for c in units)
 
-    for d in range(1, 6):
-        pool = set()
-        for c in twists:
-            pool |= set(labels.twist_pool(field, d, c))
-        want = {}
-        for u in pool:
-            key = (mask(_twist_set(field, u)), field.log[u[-1]],
-                   labels.sl_strong_slot(field, u), mask(_bad_set(field, u)))
-            want[key] = want.get(key, 0) + 1
-        got = {}
-        for c in twists:
-            for key, cnt in counts._pool_signatures(field, d, c, True, True):
-                if not key[0] & 1 or c == field.one:   # read once, from T_d
-                    got[key] = got.get(key, 0) + cnt
-        assert got == want
+    for witness, twists in ((labels.sl_strong_slot, (field.one,)),
+                            (labels.psl_strong_slot, (field.one, *nonsquare))):
+        witnessed = set()
+        for d in range(1, 6):
+            pool = set()
+            for c in twists:
+                pool |= set(labels.twist_pool(field, d, c))
+            want = {}
+            for u in pool:
+                C = _twist_set(field, u)
+                key = (mask(C), field.log[u[-1]],
+                       mask(c for c in C if witness(field, u, c)))
+                want[key] = want.get(key, 0) + 1
+            got = {}
+            for c in twists:
+                for key, cnt in counts._pool_signatures(field, d, c, witness):
+                    if not key[0] & 1 or c == field.one:   # read once, from T_d
+                        got[key] = got.get(key, 0) + cnt
+            assert got == want
+            witnessed |= {key[2] == key[0] for key in got}
+        # each witness holds on all of some C(u) and not on all of another
+        assert witnessed == {True, False}, witness
 
 
 def test_equivalence_classes_orbit_sizes():
@@ -400,7 +407,7 @@ def test_psl_reading_passes_at_degree_not_div4(q, max_d):
     # a c-twisted u whose fixed factors have degree 0 mod 4 and whose other
     # factors pair off at equal even degrees has degree 0 mod 4, so every
     # other degree passes: the unchanged helper is False there at every c
-    # in the twist set, and psl_reading_fails need not call it
+    # in the twist set, and psl_strong_slot need not call it
     field = field_for_order(q)
     read = 0
     for d in range(1, max_d + 1):
