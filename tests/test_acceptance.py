@@ -18,7 +18,7 @@ import pytest
 from realclasses import counts, labels, oracle, polys
 from realclasses.cli import _DESK_CAP as DESK_CAP, DESK_MATRIX
 from realclasses.fields import canonical_nonsquare, field_for_order
-from test_oracle import _leibniz_det
+from test_oracle import _leibniz_det, mat_inv, mat_mul
 from test_polys import breve, tilde
 
 
@@ -236,8 +236,7 @@ def test_criterion_9_property_suite():
             rep = gd.rep_mat(cid)
             h = oracle._mat_to_tuple(oracle._decode(
                 base.codes[[rng.randrange(len(base.codes))]], n, q)[0])
-            conj = oracle.mat_mul(field, oracle.mat_mul(field, h, rep),
-                                  oracle.mat_inv(field, h))
+            conj = mat_mul(field, mat_mul(field, h, rep), mat_inv(field, h))
             assert (oracle.matrix_to_label(field, conj)
                     == oracle.matrix_to_label(field, rep))
 

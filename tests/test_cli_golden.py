@@ -1,10 +1,13 @@
 """Golden command-line output: the sha256 of stdout and the exit code of
 ``count --format json`` for every accepted (family, kind, y) at n <= 6 over
 a fixed set of q, of ``table13 --format json`` and ``genfun --format json``
-at four q, and of three ``enumerate --format json`` label dumps, which run
+at four q, of three ``enumerate --format json`` label dumps, which run
 the per-label criteria (``psl_strongly_real`` through ``factorize`` and
-``poly_divmod``).  ``genfun`` checks each coefficient against ``count``, so
-its digests pin that call from the command line.
+``poly_divmod``), and of ``verify --format json`` on every desk group under
+the default cap, the empty group GL_0(3), PGL_1(5) and one group over the
+cap (PSL_3(7), exit 3).  ``genfun`` checks each coefficient against
+``count``, so its digests pin that call from the command line; the
+``verify`` digests pin the oracle's class and reality counts.
 
 The digests in ``cli_golden.json`` were recorded from the engine before the
 counting API was folded into one (family, kind) registry (the ``genfun``
@@ -24,7 +27,7 @@ import os
 import sys
 from contextlib import redirect_stdout
 
-from realclasses import cli
+from realclasses import cli, oracle
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "cli_golden.json")
@@ -54,6 +57,19 @@ def _count_argvs():
                 yield argv + ["--format", "json"]
 
 
+VERIFY_EXTRA = (("GL", 0, 3, None), ("PGL", 1, 5, None), ("PSL", 3, 7, None))
+
+
+def _verify_argvs():
+    desk = [group for group in cli.DESK_MATRIX
+            if oracle.group_order(*group) <= oracle.DEFAULT_CAP]
+    for family, n, q, y in desk + list(VERIFY_EXTRA):
+        argv = ["verify", "--family", family, "--n", str(n), "--q", str(q)]
+        if y is not None:
+            argv += ["--y", str(y)]
+        yield argv + ["--format", "json"]
+
+
 def argvs():
     yield from _count_argvs()
     for q in TABLE_QS:
@@ -62,6 +78,7 @@ def argvs():
     for n, q, filt in ENUMERATE_ARGS:
         yield ["enumerate", "--n", n, "--q", q, "--filter", filt,
                "--format", "json"]
+    yield from _verify_argvs()
 
 
 def run(argv):

@@ -12,9 +12,8 @@ from realclasses import cli, counts, labels, oracle, polys
 from realclasses.errors import BudgetExceeded, UsageError
 from realclasses.fields import (MAX_Q, canonical_nonsquare, field_for_order,
                                 prime_power)
-from realclasses.oracle import (enumerate_group, group_order, identity_mat,
-                                mat_inv, mat_mul, matrix_to_label,
-                                scalar_mat, verify_group)
+from realclasses.oracle import (enumerate_group, group_order, matrix_to_label,
+                                verify_group)
 from realclasses.polys import ONE
 from test_polys import poly_pow, tilde
 
@@ -26,6 +25,47 @@ def test_group_order_formulas():
     assert group_order("PSL", 2, 5) == 60
     assert group_order("PSL", 3, 4) == 20160
     assert group_order("SLQ", 4, 3, y_order=2) == 12130560 // 2
+
+
+# ---------------------------------------------------------------------------
+# a pure-Python matrix algebra on tuples of rows: the reference that the
+# oracle's batched algebra on coded arrays is checked against
+
+def identity_mat(field, n):
+    return scalar_mat(field, field.one, n)
+
+
+def scalar_mat(field, z, n):
+    return tuple(tuple(z if i == j else field.zero for j in range(n))
+                 for i in range(n))
+
+
+def mat_mul(field, a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = field.zero
+            for k in range(n):
+                acc = field.add(acc, field.mul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def mat_scale(field, z, a):
+    return tuple(tuple(field.mul(z, x) for x in row) for row in a)
+
+
+def mat_inv(field, a):
+    n = len(a)
+    rows, pivots = oracle._rref(field, [
+        list(row) + [field.one if i == j else field.zero for j in range(n)]
+        for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def _leibniz_det(field, m):
@@ -426,6 +466,42 @@ _SMALL_GROUPS = (
 def test_strongly_real_matches_reference_search(family, n, q, y):
     gd = enumerate_group(family, n, q, y_order=y)
     assert gd.strongly_real_class_ids() == _reference_strongly_real_ids(gd)
+
+
+def _reference_twisted_real_ids(gd, twists):
+    """Pure-Python search, for each twist c: class cid is c-real when some
+    h in the group has h g h^{-1} in {y c g^{-1} : y in Y} for its
+    representative g.  c = 1 is reality, a non-square c zeta-reality."""
+    field, n = gd.field, gd.n
+    mats = [oracle._mat_to_tuple(m)
+            for m in oracle._decode(gd.base.codes, n, gd.q)]
+    pairs = [(h, mat_inv(field, h)) for h in mats]
+    ids = {c: [] for c in twists}
+    for cid in range(gd.num_classes):
+        g = gd.rep_mat(cid)
+        conjugates = {mat_mul(field, mat_mul(field, h, g), h_inv)
+                      for h, h_inv in pairs}
+        g_inv = mat_inv(field, g)
+        for c in twists:
+            if any(mat_scale(field, field.mul(y, c), g_inv) in conjugates
+                   for y in gd.y_codes):
+                ids[c].append(cid)
+    return ids
+
+
+@pytest.mark.parametrize("family,n,q,y", _SMALL_GROUPS)
+def test_twisted_reality_matches_reference_search(family, n, q, y):
+    gd = enumerate_group(family, n, q, y_order=y)
+    field = gd.field
+    # every non-square: zeta and zeta^{-1} are two twists from q = 5 on
+    nonsquares = []
+    if family in ("GL", "SL") and q % 2:
+        squares = {field.mul(x, x) for x in field.units}
+        nonsquares = [c for c in field.units if c not in squares]
+    want = _reference_twisted_real_ids(gd, [field.one] + nonsquares)
+    assert gd.real_class_ids() == want[field.one]
+    for c in nonsquares:
+        assert gd.zeta_real_class_ids(c) == want[c], c
 
 
 def test_centralizer_combinations_stay_small():
