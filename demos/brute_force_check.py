@@ -24,7 +24,9 @@ print("%s_%d(%d): %d elements in %d conjugacy classes"
 
 # For every class: its size, its label (read from the invariant factors
 # of tI - g for a representative g), and the brute-force reality
-# verdicts.
+# verdicts.  The reality mask asks, for every representative g at once,
+# whether the class of g^{-1} (a twist c = 1 of c g^{-1}) is g's own.
+real = gd.twisted_real_mask(field.one)
 strong = set(gd.strongly_real_class_ids())
 print()
 print("  size  real  strongly  label")
@@ -33,7 +35,7 @@ for cid in range(gd.num_classes):
     lab = oracle.matrix_to_label(field, rep)
     shown = "; ".join(poly_str(field, u) for u in lab)
     print("  %4d  %4s  %8s  [%s]"
-          % (gd.class_sizes[cid], "yes" if gd.is_zeta_real(cid, 1) else "no",
+          % (gd.class_sizes[cid], "yes" if real[cid] else "no",
              "yes" if cid in strong else "no", shown))
 
 # Tally and compare against the closed-form counts.

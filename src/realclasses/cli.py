@@ -69,7 +69,7 @@ def _group_str(family, n, q, y_order=None):
 
 
 def _budget(args):
-    return counts.DEFAULT_BUDGET if args.cap is None else args.cap
+    return labels.DEFAULT_BUDGET if args.cap is None else args.cap
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +289,10 @@ def _build_parser():
     p = sub.add_parser("enumerate", help="dump labels with reality flags")
     common(p, kind=False)
     p.add_argument("--filter", choices=("real", "zeta_real"),
-                   help="restrict to real / zeta-real labels")
+                   help="restrict to real / zeta-real labels; zeta_real "
+                        "reads the label twist zeta, so on matrices "
+                        "g ~ zeta^-1 g^-1, where count and verify read "
+                        "g ~ zeta g^-1")
     p.set_defaults(func=cmd_enumerate)
     return parser
 

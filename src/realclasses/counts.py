@@ -33,7 +33,6 @@ from .polys import count_nqd, is_nonsquare, sigma
 FAMILIES = ("GL", "SL", "PGL", "PSL", "SLQ")
 KINDS = ("real", "strongly_real", "zeta_real")
 METHODS = ("formula", "enumeration", "both")
-DEFAULT_BUDGET = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +521,7 @@ def check_group(family, n, q, y_order=None):
 
 
 def count(family, n, q, kind, y_order=None, method="formula", zeta=None,
-          budget=DEFAULT_BUDGET):
+          budget=labels.DEFAULT_BUDGET):
     """The ``kind`` classes of family_n(q) (SLQ: of SL_n(q)/Y, |Y| = y_order).
 
     ``method`` picks the closed form ("formula"), the label route
@@ -706,7 +705,7 @@ def _reference_rows(q):
     return rows
 
 
-def section13_table(q, budget=DEFAULT_BUDGET):
+def section13_table(q, budget=labels.DEFAULT_BUDGET):
     """Evaluate the stored small-rank reference polynomials and recompute
     every entry through the engine.
 

@@ -28,6 +28,8 @@ from . import polys
 from .errors import BudgetExceeded
 from .fields import constrained_nonsquare, two_adic
 
+DEFAULT_BUDGET = 10 ** 7  # labels a count or dump may enumerate
+
 
 @lru_cache(maxsize=None)
 def partitions_of(n):
@@ -188,7 +190,7 @@ def check_label_budget(q, n, twist, budget):
         raise BudgetExceeded("%d labels exceed the budget of %d" % (total, budget))
 
 
-def enumerate_labels(field, n, twist=None, budget=10 ** 7):
+def enumerate_labels(field, n, twist=None, budget=DEFAULT_BUDGET):
     """Yield all labels of weight n, or with a ``twist`` c only those whose
     slots are twisted-reciprocal for c: c = 1 the real labels, a
     non-square c the zeta-real ones.  Any other twist is a ValueError.

@@ -39,6 +39,9 @@ classes of G/Y are the Y-orbits of classes of G, reality (twist c = 1)
 and zeta-reality (a non-square twist c) ask whether the class of c g^{-1}
 lands in the orbit of g, and strong reality whether the orbit
 lies in P P for P = {h : h^2 in Y}, found from the class representatives.
+Each question is asked of all representatives at once, as one batch of
+coded matrices: ``_Ops`` is the one matrix algebra (products, powers,
+determinants), and an inverse is the power g^(|G| - 1).
 """
 
 import itertools
@@ -101,35 +104,7 @@ def group_order(family, n, q, y_order=None):
 
 
 # ---------------------------------------------------------------------------
-# small exact matrix algebra over a field (python-level, for representatives)
-
-def identity_mat(field, n):
-    return tuple(tuple(field.one if i == j else field.zero for j in range(n))
-                 for i in range(n))
-
-
-def scalar_mat(field, z, n):
-    return tuple(tuple(z if i == j else field.zero for j in range(n))
-                 for i in range(n))
-
-
-def mat_mul(field, a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = field.zero
-            for k in range(n):
-                acc = field.add(acc, field.mul(a[i][k], b[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_scale(field, z, a):
-    return tuple(tuple(field.mul(z, x) for x in row) for row in a)
-
+# Gauss-Jordan elimination (python-level, for the commutant of a class)
 
 def _rref(field, rows):
     """Gauss-Jordan elimination: the reduced rows and the pivot column of
@@ -153,16 +128,6 @@ def _rref(field, rows):
                            for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
     return rows, pivots
-
-
-def mat_inv(field, a):
-    n = len(a)
-    rows, pivots = _rref(field, [
-        list(row) + [field.one if i == j else field.zero for j in range(n)]
-        for i, row in enumerate(a)])
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +156,19 @@ class _Ops:
             term = self.field.mul_table[lhs[..., :, None], rhs[..., None, :]]
             acc = term if acc is None else self.field.add_table[acc, term]
         return acc
+
+    def power(self, a, e):
+        """a^e for a batch (..., n, n) of coded matrices and an integer
+        e >= 0, by repeated squaring.  In a group of order N every element
+        has g^(N - 1) = g^{-1} (Lagrange)."""
+        out = np.broadcast_to(np.eye(self.n, dtype=np.uint8), a.shape)
+        while e:
+            if e & 1:
+                out = self.matmul(out, a)
+            e >>= 1
+            if e:
+                a = self.matmul(a, a)
+        return out
 
     # Elementwise field arithmetic.  Over a prime field products and sums
     # stay unreduced int32 (below n * p^2) until _sum reduces them mod p.
@@ -299,14 +277,6 @@ def _mat_to_tuple(mat):
     return tuple(tuple(int(x) for x in row) for row in mat)
 
 
-def _tuple_to_array(mat):
-    return np.array(mat, dtype=np.uint8).reshape(len(mat), len(mat))
-
-
-def _single_code(field, mat):
-    return int(_encode(_tuple_to_array(mat)[None, :, :], field.q)[0])
-
-
 # ---------------------------------------------------------------------------
 # determinant fibers
 
@@ -335,39 +305,26 @@ def _generator_mats(field, n, base_family):
     n-cycle of determinant 1 moves them onto every pair of adjacent
     coordinates, which generates SL_n(q).  GL adds diag(theta, 1, ..., 1)
     for a primitive theta.  SL_1(q) and GL_0(q) are trivial and need no
-    generator.
+    generator.  The generators come as one coded array (m, n, n).
     """
-    one, zero = field.one, field.zero
-    ident = identity_mat(field, n)
     gens = []
     if n >= 2:
-        basis = [one]
-        for _ in range(field.k - 1):
-            basis.append(field.mul(basis[-1], field.p))
-        for a in basis:
-            t12 = [list(row) for row in ident]
-            t12[0][1] = a
-            gens.append(tuple(tuple(r) for r in t12))
-            t21 = [list(row) for row in ident]
-            t21[1][0] = a
-            gens.append(tuple(tuple(r) for r in t21))
+        # t^m has the code p^m: its base-p digits are one 1
+        for a in (field.p ** m for m in range(field.k)):
+            for at in ((0, 1), (1, 0)):
+                gens.append(np.eye(n, dtype=np.uint8))
+                gens[-1][at] = a
     if n >= 3:
-        cyc = [[zero] * n for _ in range(n)]
-        for i in range(n - 1):
-            cyc[i + 1][i] = one
-        corner = one
-        if base_family == "SL" and n % 2 == 0:
-            corner = field.minus_one
-        cyc[0][n - 1] = corner
-        gens.append(tuple(tuple(r) for r in cyc))
+        gens.append(np.eye(n, k=-1, dtype=np.uint8))
+        signed = base_family == "SL" and n % 2 == 0
+        gens[-1][0, n - 1] = field.minus_one if signed else field.one
     if base_family == "GL" and n >= 1:
-        diag = [list(row) for row in ident]
-        diag[0][0] = field.generator
-        gens.append(tuple(tuple(r) for r in diag))
-    return gens
+        gens.append(np.eye(n, dtype=np.uint8))
+        gens[-1][0, 0] = field.generator
+    return np.array(gens, dtype=np.uint8).reshape(len(gens), n, n)
 
 
-def _conjugation_terms(field, n, g):
+def _conjugation_terms(field, g, g_inv):
     """The entries that X -> g X g^{-1} changes, as (pos, coefs, srcs):
     entry pos (row-major) of the image is sum_i coefs[i] X[srcs[i]], the
     nonzero terms g[r][k] g^{-1}[l][c] X[k][l].  An entry that is its own
@@ -376,8 +333,9 @@ def _conjugation_terms(field, n, g):
     Every generator is sparse: a transvection I + a E_12 changes row 0 and
     column 1, diag(theta, 1, ..., 1) row 0 and column 0 but not their
     corner, and the signed n-cycle moves every entry to another place.
+    ``g`` and ``g_inv`` are lists of rows.
     """
-    g_inv = mat_inv(field, g)
+    n = len(g)
     changes = []
     for pos in range(n * n):
         r, c = divmod(pos, n)
@@ -521,8 +479,9 @@ class BaseGroup:
         del fiber
         self.stats["classify_s"] = time.perf_counter() - start
         start = time.perf_counter()
-        self._rep_mats = [_mat_to_tuple(m) for m in _decode(
-            self.codes[self.class_reps], n, q)]
+        # the class representatives as one coded array (k, n, n)
+        self.rep_mats = np.ascontiguousarray(
+            _decode(self.codes[self.class_reps], n, q))
         self._certify()
         self.stats["certify_s"] = time.perf_counter() - start
 
@@ -569,10 +528,12 @@ class BaseGroup:
     # -- conjugacy
 
     def _conjugation_perms(self, gens, codes, ranks):
-        """For each matrix g, the indices of ``codes`` (a union of classes,
-        indexed by ``ranks``) permuted by conjugation with g."""
+        """For each matrix g of the group, the indices of ``codes`` (a union
+        of classes, indexed by ``ranks``) permuted by conjugation with g."""
         n, q, ops = self.n, self.q, self.ops
-        changes = [_conjugation_terms(self.field, n, g) for g in gens]
+        invs = ops.power(gens, self.order - 1)
+        changes = [_conjugation_terms(self.field, g, g_inv)
+                   for g, g_inv in zip(gens.tolist(), invs.tolist())]
         perms = [np.empty(len(codes), dtype=np.int32) for _ in gens]
         for start in range(0, len(codes), _CHUNK):
             chunk = codes[start:start + _CHUNK]
@@ -661,7 +622,7 @@ class BaseGroup:
 
     def _certify(self):
         assert int(self.class_sizes.sum()) == self.order, "class equation fails"
-        for cid, rep in enumerate(self._rep_mats):
+        for cid, rep in enumerate(self.rep_mats.tolist()):
             size = int(self.class_sizes[cid])
             if self._is_scalar(rep):
                 assert size == 1, "scalar matrix in a class of size %d" % size
@@ -672,7 +633,8 @@ class BaseGroup:
                 % (cid, size, cent, self.order))
 
     def _is_scalar(self, mat):
-        return not mat or mat == scalar_mat(self.field, mat[0][0], self.n)
+        return all(x == (mat[0][0] if i == j else self.field.zero)
+                   for i, row in enumerate(mat) for j, x in enumerate(row))
 
     def _commutant_basis(self, rep):
         """Basis of the algebra {X : rep X = X rep} as coded n^2-vectors."""
@@ -720,19 +682,16 @@ class BaseGroup:
     # -- queries
 
     def rep_mat(self, cid):
-        return self._rep_mats[cid]
+        """The representative of class cid as a tuple of rows of ints."""
+        return _mat_to_tuple(self.rep_mats[cid])
 
-    def class_of_mat(self, mat):
-        cid = self.maybe_class_of_mat(mat)
-        if cid < 0:
-            raise ValueError("matrix is not in the group")
-        return cid
-
-    def maybe_class_of_mat(self, mat):
-        """The class of the matrix, or -1 when it is not in the group."""
-        idx, member = self._ranks.lookup(
-            np.array([_single_code(self.field, mat)]))
-        return int(self.class_id[idx[0]]) if member[0] else -1
+    def classes_of(self, mats):
+        """The class id of each matrix of a coded batch (m, n, n), or -1
+        for a matrix outside the group."""
+        idx, member = self._ranks.lookup(_encode(mats, self.q))
+        out = np.full(len(mats), -1, dtype=np.int32)
+        out[member] = self.class_id[idx[member]]
+        return out
 
     def product_classes(self, y_codes):
         """Mask over class ids of P P, P = {h : h^2 in the central set Y}:
@@ -742,13 +701,14 @@ class BaseGroup:
         union of classes and conjugating (t, s) moves t onto its class
         representative, so the products t_j s, t_j a representative in
         P and s in P, meet every class of P P."""
-        field, n, q = self.field, self.n, self.q
-        ys = {scalar_mat(field, z, n) for z in y_codes}
-        pool_classes = [cid for cid, rep in enumerate(self._rep_mats)
-                        if mat_mul(field, rep, rep) in ys]
+        n, q = self.n, self.q
+        ys = self.field.mul_table[np.asarray(y_codes)[:, None, None],
+                                  np.eye(n, dtype=np.uint8)]
+        squares = self.ops.matmul(self.rep_mats, self.rep_mats)
+        pool_classes = np.flatnonzero(np.isin(_encode(squares, q),
+                                              _encode(ys, q)))
         pool = np.flatnonzero(np.isin(self.class_id, pool_classes))
-        reps = _decode(self.codes[[self.class_reps[c] for c in pool_classes]],
-                       n, q)
+        reps = self.rep_mats[pool_classes]
         hit = np.zeros(self.num_classes, dtype=bool)
         for start in range(0, len(pool), _CHUNK):
             s = _decode(self.codes[pool[start:start + _CHUNK]], n, q)
@@ -800,46 +760,45 @@ class GroupData:
         self._build_orbits()
 
     def _build_orbits(self):
-        base, field = self.base, self.field
-        owner = [-1] * base.num_classes
-        orbits = []
-        for cid in range(base.num_classes):
-            if owner[cid] != -1:
-                continue
-            orbit = set()
-            for z in self.y_codes:
-                scaled = mat_scale(field, z, base.rep_mat(cid))
-                orbit.add(base.class_of_mat(scaled))
-            oid = len(orbits)
-            for member in orbit:
-                assert owner[member] in (-1, oid)
-                owner[member] = oid
-            orbits.append(tuple(sorted(orbit)))
-        self.orbits = orbits
-        self.owner = owner
+        """The Y-orbits of the base classes, numbered by least base class:
+        ``orbits`` lists each orbit's base classes, ascending, and
+        ``owner`` maps a base class to its orbit."""
+        base = self.base
+        # image[i, c] is the class of y_i g for the representative g of c
+        image = np.stack([base.classes_of(self.field.mul_table[z][
+            base.rep_mats]) for z in self.y_codes])
+        assert image.min() >= 0, "a central scalar left the group"
+        least, self.owner = np.unique(image.min(axis=0), return_inverse=True)
+        assert (self.owner[image] == self.owner).all(), \
+            "Y does not act on the classes"
+        self.orbits = [tuple(sorted(set(image[:, root].tolist())))
+                       for root in least.tolist()]
         sizes = []
-        for orbit in orbits:
-            tot = int(sum(base.class_sizes[m] for m in orbit))
+        for orbit in self.orbits:
+            tot = int(base.class_sizes[list(orbit)].sum())
             assert tot % self.y_order == 0
             sizes.append(tot // self.y_order)
         self.class_sizes = sizes
-        self.num_classes = len(orbits)
+        self.num_classes = len(self.orbits)
         assert sum(sizes) == self.order, "quotient class equation fails"
 
     def rep_mat(self, cid):
         return self.base.rep_mat(self.orbits[cid][0])
 
-    def is_zeta_real(self, cid, c):
-        """Whether the class of c g^{-1}, g the representative, lies in g's
-        Y-orbit: c = 1 asks reality, a non-square c zeta-reality."""
-        rep = self.rep_mat(cid)
-        twisted = mat_scale(self.field, c, mat_inv(self.field, rep))
-        # c * g^{-1} can fall outside SL (det c^n != 1); then g is not
-        # zeta-real rather than an error.
-        return self.base.maybe_class_of_mat(twisted) in self.orbits[cid]
+    def twisted_real_mask(self, c):
+        """Mask over class ids: whether the class of c g^{-1}, g the
+        representative, lies in g's Y-orbit.  c = 1 asks reality, a
+        non-square c zeta-reality."""
+        base = self.base
+        reps = base.rep_mats[[orbit[0] for orbit in self.orbits]]
+        twisted = self.field.mul_table[c][base.ops.power(reps, base.order - 1)]
+        # c g^{-1} can fall outside SL (det c^n != 1); then g is not
+        # zeta-real rather than an error
+        cls = base.classes_of(twisted)
+        return (cls >= 0) & (self.owner[cls] == np.arange(self.num_classes))
 
     def real_class_ids(self):
-        return [c for c in range(self.num_classes) if self.is_zeta_real(c, 1)]
+        return np.flatnonzero(self.twisted_real_mask(self.field.one)).tolist()
 
     def strongly_real_class_ids(self):
         # P P is Y-stable (y t is in P with t), so an orbit is in or out
@@ -857,8 +816,7 @@ class GroupData:
         counts.check_kind(self.family, self.q, "zeta_real", zeta)
         if zeta is None:
             zeta = canonical_nonsquare(self.field)
-        return [c for c in range(self.num_classes)
-                if self.is_zeta_real(c, zeta)]
+        return np.flatnonzero(self.twisted_real_mask(zeta)).tolist()
 
     def class_ids(self, kind, zeta=None):
         """Ids of the real, strongly real or zeta-real classes."""

@@ -219,13 +219,14 @@ def test_criterion_9_property_suite():
         gd = oracle.enumerate_group("SL", n, q, cap=DESK_CAP)
         assert sum(gd.class_sizes) == gd.order
         per_label = {}
+        real = gd.twisted_real_mask(field.one)
         for c in range(gd.num_classes):
             lab = oracle.matrix_to_label(field, gd.rep_mat(c))
             per_label.setdefault(lab, []).append(c)
         assert sum(len(v) for v in per_label.values()) == gd.num_classes
         for lab, cids in per_label.items():
             assert len(cids) == labels.h_nu(labels.label_type(lab), q)
-            flags = {gd.is_zeta_real(c, 1) for c in cids}
+            flags = {bool(real[c]) for c in cids}
             assert len(flags) == 1, (lab, cids)
     for family, n, q in [("GL", 2, 5), ("SL", 2, 7), ("GL", 3, 3)]:
         field = field_for_order(q)

@@ -112,14 +112,13 @@ def test_certification_is_builtin():
     assert gd.order == 480
     base = gd.base
     # spot-check one centralizer order by scanning commuting elements
-    rep = gd.rep_mat(3)
-    rep_arr = oracle._tuple_to_array(rep)
+    rep_arr = np.array(gd.rep_mat(3), dtype=np.uint8)
     mats = oracle._decode(base.codes, 2, 5)
     left = base.ops.matmul(rep_arr, mats)
     right = base.ops.matmul(mats, rep_arr)
     brute = int(np.count_nonzero(
         (left == right).reshape(len(mats), -1).all(axis=1)))
-    cid = base.class_of_mat(rep)
+    cid, = base.classes_of(rep_arr[None])
     assert brute * int(base.class_sizes[cid]) == gd.order
     assert set(base.stats) == {"enumerate_s", "classify_s", "certify_s",
                                "conjugate_s", "hook_s", "spread_s",
@@ -128,7 +127,8 @@ def test_certification_is_builtin():
     # gcd(2, 5 - 1) = 2: the fiber det in {1, 2} is half the group
     assert base.stats["fiber_elements"] == 480 // 2
     # a matrix outside the group (determinant 0) has no class
-    assert base.maybe_class_of_mat(scalar_mat(gd.field, 0, 2)) == -1
+    outside = np.array([scalar_mat(gd.field, 0, 2), rep_arr])
+    assert base.classes_of(outside).tolist() == [-1, cid]
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +193,49 @@ def test_sparse_conjugation_matches_mat_mul(family, n, q):
     field = field_for_order(q)
     ops = oracle._Ops(field, n)
     rng = random.Random(q * 10 + n)
-    gens = oracle._generator_mats(field, n, family)
+    gens = [oracle._mat_to_tuple(g)
+            for g in oracle._generator_mats(field, n, family)]
     gens += [_random_invertible(field, n, rng) for _ in range(2)]
     xs = [tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
           for _ in range(40)]
-    codes = np.array([oracle._single_code(field, x) for x in xs],
-                     dtype=np.int32)
+    codes = _codes(q, xs).astype(np.int32)
     entries = oracle._entries(codes, n * n, q, ops.dtype)
     for g in gens:
-        got = ops.conjugate(oracle._conjugation_terms(field, n, g), codes,
-                            entries)
-        want = [oracle._single_code(field, mat_mul(
-            field, mat_mul(field, g, x), mat_inv(field, g))) for x in xs]
-        assert got.tolist() == want
+        g_inv = mat_inv(field, g)
+        got = ops.conjugate(oracle._conjugation_terms(field, g, g_inv),
+                            codes, entries)
+        want = _codes(q, [mat_mul(field, mat_mul(field, g, x), g_inv)
+                          for x in xs])
+        assert got.tolist() == want.tolist()
+
+
+def _codes(q, mats):
+    return oracle._encode(np.array(mats, dtype=np.uint8), q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_power_matches_repeated_products(n, q):
+    # a^e against the reference product of e factors, and
+    # g^(|GL| - 1) = g^{-1} for invertible g
+    field = field_for_order(q)
+    ops = oracle._Ops(field, n)
+    rng = random.Random(q * 10 + n)
+    mats = [tuple(tuple(rng.randrange(q) for _ in range(n))
+                  for _ in range(n)) for _ in range(6)]
+    batch = np.array(mats, dtype=np.uint8).reshape(len(mats), n, n)
+    for e in range(6):
+        want = [identity_mat(field, n)] * len(mats)
+        for _ in range(e):
+            want = [mat_mul(field, w, m) for w, m in zip(want, mats)]
+        assert _codes(q, ops.power(batch, e)).tolist() == \
+            _codes(q, want).tolist()
+    units = [_random_invertible(field, n, rng) for _ in range(6)]
+    got = ops.power(np.array(units, dtype=np.uint8).reshape(6, n, n),
+                    group_order("GL", n, q) - 1)
+    assert got.dtype == np.uint8
+    assert _codes(q, got).tolist() == \
+        _codes(q, [mat_inv(field, g) for g in units]).tolist()
 
 
 @pytest.mark.parametrize("size", [1, 64, 1000, 64 * 40 + 17])
