@@ -112,16 +112,10 @@ def psl_nu(nu, n, q):
         return Fraction(gl_nu(nu, q), 2)
     if t2n > t2q:
         return Fraction(sl_nu(nu, q)) if d > 1 else Fraction(sl_nu(nu, q), 2)
-    if not labels.descent_corner(n, q):
-        # equal two-adic parts, at least 4: n = 0 mod 4
-        if d > 1 and odd:
-            return Fraction(gl_nu(nu, q), 2)
-        return Fraction(sl_nu(nu, q), 2)
-    if d > 1 and odd:
-        return Fraction(gl_nu(nu, q), 2)
-    if d == 1 and odd:
-        return Fraction(sl_nu(nu, q), 2)
-    return Fraction(0)
+    # equal two-adic parts: n = 0 mod 4, or the descent corner
+    if not labels.real_on_descent(nu, n, q):
+        return Fraction(0)
+    return Fraction(gl_nu(nu, q) if d > 1 and odd else sl_nu(nu, q), 2)
 
 
 def _sl_real_nu(nu, n, q):

@@ -9,16 +9,22 @@ deterministic label enumeration, reproducible CLI output).
 The modulus is the lexicographically least monic irreducible of degree k
 over F_p, comparing coefficient tuples lowest degree first: the first of
 ``polys.irreducibles`` over the prime field.  For example F_4 uses
-t^2 + t + 1 and F_9 uses t^2 + 1.
+t^2 + t + 1 and F_9 uses t^2 + 1; F_p itself uses t.
 
-A field builds one set of ``uint8`` numpy tables (``add_table``,
-``mul_table``, ``neg_table``), which the oracle's vectorised ``_Ops``
-index in bulk.  Scalar operations, and the kernels in ``polys``, read
-plain-list views of them (``add_list`` and so on; a list index costs a
-fraction of a numpy scalar index), the logarithms ``log`` and
-antilogarithms ``exp`` over ``generator``, the least element of order
-q - 1, and the inverses ``inv_list`` read from the logarithms.
+Every table comes from one array, the digit vectors of the q elements:
+sums add them mod p, and multiplication by a = sum a_i t^i is the matrix
+sum a_i C^i over F_p, with C the companion matrix of the modulus (the
+matrix representation of F_p[t]/(m)).  A field holds the resulting
+``uint8`` tables (``add_table``, ``mul_table``, ``neg_table``), which the
+oracle's vectorised ``_Ops`` index in bulk.  Scalar operations, and the
+kernels in ``polys``, read plain-list views of them (``add_list`` and so
+on; a list index costs a fraction of a numpy scalar index), the
+logarithms ``log`` and antilogarithms ``exp`` over ``generator``, the
+least element of order q - 1, and the inverses ``inv_list`` read from
+the logarithms.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,27 +71,25 @@ class Field:
         self.modulus = (0, 1) if k == 1 else polys.irreducibles(
             make_field(p, 1), k)[0]
 
-        add = np.zeros((q, q), dtype=np.uint8)
-        mul = np.zeros((q, q), dtype=np.uint8)
-        for a in range(q):
-            da = self._digits(a)
-            for b in range(a, q):
-                db = self._digits(b)
-                s = self._encode([(x + y) % p for x, y in zip(da, db)])
-                add[a, b] = add[b, a] = s
-                m = self._encode(self._mulmod(da, db))
-                mul[a, b] = mul[b, a] = m
-        self.add_table = add
-        self.mul_table = mul
+        # the base-p digit vectors of the elements, and the matrix of
+        # multiplication by a = sum a_i t^i: sum a_i C^i, with C the
+        # companion matrix of the modulus (C = [[0]] at k = 1)
+        weights = p ** np.arange(k)
+        digits = np.arange(q)[:, None] // weights % p
+        companion = np.eye(k, k=-1, dtype=np.int64)
+        companion[:, -1] = np.negative(self.modulus[:k]) % p
+        powers = np.stack([np.linalg.matrix_power(companion, i) % p
+                           for i in range(k)])
+        times = np.tensordot(digits, powers, axes=1) % p
+        sums = (digits[:, None] + digits) % p    # [a, b, i]: digit i of a + b
+        products = times @ digits.T % p         # [a, i, b]: digit i of a * b
+        self.add_table = (sums @ weights).astype(np.uint8)
+        self.mul_table = (weights @ products).astype(np.uint8)
+        self.neg_table = (-digits % p @ weights).astype(np.uint8)
 
-        neg = np.zeros(q, dtype=np.uint8)
-        for a in range(q):
-            neg[a] = self._encode([(-x) % p for x in self._digits(a)])
-        self.neg_table = neg
-
-        self.add_list = add.tolist()
-        self.mul_list = mul.tolist()
-        self.neg_list = neg.tolist()
+        self.add_list = self.add_table.tolist()
+        self.mul_list = self.mul_table.tolist()
+        self.neg_list = self.neg_table.tolist()
         self.generator, self.exp, self.log = self._logarithms()
         # entry 0 is a placeholder: inv rejects 0
         self.inv_list = [0] + [self.exp[-self.log[a] % (q - 1)]
@@ -95,35 +99,6 @@ class Field:
         self.one = 1
         self.minus_one = self.neg_list[1]
         self.squares = frozenset(self.mul_list[a][a] for a in range(q))
-
-    # -- index <-> digit helpers ------------------------------------------
-    def _digits(self, a):
-        out = []
-        for _ in range(self.k):
-            a, r = divmod(a, self.p)
-            out.append(r)
-        return out
-
-    def _encode(self, digits):
-        a = 0
-        for d in reversed(digits[: self.k]):
-            a = a * self.p + d
-        return a
-
-    def _mulmod(self, da, db):
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        mod = self.modulus
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.k):
-                    prod[i - self.k + j] = (prod[i - self.k + j] - c * mod[j]) % self.p
-        return prod[: self.k]
 
     def _logarithms(self):
         """The least generator g of F_q^*, the list exp[i] = g^i for
@@ -181,15 +156,13 @@ class Field:
         return "F_%d" % self.q
 
 
-_FIELD_CACHE = {}
-
-
 def make_field(p, k=1):
-    """Construct (and cache) F_{p^k}; identical calls return the same object."""
-    key = (p, k)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = Field(p, k)
-    return _FIELD_CACHE[key]
+    """Construct (and cache) F_{p^k}; calls with equal p and k return the
+    same object."""
+    return _cached_field(p, k)
+
+
+_cached_field = lru_cache(maxsize=None)(Field)
 
 
 def prime_power(q):

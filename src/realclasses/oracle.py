@@ -671,8 +671,7 @@ class BaseGroup:
         dtype = self.ops.dtype
         # coeffs[j] holds the j-th coefficient of every combination, as a
         # column against the row basis[j]
-        coeffs = np.array(list(itertools.product(range(q), repeat=m)),
-                          dtype=dtype).T[:, :, None]
+        coeffs = np.indices((q,) * m, dtype=dtype).reshape(m, -1)[:, :, None]
         combos = self.ops.dot(coeffs, np.array(basis, dtype=dtype))
         dets = self.ops.det(combos.reshape(-1, n, n))
         if self.family == "SL":

@@ -213,26 +213,21 @@ def _pool(field, d, c):
 # ---------------------------------------------------------------------------
 # irreducibility and factorization
 
-_IRR_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def irreducibles(field, d):
     """All monic irreducible polynomials of degree d, sorted."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    key = (field.p, field.k, d)
-    if key not in _IRR_CACHE:
-        if d == 1:
-            found = [(c, 1) for c in field.elements]
-        else:
-            found = []
-            lower = [irreducibles(field, e) for e in range(1, d // 2 + 1)]
-            for tail in itertools.product(field.elements, repeat=d):
-                f = tail + (1,)
-                if all(poly_divmod(field, f, g)[1] for gs in lower for g in gs):
-                    found.append(f)
-        _IRR_CACHE[key] = sorted(found)
-    return _IRR_CACHE[key]
+    if d == 1:
+        return [(c, 1) for c in field.elements]
+    found = []
+    lower = [irreducibles(field, e) for e in range(1, d // 2 + 1)]
+    # product runs over the tails in sorted order
+    for tail in itertools.product(field.elements, repeat=d):
+        f = tail + (1,)
+        if all(poly_divmod(field, f, g)[1] for gs in lower for g in gs):
+            found.append(f)
+    return found
 
 
 def poly_gcd(field, f, g):

@@ -291,6 +291,10 @@ def test_irreducible_counts(q):
         assert len(found) == want
         assert found == sorted(set(found))
         assert all(degree(f) == d and f[-1] == 1 for f in found)
+        assert irreducibles(field, d) is found
+    for _ in range(2):  # a rejected call is not cached: it raises again
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            irreducibles(field, 0)
 
 
 def test_factorize_roundtrip():
