@@ -45,6 +45,8 @@ DESK_MATRIX = (
     ("SLQ", 4, 3, 1), ("SLQ", 4, 3, 2),
 )
 _DESK_CAP = 12_130_560  # order of the largest desk group, SL_4(3)
+# genfun checks each term by a full count: 40 take ~3 s at q = 3, 50 take 22 s
+_MAX_TERMS = 40
 
 
 def _emit(fmt, payload, rows, text_lines, out=None):
@@ -283,7 +285,8 @@ def _build_parser():
                        help="generating function for real classes of GL_n")
     common(p, kind=False)
     p.add_argument("--terms", type=int, default=8,
-                   help="highest power of t to expand (default 8)")
+                   help="highest power of t to expand (default 8, at most %d)"
+                        % _MAX_TERMS)
     p.set_defaults(func=cmd_genfun)
 
     p = sub.add_parser("enumerate", help="dump labels with reality flags")
@@ -310,6 +313,9 @@ def _validate(args):
     if args.command in ("table13", "genfun", "enumerate"):
         if args.q is None:
             raise UsageError("%s needs --q" % args.command)
+    if args.command == "genfun" and args.terms > _MAX_TERMS:
+        raise UsageError("--terms %d exceeds the maximum of %d"
+                         % (args.terms, _MAX_TERMS))
     if args.command == "enumerate":
         if args.n is None:
             raise UsageError("enumerate needs --n")

@@ -7,9 +7,9 @@ routes:
 * ``formula`` -- closed-form case dispatch, partition by partition;
 * ``enumeration`` -- the class labels counted type by type from the
   polynomial pools of their slots: each pool polynomial is read once as
-  a signature, and a type's signatures fold into a histogram (for the
-  projective families, each label weighted by the share of its
-  scalar-translation orbit it stands for).
+  a signature, and a type's signatures fold into a histogram, each label
+  weighted by the share of its scalar-translation orbit it stands for
+  (1 outside the projective families).
 
 ``method="both"`` runs the two routes and insists on exact per-partition
 agreement before reporting.  Fractional intermediate values (the paired
@@ -20,7 +20,7 @@ hard error, never a rounding.
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -267,7 +267,7 @@ def _pool_signatures(field, d, c0, witness=None):
     return tuple(out)
 
 
-def _type_histograms(field, n, twists, budget, lead_mod=1, witness=None):
+def _type_histograms(field, n, twists, budget, lead_mod, witness):
     """Yield (nu, histogram) for every type of weight n: the labels whose
     twist set meets ``twists``, counted by signature (C, lead, good).
 
@@ -321,83 +321,62 @@ def _type_histograms(field, n, twists, budget, lead_mod=1, witness=None):
         yield nu, hist
 
 
-def _gl_tally(field, n, twist, budget):
-    """Labels of weight n by type, twisted-real for ``twist``: the real
-    ones for twist 1, the zeta-real ones for a non-square."""
-    return {nu: sum(hist.values())
-            for nu, hist in _type_histograms(field, n, (twist,), budget)}
+def _tally(field, n, family, kind, twist, budget):
+    """The label route of one (family, kind) cell: a map from type to count.
 
+    A signature (C, lead, good) held by cnt labels counts cnt |C| / |E(C)|
+    classes, E(C) = {eta : C meets eta^2 W}: translation u(t) -> u(eta t)
+    takes C(L) to eta^-2 C(L), so the eta-orbit of L holds |E(L)| / |C(L)|
+    labels of the pool of the twists W.  PGL and PSL read W = {1, zeta} at
+    odd q, which every twist set meets up to a square; the other families
+    read W = {twist}, where C is every unit and the weight is 1.
 
-def _sl_tally(field, n, twist, budget, kind="real"):
-    """The det-1 labels of ``_gl_tally`` that stay ``kind`` in SL_n(q), by
-    type, each weighted by h_nu: the number of SL_n(q)-classes its
-    GL-class splits into."""
-    q = field.q
-    labels.check_label_budget(q, n, twist, budget)
-    if field.pow(twist, n) != field.one:
-        # g in SL_n(q) conjugate to zeta g^{-1} (twist zeta^{-1}) has
-        # 1 = det(zeta g^{-1}) = zeta^n
-        return {}
-    strong = kind == "strongly_real" and labels.sl_strong_by_roots(n, q)
-    # det = (-1)^n g^(lead sum) = 1
-    target = (q - 1) // 2 if n % 2 and q % 2 else 0
-    out = {}
-    for nu, hist in _type_histograms(
-            field, n, (twist,), budget, lead_mod=q - 1,
-            witness=labels.sl_strong_slot if strong else None):
-        if kind != "zeta_real" and not labels.real_on_descent(nu, n, q):
-            continue
-        out[nu] = labels.h_nu(nu, q) * sum(
-            cnt for (C, lead, good), cnt in hist.items()
-            if lead == target and (C & good or not strong))
-    return out
-
-
-def _orbit_tally(field, n, twist, budget, family="PGL", strong=False):
-    """Real PGL_n(q)-classes by type, or (``family="PSL"``) those lying in
-    PSL_n(q) weighted by h_nu: eta-orbits of the labels twisted-real for
-    1 or (q odd) the least non-square zeta, W = {1, zeta}.
-
-    Translation u(t) -> u(eta t) takes C(L) to eta^-2 C(L), so the orbit
-    of L meets the pool at the translates by E(L) = {eta : C(L) meets
-    eta^2 W}, and holds |E(L)| / |Stab(L)| pool labels, |Stab(L)| = |C(L)|.
-    Each pool label weighs |C(L)| / |E(L)|.  Every twist set meets W up to
-    a square, so the orbits are the real PGL-classes whatever zeta is.
-
-    An orbit meets PSL when its determinant is an n-th power, a lead sum
-    of 0 mod gcd(n, q-1), and (``labels.real_on_descent``) it does not lose
-    reality on descent.  In the descent corner it is strongly real when
-    some member's reading is witnessed (``labels.psl_strong_slot``); over
-    the orbit the readings run through all of C(L), so that is C & good.
+    SL (and SL/Y off ``_SLQ_ENDPOINT``, read as SL real) and PSL keep the
+    labels of determinant (-1)^n g^lead one (SL) or an n-th power (PSL)
+    that, unless zeta-real, keep reality on descent, and weight each type
+    by h_nu.  Where strong reality has no closed form, a label is strongly
+    real when some reading of it is witnessed: C & good.
     """
     q = field.q
-    twists = (field.one, canonical_nonsquare(field)) if q % 2 else (
-        field.one,)
-    strong = strong and labels.descent_corner(n, q)
-    psl = family == "PSL"
+    if family == "SLQ":
+        family, kind = "SL", "real"
+    sl, psl = family == "SL", family == "PSL"
+    if sl:
+        labels.check_label_budget(q, n, twist, budget)
+        if field.pow(twist, n) != field.one:
+            # g in SL_n(q) conjugate to zeta g^{-1} (twist zeta^{-1}) has
+            # 1 = det(zeta g^{-1}) = zeta^n
+            return {}
+    twists = (twist,)
+    if family in ("PGL", "PSL") and q % 2:
+        twists = (field.one, canonical_nonsquare(field))
+    # looked up at call time, so wrappers on the labels module see each call
+    witness = None
+    if kind == "strongly_real" and sl and labels.sl_strong_by_roots(n, q):
+        witness = labels.sl_strong_slot
+    if kind == "strongly_real" and psl and labels.descent_corner(n, q):
+        witness = labels.psl_strong_slot
+    # det = (-1)^n g^(lead sum): one in SL, in PSL an n-th power (as -1
+    # is at odd n)
+    lead_mod = {"SL": q - 1, "PSL": math.gcd(n, q - 1)}.get(family, 1)
+    target = (q - 1) // 2 if sl and n % 2 and q % 2 else 0
     wanted = [field.log[c] for c in twists]
-    reached = {}
-
-    def weight(C):
-        # |C| / |E(C)|, E(C) = {g^e : C meets g^(2e) W}
-        if C not in reached:
-            e_size = sum(1 for e in range(q - 1) if any(
-                C >> ((2 * e + w) % (q - 1)) & 1 for w in wanted))
-            reached[C] = Fraction(C.bit_count(), e_size)
-        return reached[C]
-
+    descent = (sl or psl) and kind != "zeta_real"
     out = {}
-    for nu, hist in _type_histograms(
-            field, n, twists, budget,
-            lead_mod=math.gcd(n, q - 1) if psl else 1,
-            witness=labels.psl_strong_slot if strong else None):
-        if psl and not labels.real_on_descent(nu, n, q):
+    for nu, hist in _type_histograms(field, n, twists, budget, lead_mod,
+                                     witness):
+        if descent and not labels.real_on_descent(nu, n, q):
             continue
-        orbits = sum(cnt * weight(C) for (C, lead, good), cnt
-                     in hist.items()
-                     if lead == 0 and (C & good or not strong))
-        orbits = _as_int(orbits, ("%s_%d(%d)" % (family, n, q), nu))
-        out[nu] = orbits * labels.h_nu(nu, q) if psl else orbits
+        per_C = {}
+        for (C, lead, good), cnt in hist.items():
+            if lead == target and (witness is None or C & good):
+                per_C[C] = per_C.get(C, 0) + cnt
+        # each weighs |C| / |E(C)|, |E(C)| the e with C meeting g^(2e) W
+        classes = sum(Fraction(cnt * C.bit_count(), sum(
+            any(C >> (2 * e + w) % (q - 1) & 1 for w in wanted)
+            for e in range(q - 1))) for C, cnt in per_C.items())
+        classes = _as_int(classes, ("%s_%d(%d)" % (family, n, q), nu))
+        out[nu] = classes * labels.h_nu(nu, q) if sl or psl else classes
     return out
 
 
@@ -411,15 +390,11 @@ class _Entry:
     ``regime(n, q)`` names the case of the analysis that applies (SLQ:
     ``regime(n, q, y_order)``).  ``formula(nu, n, q)`` is the count of type
     nu, or None where the cell has no closed form; ``enum_only`` lists the
-    regimes where it has none either.  ``enumerate(field, n, twist,
-    budget)`` is the label route, a map from type to count; the twist is 1
-    unless the kind is zeta-real.  Criteria are looked up at call time,
-    never stored, so that wrappers installed on the labels module see
-    every call.
+    regimes where it has none either.  The label route is ``_tally`` for
+    every cell, which derives what it reads from (family, kind) alone.
     """
     regime: object
     formula: object
-    enumerate: object
     enum_only: tuple = ()
 
 
@@ -428,40 +403,33 @@ def _psl_real_nu(nu, n, q):
 
 
 # every real class of GL_n(q) and of PGL_n(q) is strongly real
-_GL = _Entry(lambda n, q: "generic", lambda nu, n, q: gl_nu(nu, q),
-             _gl_tally)
-_PGL = _Entry(pgl_regime, lambda nu, n, q: pgl_nu(nu, q), _orbit_tally)
+_GL = _Entry(lambda n, q: "generic", lambda nu, n, q: gl_nu(nu, q))
+_PGL = _Entry(pgl_regime, lambda nu, n, q: pgl_nu(nu, q))
 # the intermediate quotients SL_n(q)/Y (the regimes not in _SLQ_ENDPOINT)
 # count exactly the det-1 real labels, and each such class is strongly real
-_SLQ = _Entry(slq_regime, lambda nu, n, q: labels.h_nu(nu, q) * sl_nu(nu, q),
-              _sl_tally)
+_SLQ = _Entry(slq_regime, lambda nu, n, q: labels.h_nu(nu, q) * sl_nu(nu, q))
 _REGISTRY = {
     ("GL", "real"): _GL,
     ("GL", "strongly_real"): _GL,
     # g conjugate to zeta * g^{-1}: the same count for every non-square zeta
     ("GL", "zeta_real"): _Entry(lambda n, q: "generic",
-                                lambda nu, n, q: zeta_gl_nu(nu, q),
-                                _gl_tally),
-    ("SL", "real"): _Entry(sl_regime, _sl_real_nu, _sl_tally),
+                                lambda nu, n, q: zeta_gl_nu(nu, q)),
+    ("SL", "real"): _Entry(sl_regime, _sl_real_nu),
     # strong reality is reality unless n = 2 mod 4 with q odd; there the
     # criterion (some odd-position u_i vanishing at 1 or -1) has no closed
     # form
     ("SL", "strongly_real"): _Entry(
-        sl_regime, _sl_real_nu, partial(_sl_tally, kind="strongly_real"),
+        sl_regime, _sl_real_nu,
         enum_only=("n2mod4_q1mod4", "n2mod4_q3mod4")),
     # unlike GL the answer can depend on which non-square is used, and
     # there is no closed form: det-1 labels weighted by the h_nu splitting
-    ("SL", "zeta_real"): _Entry(
-        sl_regime, None, partial(_sl_tally, kind="zeta_real")),
+    ("SL", "zeta_real"): _Entry(sl_regime, None),
     ("PGL", "real"): _PGL,
     ("PGL", "strongly_real"): _PGL,
-    ("PSL", "real"): _Entry(psl_regime, _psl_real_nu,
-                            partial(_orbit_tally, family="PSL")),
+    ("PSL", "real"): _Entry(psl_regime, _psl_real_nu),
     # strong reality is reality except at n = 2 mod 4, q = 3 mod 4
-    ("PSL", "strongly_real"): _Entry(
-        psl_regime, _psl_real_nu,
-        partial(_orbit_tally, family="PSL", strong=True),
-        enum_only=("n2mod4_q3mod4",)),
+    ("PSL", "strongly_real"): _Entry(psl_regime, _psl_real_nu,
+                                     enum_only=("n2mod4_q3mod4",)),
     ("SLQ", "real"): _SLQ,
     ("SLQ", "strongly_real"): _SLQ,
 }
@@ -573,8 +541,8 @@ def _route(family, n, q, kind, entry, regime, method, zeta, budget):
         formula_map = {nu: _as_int(formula(nu, n, q), (where, nu))
                        for nu in nus}
     if method != "formula":
-        enum_map = entry.enumerate(field or field_for_order(q), n, twist,
-                                   budget)
+        enum_map = _tally(field or field_for_order(q), n, family, kind,
+                          twist, budget)
     if method == "both":
         for nu in nus:
             a, b = formula_map[nu], enum_map.get(nu, 0)

@@ -142,6 +142,13 @@ def test_genfun_zero_terms(capsys):
     assert json.loads(out)["coefficients"] == [1]
 
 
+def test_genfun_terms_above_the_maximum_is_a_usage_error(capsys):
+    # rejected before any series or count is computed
+    code, out, err = run(["genfun", "--q", "3", "--terms", "41"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "terms" in err
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 

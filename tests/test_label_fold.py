@@ -104,7 +104,8 @@ def _cells(n, q):
 
 
 @pytest.mark.parametrize("q,max_n", [(2, 6), (3, 10), (4, 6), (5, 6),
-                                     (7, 6), (8, 6), (9, 6), (11, 6)])
+                                     (7, 6), (8, 6), (9, 6), (11, 6),
+                                     (13, 4), (16, 4)])
 def test_label_route_matches_materialised_reference(q, max_n):
     for n in range(max_n + 1):
         for family, kind, y in _cells(n, q):
