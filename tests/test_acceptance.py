@@ -12,6 +12,7 @@ their documented reference/engine pairs and honest match=False flags.
 
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -155,6 +156,27 @@ def test_criterion_7_oracle_equivalence():
         assert time.time() - g0 < 300, (family, n, q, y)
     _report("criterion 7: oracle equals engine on all 25 desk groups", 1800,
             t0)
+
+
+def test_frobenius_schur_counts_the_real_classes():
+    """Frobenius-Schur: the real classes number sum_chi nu(chi)^2 =
+    (1/|G|) sum_g r(g)^2, r(g) the number of square roots of g.  On a
+    class D, r(D) = (sum of |C| over the classes C with C^2 in D) / |D|.
+    This reads the squaring map only; it never inverts."""
+    t0 = time.time()
+    for family, n, q, y in DESK_MATRIX:
+        gd = oracle.enumerate_group(family, n, q, y_order=y, cap=DESK_CAP)
+        base = gd.base
+        reps = base.rep_mats[[orbit[0] for orbit in gd.orbits]]
+        square = gd.owner[base.classes_of(base.ops.matmul(reps, reps))]
+        roots = [0] * gd.num_classes
+        for size, d in zip(gd.class_sizes, square.tolist()):
+            roots[d] += size
+        total = sum(Fraction(r * r, size)
+                    for r, size in zip(roots, gd.class_sizes))
+        assert total / gd.order == len(gd.real_class_ids()), (family, n, q, y)
+    _report("Frobenius-Schur counts the real classes of the 25 desk groups",
+            300, t0)
 
 
 def test_criterion_8_dichotomy():

@@ -209,11 +209,13 @@ def test_usage_errors(capsys):
         ["verify", "--family", "SLQ", "--n", "4", "--q", "5", "--y", "3"],
         ["enumerate", "--n", "2", "--q", "4", "--filter", "zeta_real"],
         ["enumerate", "--n", "1", "--q", "131"],  # past the field bound
+        ["enumerate", "--q", "3"],                # missing --n
     ]
     for argv in cases:
         code, _, err = run(argv, capsys)
         assert code == 2, argv
         assert err.startswith("error:")
+    assert "enumerate needs --n" in run(["enumerate", "--q", "3"], capsys)[2]
 
 
 _PRIME_POWERS = [q for q in range(2, 300) if _is_prime_power(q)]
@@ -458,6 +460,15 @@ def test_negative_env_cap_is_a_usage_error(argv, monkeypatch, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "REALCLASS_CAP" in err
+
+
+def test_matrix_space_past_the_address_limit_is_a_budget(capsys):
+    # SL_3(9) has 42,456,960 elements, under this cap, but its 9^9 codes
+    # pass the oracle's address limit
+    code, out, err = run(["verify", "--family", "SL", "--n", "3", "--q", "9",
+                          "--cap", "100000000"], capsys)
+    assert code == 3 and out == ""
+    assert "too large to address" in err
 
 
 def test_cap_zero_is_a_budget(capsys):

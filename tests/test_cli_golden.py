@@ -5,7 +5,8 @@ at four q, of three ``enumerate --format json`` label dumps, which run
 the per-label criteria (``psl_strongly_real`` through ``factorize`` and
 ``poly_divmod``), and of ``verify --format json`` on every desk group under
 the default cap, the empty group GL_0(3), PGL_1(5) and one group over the
-cap (PSL_3(7), exit 3).  ``genfun`` checks each coefficient against
+cap (PSL_3(7), exit 3), and of ``--format text`` and ``--format csv`` for
+one command of each subcommand (``TEXT_CSV_ARGVS``).  ``genfun`` checks each coefficient against
 ``count``, so its digests pin that call from the command line; the
 ``verify`` digests pin the oracle's class and reality counts.
 
@@ -57,6 +58,16 @@ def _count_argvs():
                 yield argv + ["--format", "json"]
 
 
+# the enumerate dump lists real labels only, and table13 at q = 2 has no
+# disputed-cell notes, so neither pins a value a known defect would change
+TEXT_CSV_ARGVS = (
+    ["count", "--family", "SLQ", "--n", "4", "--q", "5", "--y", "2",
+     "--kind", "strongly_real"],
+    ["verify", "--family", "PSL", "--n", "2", "--q", "7"],
+    ["table13", "--q", "2"],
+    ["genfun", "--q", "3"],
+    ["enumerate", "--n", "3", "--q", "5", "--filter", "real"],
+)
 VERIFY_EXTRA = (("GL", 0, 3, None), ("PGL", 1, 5, None), ("PSL", 3, 7, None))
 
 
@@ -79,6 +90,9 @@ def argvs():
         yield ["enumerate", "--n", n, "--q", q, "--filter", filt,
                "--format", "json"]
     yield from _verify_argvs()
+    for argv in TEXT_CSV_ARGVS:
+        for fmt in ("text", "csv"):
+            yield argv + ["--format", fmt]
 
 
 def run(argv):

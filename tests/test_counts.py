@@ -415,6 +415,65 @@ def test_formula_route_has_no_rank_cap():
 
 
 # ---------------------------------------------------------------------------
+# exceptional isomorphisms, against cycle types
+
+def _cycle_types(m, top=None):
+    """The partitions of m as tuples of parts, each at most ``top``."""
+    top = m if top is None else top
+    if m == 0:
+        yield ()
+    for k in range(min(m, top), 0, -1):
+        for rest in _cycle_types(m - k, k):
+            yield (k,) + rest
+
+
+def _real_in_symmetric(m):
+    # one class per cycle type, each real (and strongly real)
+    return sum(1 for _ in _cycle_types(m))
+
+
+def _real_in_alternating(m):
+    real = 0
+    for lam in _cycle_types(m):
+        if sum(k - 1 for k in lam) % 2:
+            continue    # an odd permutation
+        if len(set(lam)) == len(lam) and all(k % 2 for k in lam):
+            # the S_m class splits in two, both real iff sum (k - 1)/2 is
+            # even, else inverse to each other
+            real += 0 if sum((k - 1) // 2 for k in lam) % 2 else 2
+        else:
+            real += 1
+    return real
+
+
+@pytest.mark.parametrize("family,n,q,group,m,want", [
+    ("PSL", 2, 4, "A", 5, 5), ("PSL", 2, 5, "A", 5, 5),
+    ("PSL", 2, 9, "A", 6, 7), ("GL", 4, 2, "A", 8, 10),
+    ("PSL", 2, 3, "A", 4, 2),
+    ("PGL", 2, 5, "S", 5, 7), ("PGL", 2, 3, "S", 4, 5),
+    ("GL", 2, 2, "S", 3, 3),
+])
+def test_exceptional_isomorphisms_to_permutation_groups(family, n, q, group,
+                                                        m, want):
+    by_cycles = (_real_in_symmetric if group == "S"
+                 else _real_in_alternating)(m)
+    assert by_cycles == want
+    assert count(family, n, q, "real", **BOTH).total == want
+    if group == "S":
+        assert count(family, n, q, "strongly_real", **BOTH).total == want
+
+
+def test_exceptional_isomorphisms_within_the_families():
+    # PSL_2(7) = GL_3(2)
+    assert count("PSL", 2, 7, "real", **BOTH).total == 4
+    assert count("GL", 3, 2, "real", **BOTH).total == 4
+    # SL_2(5) = 2.A_5: -1 is its only involution, so only the classes of
+    # 1 and -1 are strongly real
+    assert count("SL", 2, 5, "real", **BOTH).total == 9
+    assert count("SL", 2, 5, "strongly_real", **BOTH).total == 2
+
+
+# ---------------------------------------------------------------------------
 # the stored reference table
 
 def test_section13_q_even_all_match():

@@ -789,6 +789,9 @@ def test_cap_and_env(monkeypatch):
     with pytest.raises(UsageError, match="nonnegative"):
         enumerate_group("GL", 2, 3, cap=-1)
     assert enumerate_group("GL", 2, 3).order == 48
+    # GL_2(3) is cached by now: the cap still holds on a cache hit
+    with pytest.raises(BudgetExceeded):
+        enumerate_group("GL", 2, 3, cap=47)
 
 
 def test_slq_validation():
