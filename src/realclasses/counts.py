@@ -267,7 +267,7 @@ def _pool_signatures(field, d, c0, witness=None):
     return tuple(out)
 
 
-def _type_histograms(field, n, twists, budget, lead_mod, witness):
+def _type_histograms(field, n, twists, lead_mod, witness):
     """Yield (nu, histogram) for every type of weight n: the labels whose
     twist set meets ``twists``, counted by signature (C, lead, good).
 
@@ -278,12 +278,9 @@ def _type_histograms(field, n, twists, budget, lead_mod, witness):
     union of the slots' good sets within C, so its determinant is
     (-1)^n g^lead and some reading of it is witnessed iff C & good.  With
     one twist both sets are read at that twist only: C is every unit and
-    good is the twist or nothing.  Raises BudgetExceeded if the labels of
-    any twist pass the budget, before reading any pool.
+    good is the twist or nothing.
     """
     q = field.q
-    for twist in twists:
-        labels.check_label_budget(q, n, twist, budget)
     full = (1 << (q - 1)) - 1
     wanted = sum(1 << field.log[c] for c in twists)
     slots = {}
@@ -335,21 +332,22 @@ def _tally(field, n, family, kind, twist, budget):
     labels of determinant (-1)^n g^lead one (SL) or an n-th power (PSL)
     that, unless zeta-real, keep reality on descent, and weight each type
     by h_nu.  Where strong reality has no closed form, a label is strongly
-    real when some reading of it is witnessed: C & good.
+    real when some reading of it is witnessed: C & good.  Raises
+    BudgetExceeded if the labels of any twist W pass the budget.
     """
     q = field.q
     if family == "SLQ":
         family, kind = "SL", "real"
     sl, psl = family == "SL", family == "PSL"
-    if sl:
-        labels.check_label_budget(q, n, twist, budget)
-        if field.pow(twist, n) != field.one:
-            # g in SL_n(q) conjugate to zeta g^{-1} (twist zeta^{-1}) has
-            # 1 = det(zeta g^{-1}) = zeta^n
-            return {}
     twists = (twist,)
     if family in ("PGL", "PSL") and q % 2:
         twists = (field.one, canonical_nonsquare(field))
+    for c in twists:
+        labels.check_label_budget(q, n, c, budget)
+    if sl and field.pow(twist, n) != field.one:
+        # g in SL_n(q) conjugate to zeta g^{-1} (twist zeta^{-1}) has
+        # 1 = det(zeta g^{-1}) = zeta^n
+        return {}
     # looked up at call time, so wrappers on the labels module see each call
     witness = None
     if kind == "strongly_real" and sl and labels.sl_strong_by_roots(n, q):
@@ -363,8 +361,7 @@ def _tally(field, n, family, kind, twist, budget):
     wanted = [field.log[c] for c in twists]
     descent = (sl or psl) and kind != "zeta_real"
     out = {}
-    for nu, hist in _type_histograms(field, n, twists, budget, lead_mod,
-                                     witness):
+    for nu, hist in _type_histograms(field, n, twists, lead_mod, witness):
         if descent and not labels.real_on_descent(nu, n, q):
             continue
         per_C = {}

@@ -44,6 +44,7 @@ coded matrices: ``_Ops`` is the one matrix algebra (products, powers,
 determinants), and an inverse is the power g^(|G| - 1).
 """
 
+import functools
 import itertools
 import math
 import os
@@ -58,8 +59,6 @@ from .fields import canonical_nonsquare, field_for_order
 DEFAULT_CAP = 10 ** 6
 _ADDRESS_LIMIT = 3 * 10 ** 8  # below 2^31, so codes fit int32
 _CHUNK = 1 << 15  # elements per batch; a batch's int32 rows stay in cache
-
-_BASE_CACHE = {}
 
 
 def resolve_cap(cap=None, default=DEFAULT_CAP):
@@ -451,7 +450,7 @@ class BaseGroup:
     enumeration computed.
     """
 
-    def __init__(self, family, n, q, cap):
+    def __init__(self, family, n, q):
         if family not in ("GL", "SL"):
             raise ValueError("base groups are GL or SL, got %r" % (family,))
         self.family = family
@@ -459,10 +458,6 @@ class BaseGroup:
         self.q = q
         self.field = field_for_order(q)
         self.order = group_order(family, n, q)
-        if self.order > cap:
-            raise BudgetExceeded(
-                "group %s_%d(%d) has order %d, over the cap %d"
-                % (family, n, q, self.order, cap))
         if q ** (n * n) > _ADDRESS_LIMIT:
             raise BudgetExceeded(
                 "matrix space %d^%d is too large to address" % (q, n * n))
@@ -603,11 +598,7 @@ class BaseGroup:
             entries = _entries(fiber[start:start + _CHUNK], cells, q, np.intp)
             fiber_key = fiber_class[start:start + _CHUNK] * m
             for j in range(m):
-                digits = scale[j][entries]
-                code = digits[-1]
-                for digit in digits[-2::-1]:
-                    code *= q
-                    code += digit
+                code = _encode(scale[j][entries].T, q)
                 key[self._ranks.index(code, "scalar multiple")] = fiber_key + j
         assert len(fiber) * m == len(key) and key.min() >= 0, \
             "the scalar multiples of the fiber miss an element"
@@ -624,17 +615,14 @@ class BaseGroup:
         assert int(self.class_sizes.sum()) == self.order, "class equation fails"
         for cid, rep in enumerate(self.rep_mats.tolist()):
             size = int(self.class_sizes[cid])
-            if self._is_scalar(rep):
+            basis = self._commutant_basis(rep)
+            if len(basis) == self.n * self.n:  # a scalar commutes with all
                 assert size == 1, "scalar matrix in a class of size %d" % size
                 continue
-            cent = self._centralizer_order(rep)
+            cent = self._centralizer_order(basis)
             assert size * cent == self.order, (
                 "orbit-stabilizer fails for class %d: %d * %d != %d"
                 % (cid, size, cent, self.order))
-
-    def _is_scalar(self, mat):
-        return all(x == (mat[0][0] if i == j else self.field.zero)
-                   for i, row in enumerate(mat) for j, x in enumerate(row))
 
     def _commutant_basis(self, rep):
         """Basis of the algebra {X : rep X = X rep} as coded n^2-vectors."""
@@ -661,9 +649,10 @@ class BaseGroup:
             basis.append(vec)
         return basis
 
-    def _centralizer_order(self, rep):
+    def _centralizer_order(self, basis):
+        """The invertible (GL) or determinant-1 (SL) elements of the span
+        of a non-scalar representative's commutant basis."""
         field, n, q = self.field, self.n, self.q
-        basis = self._commutant_basis(rep)
         # a non-scalar rep's commutant has dimension m <= (n - 1)^2 + 1, so
         # under _ADDRESS_LIMIT the q^m combinations number at most 2^17,
         # at GL_5(2) (SL_4(3): 3^10)
@@ -717,15 +706,16 @@ class BaseGroup:
         return hit
 
 
+_built = functools.lru_cache(maxsize=None)(BaseGroup)
+
+
 def _base_group(family, n, q, cap):
-    key = (family, n, q)
-    if key not in _BASE_CACHE:
-        _BASE_CACHE[key] = BaseGroup(family, n, q, cap)
-    elif _BASE_CACHE[key].order > cap:
-        raise BudgetExceeded(
-            "group %s_%d(%d) has order %d, over the cap %d"
-            % (family, n, q, _BASE_CACHE[key].order, cap))
-    return _BASE_CACHE[key]
+    """The cached base group, once its order is checked against the cap."""
+    order = group_order(family, n, q)
+    if order > cap:
+        raise BudgetExceeded("group %s_%d(%d) has order %d, over the cap %d"
+                             % (family, n, q, order, cap))
+    return _built(family, n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -742,17 +732,11 @@ class GroupData:
         self.q = q
         base_family = "GL" if family in ("GL", "PGL") else "SL"
         self.base = _base_group(base_family, n, q, cap)
-        self.field = self.base.field
-        field = self.field
-        if n == 0 or family in ("GL", "SL"):
-            y = [field.one]  # at n = 0 every scalar is the empty matrix
-        elif family == "PGL":
-            y = list(field.units)
-        elif family == "PSL":
-            y = [z for z in field.units if field.pow(z, n) == field.one]
-        else:
-            y = [z for z in field.units if field.pow(z, y_order) == field.one]
-            assert len(y) == y_order
+        self.field = field = self.base.field
+        # Y = {z : z^e = 1}; at n = 0 every scalar is the empty matrix
+        e = {"PGL": q - 1, "PSL": n, "SLQ": y_order}.get(family, 1) if n else 1
+        y = [z for z in field.units if field.pow(z, e) == field.one]
+        assert family != "SLQ" or len(y) == y_order
         self.y_codes = sorted(y)
         self.y_order = len(self.y_codes)
         self.order = self.base.order // self.y_order
