@@ -14,13 +14,18 @@ tables over an extension field).
 A rank bitmap over the q^(n^2) codes (one bit per code, with the number
 of members below each 64-bit word) turns a code into its element index
 and says whether it is in the group; it answers every such lookup here.
-Each generator is a transvection, diag(theta, 1, ..., 1) or a signed
-n-cycle, so conjugation by it changes few entries of a matrix, each a
-short sum of entries times field constants: a chunk of codes is decoded
-once, only the changed entries are recomputed, and (new - old) q^pos is
-added to each code.  Each generator so becomes one permutation array,
-and the classes are the orbits of those arrays, found by min-label
-hooking with pointer jumping (Shiloach-Vishkin).
+The generators (``_generator_mats``) are few: I + E_12 (I + a E_12 for a
+in an F_p-basis of F_q for SL), I + a E_21 at n = 2 only, a signed
+n-cycle for n >= 3 and, for GL, diag(theta, 1, ..., 1).  The n-cycle and
+the diagonal are monomial, so row i of the image of X is row pi(i) of X,
+permuted and scaled: the image code is a sum of n lookups, one per row
+of X, into tables of q^n codes (``_monomial_tables``), with no decode of
+the entries.  A transvection changes few entries, each a short sum of
+entries times field constants: a chunk of codes is decoded once, only the
+changed entries are recomputed, and (new - old) q^pos is added to each
+code.  Each generator so becomes one permutation array, and the classes
+are the orbits of those arrays, found by min-label hooking with pointer
+jumping (Shiloach-Vishkin).
 
 Only one determinant fiber per coset of n-th powers is hooked: the
 elements whose determinant lies in a transversal D of F_q^* / (F_q^*)^n,
@@ -28,11 +33,11 @@ elements whose determinant lies in a transversal D of F_q^* / (F_q^*)^n,
 X -> lam X, and det(lam X) = lam^n det X, so the arrays act on the
 fiber alone (a second rank bitmap indexes it), and every GL-class is lam C
 for one fiber class C and one of the (q - 1) / gcd(n, q - 1) scalars lam.
-One pass multiplies the fiber by each scalar and numbers the pairs
-(C, lam) by least element index.  For SL, and for GL when gcd(n, q - 1) =
-q - 1, the fiber is the whole group.  Every class of the whole group is
-certified through the class equation and the orbit-stabilizer equation
-|class| * |centralizer| = |order|.
+One pass multiplies the fiber by each scalar, by the per-row tables of a
+monomial map, and numbers the pairs (C, lam) by least element index.  For
+SL, and for GL when gcd(n, q - 1) = q - 1, the fiber is the whole group.
+Every class of the whole group is certified through the class equation
+and the orbit-stabilizer equation |class| * |centralizer| = |order|.
 
 Quotients by a central subgroup Y reuse the base classification: the
 classes of G/Y are the Y-orbits of classes of G, reality (twist c = 1)
@@ -223,10 +228,7 @@ class _Ops:
         (new - old) q^pos added to the code."""
         image = codes.astype(np.int32)
         for pos, coefs, srcs in changes:
-            if coefs == (self.field.one,):
-                new = entries[srcs[0]]
-            else:
-                new = self.dot(coefs, [entries[s] for s in srcs])
+            new = self.dot(coefs, [entries[s] for s in srcs])
             delta = np.subtract(new, entries[pos], dtype=np.int32)
             delta *= self.q ** pos
             image += delta
@@ -297,27 +299,36 @@ def _det_transversal(field, n):
 # generators
 
 def _generator_mats(field, n, base_family):
-    """Generators of GL_n(q) or SL_n(q).
+    """A small generating set of GL_n(q) or SL_n(q), every matrix monomial
+    or a transvection.
 
-    The transvections I + a E_12 and I + a E_21, for a running over the
-    F_p-basis 1, t, ..., t^(k-1) of F_q, generate SL_2(q); for n >= 3 an
-    n-cycle of determinant 1 moves them onto every pair of adjacent
-    coordinates, which generates SL_n(q).  GL adds diag(theta, 1, ..., 1)
-    for a primitive theta.  SL_1(q) and GL_0(q) are trivial and need no
-    generator.  The generators come as one coded array (m, n, n).
+    The transvections I + a E_12, for a running over the F_p-basis 1, t,
+    ..., t^(k-1) of F_q, give the root subgroup {I + x E_12}; with the
+    I + a E_21 they generate SL_2(q).  For n >= 3 an n-cycle of
+    determinant 1 moves E_12 onto E_23, ..., E_n1, and the commutators
+    [I + a E_ij, I + b E_jk] = I + ab E_ik give every other root subgroup,
+    so the root subgroups, which generate SL_n(q), need no I + a E_21.
+    GL adds diag(theta, 1, ..., 1) for a primitive theta, whose powers
+    conjugate I + E_12 to I + theta^i E_12 (and I + E_21 to
+    I + theta^-i E_21), so there a = 1 alone serves.  Over F_2, where
+    theta = 1 and GL is SL, and for SL_1(q) and GL_0(q), which are
+    trivial, there is no such generator.  The generators come as one coded
+    array (m, n, n).
     """
     gens = []
-    if n >= 2:
-        # t^m has the code p^m: its base-p digits are one 1
-        for a in (field.p ** m for m in range(field.k)):
-            for at in ((0, 1), (1, 0)):
-                gens.append(np.eye(n, dtype=np.uint8))
-                gens[-1][at] = a
+    # t^m has the code p^m: its base-p digits are one 1
+    basis = [field.p ** m
+             for m in range(1 if base_family == "GL" else field.k)]
+    spots = [(0, 1), (1, 0)] if n == 2 else [(0, 1)] if n >= 3 else []
+    for at in spots:
+        for a in basis:
+            gens.append(np.eye(n, dtype=np.uint8))
+            gens[-1][at] = a
     if n >= 3:
         gens.append(np.eye(n, k=-1, dtype=np.uint8))
         signed = base_family == "SL" and n % 2 == 0
         gens[-1][0, n - 1] = field.minus_one if signed else field.one
-    if base_family == "GL" and n >= 1:
+    if base_family == "GL" and n >= 1 and field.q > 2:
         gens.append(np.eye(n, dtype=np.uint8))
         gens[-1][0, 0] = field.generator
     return np.array(gens, dtype=np.uint8).reshape(len(gens), n, n)
@@ -329,10 +340,8 @@ def _conjugation_terms(field, g, g_inv):
     nonzero terms g[r][k] g^{-1}[l][c] X[k][l].  An entry that is its own
     image with coefficient 1 is left out.
 
-    Every generator is sparse: a transvection I + a E_12 changes row 0 and
-    column 1, diag(theta, 1, ..., 1) row 0 and column 0 but not their
-    corner, and the signed n-cycle moves every entry to another place.
-    ``g`` and ``g_inv`` are lists of rows.
+    A transvection I + a E_12 changes row 0 and column 1 only, each entry
+    a sum of two or four terms.  ``g`` and ``g_inv`` are lists of rows.
     """
     n = len(g)
     changes = []
@@ -345,6 +354,63 @@ def _conjugation_terms(field, g, g_inv):
             coefs, srcs = zip(*terms)
             changes.append((pos, coefs, srcs))
     return changes
+
+
+def _monomial_tables(field, n, perm, a, b):
+    """Per-row tables of the map X -> Y, Y[i][j] = a_i b_j X[perm i][perm j]
+    on coded matrices: the code of Y is sum_s tables[s][v_s], v_s the value
+    of row s of X (its n digits as one base-q^n digit of the code).
+
+    Row i of Y reads row perm i of X alone, so tables[perm i] is the code
+    of row i of Y, at its place q^(n i), for each of the q^n row values.
+    Conjugation by a monomial matrix (one nonzero g[i][perm i] per row) is
+    such a map, with a_i = g[i][perm i] and b_j = g^{-1}[perm j][j], and so
+    is X -> lam X, with perm the identity, a_i = lam and b_j = 1.
+    """
+    q = field.q
+    digits = _entries(np.arange(q ** n), n, q, np.intp)
+    tables = np.empty((n, q ** n), dtype=np.int32)
+    for i in range(n):
+        tables[perm[i]] = sum(
+            field.mul_table[field.mul(a[i], b[j])][digits[perm[j]]].astype(
+                np.int32) * q ** (n * i + j)
+            for j in range(n))
+    return tables
+
+
+def _rows(codes, n, q):
+    """The row values of codes below q^(n^2), shape (n, len(codes)): row s
+    holds row s of every matrix as one number below q^n, ready to index
+    ``_monomial_tables``."""
+    return _entries(codes, n, q ** n, np.intp)
+
+
+def _table_image(tables, rows):
+    """The codes of the images, by the per-row ``tables`` of a monomial
+    map, of the matrices with these ``_rows``."""
+    image = tables[0][rows[0]]
+    for table, row in zip(tables[1:], rows[1:]):
+        image += table[row]
+    return image
+
+
+def _conjugator(ops, g, g_inv):
+    """X -> g X g^{-1} on a chunk of coded matrices, as a function of its
+    codes, its ``_entries`` and its ``_rows``: by per-row table lookups
+    (``_monomial_tables``) when g is monomial, as diag(theta, 1, ..., 1)
+    and the signed n-cycle are, and else by recomputing only the entries
+    that ``_conjugation_terms`` lists (``_Ops.conjugate``).  ``g`` and
+    ``g_inv`` are lists of rows."""
+    field, n = ops.field, ops.n
+    support = [[j for j, x in enumerate(row) if x != field.zero] for row in g]
+    if all(len(cols) == 1 for cols in support):
+        perm = [cols[0] for cols in support]
+        tables = _monomial_tables(field, n, perm,
+                                  [g[i][perm[i]] for i in range(n)],
+                                  [g_inv[perm[j]][j] for j in range(n)])
+        return lambda codes, entries, rows: _table_image(tables, rows)
+    changes = _conjugation_terms(field, g, g_inv)
+    return lambda codes, entries, rows: ops.conjugate(changes, codes, entries)
 
 
 # _BIT[b] = 2^b, the bit of code b (mod 64) in its word
@@ -527,15 +593,16 @@ class BaseGroup:
         of classes, indexed by ``ranks``) permuted by conjugation with g."""
         n, q, ops = self.n, self.q, self.ops
         invs = ops.power(gens, self.order - 1)
-        changes = [_conjugation_terms(self.field, g, g_inv)
-                   for g, g_inv in zip(gens.tolist(), invs.tolist())]
+        maps = [_conjugator(ops, g, g_inv)
+                for g, g_inv in zip(gens.tolist(), invs.tolist())]
         perms = [np.empty(len(codes), dtype=np.int32) for _ in gens]
         for start in range(0, len(codes), _CHUNK):
             chunk = codes[start:start + _CHUNK]
             entries = _entries(chunk, n * n, q, ops.dtype)
-            for change, perm in zip(changes, perms):
+            rows = _rows(chunk, n, q)
+            for conj, perm in zip(maps, perms):
                 perm[start:start + len(chunk)] = ranks.index(
-                    ops.conjugate(change, chunk, entries), "conjugate")
+                    conj(chunk, entries, rows), "conjugate")
         return perms
 
     def _classify(self, fiber, scalars):
@@ -590,15 +657,16 @@ class BaseGroup:
         have one determinant each; the keys are renumbered by least element
         index.
         """
-        q, cells, m = self.q, self.n * self.n, len(scalars)
-        # scale[j] is multiplication by theta^j (intp indices gather fastest)
-        scale = self.field.mul_table[scalars].astype(np.int32)
+        field, n, m = self.field, self.n, len(scalars)
+        ident = list(range(n))
+        scale = [_monomial_tables(field, n, ident, [lam] * n, [field.one] * n)
+                 for lam in scalars]
         key = np.full(len(self.codes), -1, dtype=np.int32)
         for start in range(0, len(fiber), _CHUNK):
-            entries = _entries(fiber[start:start + _CHUNK], cells, q, np.intp)
+            rows = _rows(fiber[start:start + _CHUNK], n, self.q)
             fiber_key = fiber_class[start:start + _CHUNK] * m
-            for j in range(m):
-                code = _encode(scale[j][entries].T, q)
+            for j, tables in enumerate(scale):
+                code = _table_image(tables, rows)
                 key[self._ranks.index(code, "scalar multiple")] = fiber_key + j
         assert len(fiber) * m == len(key) and key.min() >= 0, \
             "the scalar multiples of the fiber miss an element"
@@ -693,9 +761,9 @@ class BaseGroup:
         ys = self.field.mul_table[np.asarray(y_codes)[:, None, None],
                                   np.eye(n, dtype=np.uint8)]
         squares = self.ops.matmul(self.rep_mats, self.rep_mats)
-        pool_classes = np.flatnonzero(np.isin(_encode(squares, q),
-                                              _encode(ys, q)))
-        pool = np.flatnonzero(np.isin(self.class_id, pool_classes))
+        in_pool = np.isin(_encode(squares, q), _encode(ys, q))
+        pool_classes = np.flatnonzero(in_pool)
+        pool = np.flatnonzero(in_pool[self.class_id])
         reps = self.rep_mats[pool_classes]
         hit = np.zeros(self.num_classes, dtype=bool)
         for start in range(0, len(pool), _CHUNK):

@@ -183,30 +183,84 @@ def _random_invertible(field, n, rng):
             return m
 
 
+def _random_monomial(field, n, rng):
+    perm = rng.sample(range(n), n)
+    return tuple(tuple(rng.choice(field.units) if j == perm[i] else field.zero
+                       for j in range(n)) for i in range(n))
+
+
 @pytest.mark.parametrize("family,n,q", [
     (family, n, q) for family in ("GL", "SL") for n in (2, 3)
     for q in (2, 3, 4, 5, 8, 9)] + [
     (family, 4, q) for family in ("GL", "SL") for q in (2, 3)])
 def test_sparse_conjugation_matches_mat_mul(family, n, q):
-    # every generator, the signed n-cycle included (SL at even n), and a
-    # few random invertible matrices
+    # every generator, through the map _conjugation_perms applies to it:
+    # the per-row tables for diag(theta, 1, ..., 1) and the signed n-cycle,
+    # the changed entries for a transvection; then a few random invertible
+    # and random monomial matrices
     field = field_for_order(q)
     ops = oracle._Ops(field, n)
     rng = random.Random(q * 10 + n)
     gens = [oracle._mat_to_tuple(g)
             for g in oracle._generator_mats(field, n, family)]
     gens += [_random_invertible(field, n, rng) for _ in range(2)]
+    gens += [_random_monomial(field, n, rng) for _ in range(2)]
     xs = [tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
           for _ in range(40)]
     codes = _codes(q, xs).astype(np.int32)
     entries = oracle._entries(codes, n * n, q, ops.dtype)
+    rows = oracle._rows(codes, n, q)
     for g in gens:
         g_inv = mat_inv(field, g)
-        got = ops.conjugate(oracle._conjugation_terms(field, g, g_inv),
-                            codes, entries)
+        got = oracle._conjugator(ops, g, g_inv)(codes, entries, rows)
         want = _codes(q, [mat_mul(field, mat_mul(field, g, x), g_inv)
                           for x in xs])
         assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("family,n,q", [
+    (family, 2, q) for family in ("GL", "SL") for q in (2, 3, 4, 5, 8, 9)] + [
+    (family, 3, q) for family in ("GL", "SL") for q in (2, 3)] + [
+    ("SL", 3, 4), ("GL", 4, 2)])
+def test_generators_generate_the_group(family, n, q):
+    # the closure of the generators under right multiplication by them,
+    # with the reference product; SL_3(4) needs the F_p-basis of F_4 in
+    # I + a E_12, and GL_4(2) has no diagonal generator
+    field = field_for_order(q)
+    gens = [oracle._mat_to_tuple(g)
+            for g in oracle._generator_mats(field, n, family)]
+    seen = {identity_mat(field, n)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = mat_mul(field, x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    assert len(seen) == group_order(family, n, q)
+
+
+@pytest.mark.parametrize("n,q", [
+    (n, q) for n in (1, 2, 3, 4) for q in (2, 3, 4, 5, 7, 8, 9)
+    if q ** (n * n) <= oracle._ADDRESS_LIMIT])
+def test_spread_tables_scale_by_every_scalar(n, q):
+    # the per-row tables _spread builds for X -> lam X, on every matrix
+    # space the oracle addresses (codes below 2^31)
+    field = field_for_order(q)
+    rng = random.Random(q * 10 + n)
+    xs = [tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+          for _ in range(40)]
+    codes = _codes(q, xs).astype(np.int32)
+    rows = oracle._rows(codes, n, q)
+    for lam in field.units:
+        tables = oracle._monomial_tables(field, n, list(range(n)),
+                                         [lam] * n, [field.one] * n)
+        got = oracle._table_image(tables, rows)
+        assert got.tolist() == \
+            _codes(q, [mat_scale(field, lam, x) for x in xs]).tolist()
 
 
 def _codes(q, mats):
