@@ -45,8 +45,6 @@ DESK_MATRIX = (
     ("SLQ", 4, 3, 1), ("SLQ", 4, 3, 2),
 )
 _DESK_CAP = 12_130_560  # order of the largest desk group, SL_4(3)
-# genfun checks each term by a full count: 40 take ~3 s at q = 3, 50 take 22 s
-_MAX_TERMS = 40
 
 
 def _emit(fmt, payload, rows, text_lines, out=None):
@@ -254,55 +252,58 @@ def _build_parser():
                     "of the finite linear groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kind=True):
-        p.add_argument("--family", choices=sorted(counts.FAMILIES))
-        p.add_argument("--n", type=int)
-        p.add_argument("--q", type=int)
-        p.add_argument("--y", type=int,
-                       help="order of the central subgroup Y (family SLQ)")
-        if kind:
-            p.add_argument("--kind", choices=sorted(counts.KINDS))
+    declare = {
+        "family": dict(choices=sorted(counts.FAMILIES)),
+        "n": dict(type=int),
+        "q": dict(type=int),
+        "y": dict(type=int,
+                  help="order of the central subgroup Y (family SLQ)"),
+        "kind": dict(choices=sorted(counts.KINDS)),
+    }
+
+    def subcommand(name, func, help, flags):
+        """A subparser with the flags it reads, and --format and --cap."""
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument("--" + flag, **declare[flag])
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="text")
         p.add_argument("--cap", type=int,
                        help="group-size cap / label budget override")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("count", help="closed-form class counts")
-    common(p)
-    p.set_defaults(func=cmd_count, kind="real")
+    group = ("family", "n", "q", "y", "kind")
+    subcommand("count", cmd_count, "closed-form class counts",
+               group).set_defaults(kind="real")
 
-    p = sub.add_parser("verify", help="brute-force oracle vs formulas")
-    common(p)
+    p = subcommand("verify", cmd_verify, "brute-force oracle vs formulas",
+                   group)
     p.add_argument("--all-desk", action="store_true",
                    help="run the full desk-scale verification matrix")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("table13", help="small-rank reference table vs engine")
-    common(p, kind=False)
-    p.set_defaults(func=cmd_table13)
+    subcommand("table13", cmd_table13, "small-rank reference table vs engine",
+               ("q",))
 
-    p = sub.add_parser("genfun",
-                       help="generating function for real classes of GL_n")
-    common(p, kind=False)
+    p = subcommand("genfun", cmd_genfun,
+                   "generating function for real classes of GL_n", ("q",))
     p.add_argument("--terms", type=int, default=8,
                    help="highest power of t to expand (default 8, at most %d)"
-                        % _MAX_TERMS)
-    p.set_defaults(func=cmd_genfun)
+                        % counts.MAX_N)
 
-    p = sub.add_parser("enumerate", help="dump labels with reality flags")
-    common(p, kind=False)
+    p = subcommand("enumerate", cmd_enumerate, "dump labels with reality flags",
+                   ("n", "q"))
     p.add_argument("--filter", choices=("real", "zeta_real"),
                    help="restrict to real / zeta-real labels; zeta_real "
                         "reads the label twist zeta, so on matrices "
                         "g ~ zeta^-1 g^-1, where count and verify read "
                         "g ~ zeta g^-1")
-    p.set_defaults(func=cmd_enumerate)
     return parser
 
 
 def _validate(args):
-    if args.command in ("count", "verify") and not getattr(args, "all_desk",
-                                                           False):
+    if args.command == "count" or (args.command == "verify"
+                                   and not args.all_desk):
         for name in ("family", "n", "q"):
             if getattr(args, name) is None:
                 raise UsageError("%s needs --family, --n, --q%s"
@@ -313,9 +314,10 @@ def _validate(args):
     if args.command in ("table13", "genfun", "enumerate"):
         if args.q is None:
             raise UsageError("%s needs --q" % args.command)
-    if args.command == "genfun" and args.terms > _MAX_TERMS:
+    # genfun checks each term n by a full count, so its bound is that of n
+    if args.command == "genfun" and args.terms > counts.MAX_N:
         raise UsageError("--terms %d exceeds the maximum of %d"
-                         % (args.terms, _MAX_TERMS))
+                         % (args.terms, counts.MAX_N))
     if args.command == "enumerate":
         if args.n is None:
             raise UsageError("enumerate needs --n")

@@ -33,6 +33,9 @@ from .polys import count_nqd, is_nonsquare, sigma
 FAMILIES = ("GL", "SL", "PGL", "PSL", "SLQ")
 KINDS = ("real", "strongly_real", "zeta_real")
 METHODS = ("formula", "enumeration", "both")
+# the formula route walks all p(n) partitions of n: at q = 3 the real GL
+# count takes 0.4 s and 40 MB at n = 40, 3 s and 99 MB at n = 50
+MAX_N = 40
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +463,14 @@ def check_kind(family, q, kind, zeta=None):
 
 def check_group(family, n, q, y_order=None):
     """Raise UsageError unless the arguments name one of the five groups
-    over a supported field (q <= MAX_Q), whichever route would count it."""
+    of supported rank (n <= MAX_N) over a supported field (q <= MAX_Q),
+    whichever route would count it."""
     if family not in FAMILIES:
         raise UsageError("unknown family %r" % (family,))
     if not isinstance(n, int) or n < 0:
         raise UsageError("n must be a nonnegative integer, got %r" % (n,))
+    if n > MAX_N:
+        raise UsageError("n = %d exceeds the supported bound %d" % (n, MAX_N))
     prime_power(q)
     if q > MAX_Q:
         raise UsageError("q = %d exceeds the supported bound %d" % (q, MAX_Q))

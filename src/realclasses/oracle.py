@@ -16,16 +16,15 @@ of members below each 64-bit word) turns a code into its element index
 and says whether it is in the group; it answers every such lookup here.
 The generators (``_generator_mats``) are few: I + E_12 (I + a E_12 for a
 in an F_p-basis of F_q for SL), I + a E_21 at n = 2 only, a signed
-n-cycle for n >= 3 and, for GL, diag(theta, 1, ..., 1).  The n-cycle and
-the diagonal are monomial, so row i of the image of X is row pi(i) of X,
-permuted and scaled: the image code is a sum of n lookups, one per row
-of X, into tables of q^n codes (``_monomial_tables``), with no decode of
-the entries.  A transvection changes few entries, each a short sum of
-entries times field constants: a chunk of codes is decoded once, only the
-changed entries are recomputed, and (new - old) q^pos is added to each
-code.  Each generator so becomes one permutation array, and the classes
-are the orbits of those arrays, found by min-label hooking with pointer
-jumping (Shiloach-Vishkin).
+n-cycle for n >= 3 and, for GL, diag(theta, 1, ..., 1).  Every map the
+classification applies to element codes, conjugation X -> g X g^{-1} and
+the scalar multiples X -> lam X alike, is X -> a X b = ((X b)^T a^T)^T, two
+passes of X -> (X m)^T.  Row s of X m depends on row s of X alone and is
+column s of (X m)^T, so a pass is a sum of n lookups, one per row of X,
+into tables of q^n codes (``_map_tables``), with no decode of the
+entries.  Each generator so becomes one permutation array, and the
+classes are the orbits of those arrays, found by min-label hooking with
+pointer jumping (Shiloach-Vishkin).
 
 Only one determinant fiber per coset of n-th powers is hooked: the
 elements whose determinant lies in a transversal D of F_q^* / (F_q^*)^n,
@@ -33,8 +32,8 @@ elements whose determinant lies in a transversal D of F_q^* / (F_q^*)^n,
 X -> lam X, and det(lam X) = lam^n det X, so the arrays act on the
 fiber alone (a second rank bitmap indexes it), and every GL-class is lam C
 for one fiber class C and one of the (q - 1) / gcd(n, q - 1) scalars lam.
-One pass multiplies the fiber by each scalar, by the per-row tables of a
-monomial map, and numbers the pairs (C, lam) by least element index.  For
+One pass multiplies the fiber by each scalar, as the map with a = 1 and
+b = lam, and numbers the pairs (C, lam) by least element index.  For
 SL, and for GL when gcd(n, q - 1) = q - 1, the fiber is the whole group.
 Every class of the whole group is certified through the class equation
 and the orbit-stabilizer equation |class| * |centralizer| = |order|.
@@ -221,19 +220,6 @@ class _Ops:
         c = np.stack(self._expansion(minors, n - 1, tuple(range(n))))
         return c % self.q if self.integer else c
 
-    def conjugate(self, changes, codes, entries):
-        """The codes of g X g^{-1} for the matrices X with these codes and
-        entries (``_entries``), given the ``changes`` of
-        ``_conjugation_terms(g)``: each changed entry is recomputed and
-        (new - old) q^pos added to the code."""
-        image = codes.astype(np.int32)
-        for pos, coefs, srcs in changes:
-            new = self.dot(coefs, [entries[s] for s in srcs])
-            delta = np.subtract(new, entries[pos], dtype=np.int32)
-            delta *= self.q ** pos
-            image += delta
-        return image
-
     def det(self, a):
         """Exact determinants of a batch (..., n, n), in uint8, expanded
         along the last row: cofactors of the top n - 1 rows . last row."""
@@ -299,8 +285,8 @@ def _det_transversal(field, n):
 # generators
 
 def _generator_mats(field, n, base_family):
-    """A small generating set of GL_n(q) or SL_n(q), every matrix monomial
-    or a transvection.
+    """A small generating set of GL_n(q) or SL_n(q): transvections, an
+    n-cycle and a diagonal matrix.
 
     The transvections I + a E_12, for a running over the F_p-basis 1, t,
     ..., t^(k-1) of F_q, give the root subgroup {I + x E_12}; with the
@@ -334,83 +320,51 @@ def _generator_mats(field, n, base_family):
     return np.array(gens, dtype=np.uint8).reshape(len(gens), n, n)
 
 
-def _conjugation_terms(field, g, g_inv):
-    """The entries that X -> g X g^{-1} changes, as (pos, coefs, srcs):
-    entry pos (row-major) of the image is sum_i coefs[i] X[srcs[i]], the
-    nonzero terms g[r][k] g^{-1}[l][c] X[k][l].  An entry that is its own
-    image with coefficient 1 is left out.
+def _transposing_tables(ops, m):
+    """Per-row tables of the map X -> (X m)^T on coded matrices: the code
+    of the image is sum_s tables[s][v_s], v_s the value of row s of X (its
+    n digits as one base-q^n digit of the code, ``_rows``).
 
-    A transvection I + a E_12 changes row 0 and column 1 only, each entry
-    a sum of two or four terms.  ``g`` and ``g_inv`` are lists of rows.
+    Row s of X m is v_s m, a function of row s alone, and it is column s
+    of the image: entry j of v m sits at q^(n j + s).  So tables[s] is
+    q^s times the code of the column v m, for each of the q^n rows v.
     """
-    n = len(g)
-    changes = []
-    for pos in range(n * n):
-        r, c = divmod(pos, n)
-        terms = [(field.mul(g[r][k], g_inv[l][c]), k * n + l)
-                 for k in range(n) for l in range(n)]
-        terms = [(coef, src) for coef, src in terms if coef != field.zero]
-        if terms != [(field.one, pos)]:
-            coefs, srcs = zip(*terms)
-            changes.append((pos, coefs, srcs))
-    return changes
+    n, q = ops.n, ops.q
+    vecs = _entries(np.arange(q ** n), n, q).T  # row v of X, as (q^n, n)
+    column = ops.matmul(vecs, m).astype(np.int32) @ (
+        q ** (n * np.arange(n, dtype=np.int32)))
+    return column * (q ** np.arange(n, dtype=np.int32))[:, None]
 
 
-def _monomial_tables(field, n, perm, a, b):
-    """Per-row tables of the map X -> Y, Y[i][j] = a_i b_j X[perm i][perm j]
-    on coded matrices: the code of Y is sum_s tables[s][v_s], v_s the value
-    of row s of X (its n digits as one base-q^n digit of the code).
-
-    Row i of Y reads row perm i of X alone, so tables[perm i] is the code
-    of row i of Y, at its place q^(n i), for each of the q^n row values.
-    Conjugation by a monomial matrix (one nonzero g[i][perm i] per row) is
-    such a map, with a_i = g[i][perm i] and b_j = g^{-1}[perm j][j], and so
-    is X -> lam X, with perm the identity, a_i = lam and b_j = 1.
-    """
-    q = field.q
-    digits = _entries(np.arange(q ** n), n, q, np.intp)
-    tables = np.empty((n, q ** n), dtype=np.int32)
-    for i in range(n):
-        tables[perm[i]] = sum(
-            field.mul_table[field.mul(a[i], b[j])][digits[perm[j]]].astype(
-                np.int32) * q ** (n * i + j)
-            for j in range(n))
-    return tables
+def _map_tables(ops, a, b):
+    """The two passes of per-row tables of X -> a X b on coded matrices:
+    a X b = ((X b)^T a^T)^T, so the first pass maps X to (X b)^T and the
+    second maps that to a X b (``_map_image``).  Each table holds n q^n
+    entries, whatever a and b are."""
+    return _transposing_tables(ops, b), _transposing_tables(ops, a.T)
 
 
 def _rows(codes, n, q):
     """The row values of codes below q^(n^2), shape (n, len(codes)): row s
     holds row s of every matrix as one number below q^n, ready to index
-    ``_monomial_tables``."""
+    ``_transposing_tables``."""
     return _entries(codes, n, q ** n, np.intp)
 
 
 def _table_image(tables, rows):
-    """The codes of the images, by the per-row ``tables`` of a monomial
-    map, of the matrices with these ``_rows``."""
+    """The codes of the images, by one pass of per-row ``tables``, of the
+    matrices with these ``_rows``."""
     image = tables[0][rows[0]]
     for table, row in zip(tables[1:], rows[1:]):
         image += table[row]
     return image
 
 
-def _conjugator(ops, g, g_inv):
-    """X -> g X g^{-1} on a chunk of coded matrices, as a function of its
-    codes, its ``_entries`` and its ``_rows``: by per-row table lookups
-    (``_monomial_tables``) when g is monomial, as diag(theta, 1, ..., 1)
-    and the signed n-cycle are, and else by recomputing only the entries
-    that ``_conjugation_terms`` lists (``_Ops.conjugate``).  ``g`` and
-    ``g_inv`` are lists of rows."""
-    field, n = ops.field, ops.n
-    support = [[j for j, x in enumerate(row) if x != field.zero] for row in g]
-    if all(len(cols) == 1 for cols in support):
-        perm = [cols[0] for cols in support]
-        tables = _monomial_tables(field, n, perm,
-                                  [g[i][perm[i]] for i in range(n)],
-                                  [g_inv[perm[j]][j] for j in range(n)])
-        return lambda codes, entries, rows: _table_image(tables, rows)
-    changes = _conjugation_terms(field, g, g_inv)
-    return lambda codes, entries, rows: ops.conjugate(changes, codes, entries)
+def _map_image(passes, rows, n, q):
+    """The codes of a X b for the matrices X with these ``_rows``, by the
+    two ``passes`` of ``_map_tables(ops, a, b)``."""
+    first, second = passes
+    return _table_image(second, _rows(_table_image(first, rows), n, q))
 
 
 # _BIT[b] = 2^b, the bit of code b (mod 64) in its word
@@ -593,16 +547,13 @@ class BaseGroup:
         of classes, indexed by ``ranks``) permuted by conjugation with g."""
         n, q, ops = self.n, self.q, self.ops
         invs = ops.power(gens, self.order - 1)
-        maps = [_conjugator(ops, g, g_inv)
-                for g, g_inv in zip(gens.tolist(), invs.tolist())]
+        maps = [_map_tables(ops, g, g_inv) for g, g_inv in zip(gens, invs)]
         perms = [np.empty(len(codes), dtype=np.int32) for _ in gens]
         for start in range(0, len(codes), _CHUNK):
-            chunk = codes[start:start + _CHUNK]
-            entries = _entries(chunk, n * n, q, ops.dtype)
-            rows = _rows(chunk, n, q)
-            for conj, perm in zip(maps, perms):
-                perm[start:start + len(chunk)] = ranks.index(
-                    conj(chunk, entries, rows), "conjugate")
+            rows = _rows(codes[start:start + _CHUNK], n, q)
+            for passes, perm in zip(maps, perms):
+                perm[start:start + rows.shape[1]] = ranks.index(
+                    _map_image(passes, rows, n, q), "conjugate")
         return perms
 
     def _classify(self, fiber, scalars):
@@ -657,16 +608,16 @@ class BaseGroup:
         have one determinant each; the keys are renumbered by least element
         index.
         """
-        field, n, m = self.field, self.n, len(scalars)
-        ident = list(range(n))
-        scale = [_monomial_tables(field, n, ident, [lam] * n, [field.one] * n)
+        n, q, m = self.n, self.q, len(scalars)
+        ident = np.eye(n, dtype=np.uint8)
+        scale = [_map_tables(self.ops, ident, self.field.mul_table[lam][ident])
                  for lam in scalars]
         key = np.full(len(self.codes), -1, dtype=np.int32)
         for start in range(0, len(fiber), _CHUNK):
-            rows = _rows(fiber[start:start + _CHUNK], n, self.q)
+            rows = _rows(fiber[start:start + _CHUNK], n, q)
             fiber_key = fiber_class[start:start + _CHUNK] * m
-            for j, tables in enumerate(scale):
-                code = _table_image(tables, rows)
+            for j, passes in enumerate(scale):
+                code = _map_image(passes, rows, n, q)
                 key[self._ranks.index(code, "scalar multiple")] = fiber_key + j
         assert len(fiber) * m == len(key) and key.min() >= 0, \
             "the scalar multiples of the fiber miss an element"

@@ -200,6 +200,8 @@ def test_usage_errors(capsys):
         ["count", "--family", "GL", "--n", "2", "--q", "6",
          "--kind", "real"],                      # not a prime power
         ["count", "--family", "GL", "--n", "2"],  # missing --q
+        ["count", "--family", "GL", "--n", "41", "--q", "3"],  # n > MAX_N
+        ["verify", "--family", "GL", "--n", "41", "--q", "3"],
         ["verify", "--n", "2", "--q", "3"],       # missing --family
         ["verify", "--family", "SL", "--n", "2", "--q", "4",
          "--kind", "zeta_real"],                  # even q
@@ -328,14 +330,15 @@ def _argv(command, n, q, zeta=False):
     if command == "enumerate":
         return ["enumerate", "--n", str(n), "--q", str(q)] + (
             ["--filter", "zeta_real"] if zeta else [])
-    return [command, "--q", str(q)] + (["--n", str(n)] if n < 0 else [])
+    return [command, "--q", str(q)]
 
 
 @st.composite
 def _subcommand_usage_error(draw, command):
-    cases = ["q", "big_q", "n", "no_q"]
+    # table13 and genfun take no --n (test_unread_flags_are_usage_errors)
+    cases = ["q", "big_q", "no_q"]
     if command in ("verify", "enumerate"):
-        cases.append("zeta_even")
+        cases += ["n", "zeta_even"]
     case = draw(st.sampled_from(cases))
     n, q = draw(st.integers(1, 3)), draw(st.sampled_from(_DESK_QS))
     if case == "q":
@@ -493,6 +496,23 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["table13", "--q", "5", "--n", "3", "--family", "GL", "--y", "7"],
+    ["table13", "--q", "5", "--kind", "real"],
+    ["genfun", "--q", "3", "--n", "9", "--family", "PSL"],
+    ["genfun", "--q", "3", "--y", "2"],
+    ["enumerate", "--n", "2", "--q", "3", "--family", "GL"],
+    ["enumerate", "--n", "2", "--q", "3", "--y", "2"],
+], ids=" ".join)
+def test_unread_flags_are_usage_errors(argv, capsys):
+    # each subcommand declares only the flags it reads, so a flag it
+    # would ignore is an argparse error (exit 2), not a silent no-op
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

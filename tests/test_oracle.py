@@ -175,10 +175,14 @@ def test_enumeration_matches_determinant_filter(family, n, q):
 # ---------------------------------------------------------------------------
 # classification by conjugation permutations
 
+def _random_mat(field, n, rng):
+    return tuple(tuple(rng.randrange(field.q) for _ in range(n))
+                 for _ in range(n))
+
+
 def _random_invertible(field, n, rng):
     while True:
-        m = tuple(tuple(rng.randrange(field.q) for _ in range(n))
-                  for _ in range(n))
+        m = _random_mat(field, n, rng)
         if _leibniz_det(field, m) != field.zero:
             return m
 
@@ -194,10 +198,11 @@ def _random_monomial(field, n, rng):
     for q in (2, 3, 4, 5, 8, 9)] + [
     (family, 4, q) for family in ("GL", "SL") for q in (2, 3)])
 def test_sparse_conjugation_matches_mat_mul(family, n, q):
-    # every generator, through the map _conjugation_perms applies to it:
-    # the per-row tables for diag(theta, 1, ..., 1) and the signed n-cycle,
-    # the changed entries for a transvection; then a few random invertible
-    # and random monomial matrices
+    # the two passes of _map_tables against the reference product: X ->
+    # g X g^{-1} for every generator, as _conjugation_perms applies it,
+    # and for a few random invertible and random monomial matrices; then
+    # X -> a X b for pairs (a, b) that are not a conjugation, singular
+    # ones among them
     field = field_for_order(q)
     ops = oracle._Ops(field, n)
     rng = random.Random(q * 10 + n)
@@ -205,15 +210,22 @@ def test_sparse_conjugation_matches_mat_mul(family, n, q):
             for g in oracle._generator_mats(field, n, family)]
     gens += [_random_invertible(field, n, rng) for _ in range(2)]
     gens += [_random_monomial(field, n, rng) for _ in range(2)]
-    xs = [tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
-          for _ in range(40)]
+    pairs = [(g, mat_inv(field, g)) for g in gens]
+    unit, mono, mat = _random_invertible, _random_monomial, _random_mat
+    pairs += [(unit(field, n, rng), mono(field, n, rng)),
+              (mono(field, n, rng), unit(field, n, rng)),
+              (mat(field, n, rng), mat(field, n, rng)),
+              (identity_mat(field, n), scalar_mat(field, field.zero, n))]
+    xs = [_random_mat(field, n, rng) for _ in range(40)]
     codes = _codes(q, xs).astype(np.int32)
-    entries = oracle._entries(codes, n * n, q, ops.dtype)
     rows = oracle._rows(codes, n, q)
-    for g in gens:
-        g_inv = mat_inv(field, g)
-        got = oracle._conjugator(ops, g, g_inv)(codes, entries, rows)
-        want = _codes(q, [mat_mul(field, mat_mul(field, g, x), g_inv)
+    for a, b in pairs:
+        passes = oracle._map_tables(ops, np.array(a, dtype=np.uint8),
+                                    np.array(b, dtype=np.uint8))
+        assert all(t.shape == (n, q ** n) and t.dtype == np.int32
+                   for t in passes)
+        got = oracle._map_image(passes, rows, n, q)
+        want = _codes(q, [mat_mul(field, mat_mul(field, a, x), b)
                           for x in xs])
         assert got.tolist() == want.tolist()
 
@@ -247,18 +259,18 @@ def test_generators_generate_the_group(family, n, q):
     (n, q) for n in (1, 2, 3, 4) for q in (2, 3, 4, 5, 7, 8, 9)
     if q ** (n * n) <= oracle._ADDRESS_LIMIT])
 def test_spread_tables_scale_by_every_scalar(n, q):
-    # the per-row tables _spread builds for X -> lam X, on every matrix
-    # space the oracle addresses (codes below 2^31)
+    # the maps _spread builds for X -> lam X, _map_tables(ops, I, lam I),
+    # on every matrix space the oracle addresses (codes below 2^31)
     field = field_for_order(q)
+    ops = oracle._Ops(field, n)
     rng = random.Random(q * 10 + n)
-    xs = [tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
-          for _ in range(40)]
+    xs = [_random_mat(field, n, rng) for _ in range(40)]
     codes = _codes(q, xs).astype(np.int32)
     rows = oracle._rows(codes, n, q)
+    ident = np.eye(n, dtype=np.uint8)
     for lam in field.units:
-        tables = oracle._monomial_tables(field, n, list(range(n)),
-                                         [lam] * n, [field.one] * n)
-        got = oracle._table_image(tables, rows)
+        passes = oracle._map_tables(ops, ident, field.mul_table[lam][ident])
+        got = oracle._map_image(passes, rows, n, q)
         assert got.tolist() == \
             _codes(q, [mat_scale(field, lam, x) for x in xs]).tolist()
 
