@@ -245,8 +245,16 @@ def cmd_enumerate(args):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An unknown subcommand or flag is a usage error like any other: exit
+    2 with an ``error:`` line, not argparse's exit with its usage text."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="realclasses",
         description="Real, strongly real, and zeta-real conjugacy classes "
                     "of the finite linear groups.")
@@ -331,9 +339,8 @@ def _validate(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _validate(args)
         return args.func(args)
     except UsageError as exc:

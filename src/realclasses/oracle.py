@@ -107,30 +107,34 @@ def group_order(family, n, q, y_order=None):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jordan elimination (python-level, for the commutant of a class)
+# Gauss-Jordan elimination (batched, for the commutants of the classes)
 
-def _rref(field, rows):
-    """Gauss-Jordan elimination: the reduced rows and the pivot column of
-    each nonzero row in order."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    for col in range(len(rows[0]) if rows else 0):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(rows))
-                    if rows[r][col] != field.zero), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != field.zero:
-                c = rows[r][col]
-                rows[r] = [field.sub(x, field.mul(c, y))
-                           for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return rows, pivots
+def _rref(field, mats):
+    """Gauss-Jordan elimination of a batch (b, r, c) of coded matrices: the
+    reduced batch and a (b, c) mask of each matrix's pivot columns.  Row i
+    of a reduced matrix of rank k has its leading 1 in its i-th pivot
+    column for i < k, and its rows from k on are zero."""
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    inv = np.array(field.inv_list, dtype=np.uint8)
+    m = np.array(mats, dtype=np.uint8)
+    b, rows, cols = m.shape
+    rank = np.zeros(b, dtype=np.intp)
+    pivots = np.zeros((b, cols), dtype=bool)
+    for col in range(cols):
+        # the rows at or past the rank that can hold this column's pivot
+        free = (m[:, :, col] != 0) & (np.arange(rows) >= rank[:, None])
+        at = np.flatnonzero(free.any(axis=1))
+        top, piv = rank[at], free[at].argmax(axis=1)
+        lead = m[at, piv]
+        lead = mul[inv[lead[:, col]][:, None], lead]
+        m[at, piv] = m[at, top]
+        # clear the column from every row, then put the pivot row on top
+        m[at] = add[m[at], neg[mul[m[at, :, col][:, :, None],
+                                   lead[:, None, :]]]]
+        m[at, top] = lead
+        pivots[at, col] = True
+        rank[at] += 1
+    return m, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +469,10 @@ class BaseGroup:
     certifying (``classify_s`` splits into ``conjugate_s``, the rank
     bitmaps and the permutation arrays, ``hook_s``, the orbit roots, and
     ``spread_s``, numbering the classes and spreading them by scalars),
-    the hooking rounds the class union took, ``fiber_elements``, the
-    points hooked, and the number of top blocks whose cofactors the
-    enumeration computed.
+    the hooking rounds the class union took (0 when the fiber's classes
+    came from SL), ``fiber_elements``, the points of the fiber,
+    ``certified_classes``, the classes whose commutant was computed, and
+    the number of top blocks whose cofactors the enumeration computed.
     """
 
     def __init__(self, family, n, q):
@@ -485,7 +490,11 @@ class BaseGroup:
         self.stats = {}
         start = time.perf_counter()
         transversal, scalars = _det_transversal(self.field, n)
-        self.codes, fiber = self._enumerate_codes(transversal)
+        # GL = SL x Z when gcd(n, q - 1) = 1, so the fiber det 1 is SL and
+        # its GL-classes are its SL-classes (GL_n(2) is SL_n(2) itself)
+        from_sl = family == "GL" and q > 2 and len(transversal) == 1
+        self.codes, fiber = self._enumerate_codes(
+            None if from_sl else transversal)
         assert len(self.codes) == self.order, \
             "enumerated %d elements, expected %d" % (len(self.codes), self.order)
         self.stats["enumerate_s"] = time.perf_counter() - start
@@ -506,7 +515,8 @@ class BaseGroup:
         """The codes of the group's elements, ascending, as int32, and the
         codes of its fiber over ``transversal``, the elements whose
         determinant lies in it: the same array when that is all of them
-        (SL, or GL with every unit in the transversal).
+        (SL, or GL with every unit in the transversal), and None when the
+        transversal is None.
 
         A code is its top block (the first n - 1 rows, the low n(n - 1)
         digits) plus its last row x times q^(n(n - 1)).  A matrix's
@@ -526,19 +536,21 @@ class BaseGroup:
         c = self.ops.cofactors(_decode(tops, n, q, rows=n - 1))
         self.stats["top_blocks"] = span
         want_one = self.family == "SL"
-        whole = want_one or len(transversal) == q - 1
-        in_fiber = np.zeros(q, dtype=bool)
-        in_fiber[transversal] = True
+        split = not want_one and transversal is not None and \
+            len(transversal) < q - 1
+        in_fiber = np.isin(np.arange(q), transversal if split else [])
         chunks, fiber_chunks = [], []
         lasts = _decode(np.arange(q ** n), n, q, rows=1)[:, 0, :].tolist()
         for x, last in enumerate(lasts):
             dets = self.ops.dot(c, last)
             mask = dets == self.field.one if want_one else dets != self.field.zero
             chunks.append(tops[mask] + np.int32(x * span))
-            if not whole:
+            if split:
                 fiber_chunks.append(tops[in_fiber[dets]] + np.int32(x * span))
         codes = np.concatenate(chunks)
-        return codes, codes if whole else np.concatenate(fiber_chunks)
+        if split:
+            return codes, np.concatenate(fiber_chunks)
+        return codes, None if transversal is None else codes
 
     # -- conjugacy
 
@@ -562,33 +574,44 @@ class BaseGroup:
 
         Only the ``fiber`` codes, the elements whose determinant lies in
         the transversal D of ``_det_transversal``, are hooked: conjugation
-        keeps the determinant, so every generator permutes the fiber.  The
-        other classes are its classes times the ``scalars`` (``_spread``).
+        keeps the determinant, so every generator permutes the fiber.  A
+        fiber of None is SL_n(q), and its classes are read from the built
+        SL group instead.  The other classes are the fiber's classes times
+        the ``scalars`` (``_spread``).
         """
         start = time.perf_counter()
         size = self.q ** (self.n * self.n)
         self._ranks = _RankBitmap(self.codes, size)
-        whole = len(fiber) == len(self.codes)
-        fiber_ranks = self._ranks if whole else _RankBitmap(fiber, size)
-        perms = self._conjugation_perms(
-            _generator_mats(self.field, self.n, self.family), fiber,
-            fiber_ranks)
+        if fiber is None:
+            sl = _built("SL", self.n, self.q)
+            fiber, fiber_class, reps = sl.codes, sl.class_id, sl.class_reps
+            self.stats.update(conjugate_s=0.0, hook_rounds=0, hook_s=0.0)
+            start = time.perf_counter()
+        else:
+            whole = len(fiber) == len(self.codes)
+            fiber_ranks = self._ranks if whole else _RankBitmap(fiber, size)
+            perms = self._conjugation_perms(
+                _generator_mats(self.field, self.n, self.family), fiber,
+                fiber_ranks)
+            self.stats["conjugate_s"] = time.perf_counter() - start
+            start = time.perf_counter()
+            roots, self.stats["hook_rounds"] = _orbit_roots(perms, len(fiber))
+            self.stats["hook_s"] = time.perf_counter() - start
+            del perms  # before the numbering arrays, to bound peak memory
+            start = time.perf_counter()
+            is_root = roots == np.arange(len(roots), dtype=np.int32)
+            reps = np.flatnonzero(is_root)
+            number = np.cumsum(is_root, dtype=np.int32)
+            number -= 1
+            fiber_class = number[roots]
+            del roots, is_root, number
         self.stats["fiber_elements"] = len(fiber)
-        self.stats["conjugate_s"] = time.perf_counter() - start
-        start = time.perf_counter()
-        roots, self.stats["hook_rounds"] = _orbit_roots(perms, len(fiber))
-        self.stats["hook_s"] = time.perf_counter() - start
-        del perms  # before the numbering arrays, to bound peak memory
-        start = time.perf_counter()
-        is_root = roots == np.arange(len(roots), dtype=np.int32)
-        reps = np.flatnonzero(is_root)
-        number = np.cumsum(is_root, dtype=np.int32)
-        number -= 1
-        self.class_id = number[roots]
-        del roots, is_root, number
-        if not whole:
-            self.class_id, reps = self._spread(fiber, self.class_id, len(reps),
-                                               scalars)
+        # _unscaled[c] is the class C of which class c is a multiple lam C
+        if len(fiber) == len(self.codes):
+            self.class_id, self._unscaled = fiber_class, np.arange(len(reps))
+        else:
+            self.class_id, reps, self._unscaled = self._spread(
+                fiber, fiber_class, len(reps), scalars)
         self.class_reps = reps.tolist()
         self.stats["spread_s"] = time.perf_counter() - start
         self.num_classes = len(self.class_reps)
@@ -600,7 +623,8 @@ class BaseGroup:
 
     def _spread(self, fiber, fiber_class, fiber_classes, scalars):
         """The class ids and representatives of the whole group, from the
-        class id of each code of ``fiber`` among its ``fiber_classes``.
+        class id of each code of ``fiber`` among its ``fiber_classes``,
+        and for each class lam C the class id of C.
 
         Every element is lam X for one scalar lam = theta^j and one X in
         the fiber, and lies in the class lam C for the fiber class C of X.
@@ -610,81 +634,121 @@ class BaseGroup:
         """
         n, q, m = self.n, self.q, len(scalars)
         ident = np.eye(n, dtype=np.uint8)
-        scale = [_map_tables(self.ops, ident, self.field.mul_table[lam][ident])
+        scale = [_map_tables(self.ops, self.field.mul_table[lam][ident], ident)
                  for lam in scalars]
+        # lam X = (lam I) X I: the first pass, X -> X^T, is every lam's
+        transpose = scale[0][0]
         key = np.full(len(self.codes), -1, dtype=np.int32)
         for start in range(0, len(fiber), _CHUNK):
-            rows = _rows(fiber[start:start + _CHUNK], n, q)
+            rows = _rows(_table_image(
+                transpose, _rows(fiber[start:start + _CHUNK], n, q)), n, q)
             fiber_key = fiber_class[start:start + _CHUNK] * m
-            for j, passes in enumerate(scale):
-                code = _map_image(passes, rows, n, q)
+            for j, (_, second) in enumerate(scale):
+                code = _table_image(second, rows)
                 key[self._ranks.index(code, "scalar multiple")] = fiber_key + j
         assert len(fiber) * m == len(key) and key.min() >= 0, \
             "the scalar multiples of the fiber miss an element"
+        # a chunk at a time, and renumbered in place, to bound peak memory
+        chunks = [slice(start, start + _CHUNK)
+                  for start in range(0, len(key), _CHUNK)]
         least = np.full(fiber_classes * m, len(key), dtype=np.int32)
-        np.minimum.at(least, key, np.arange(len(key), dtype=np.int32))
+        for sl in chunks:
+            np.minimum.at(least, key[sl], np.arange(
+                sl.start, min(sl.stop, len(key)), dtype=np.int32))
         order = np.argsort(least)
         rank = np.empty(len(order), dtype=np.int32)
         rank[order] = np.arange(len(order), dtype=np.int32)
-        return rank[key], least[order]
+        for sl in chunks:
+            key[sl] = rank[key[sl]]
+        # scalars[0] = 1, so C is the class of key C m
+        return key, least[order], rank[order - order % m]
 
     # -- certification
 
     def _certify(self):
+        """The class equation and, for every class C of the fiber, the
+        orbit-stabilizer equation |C| |C_G(g)| = |G| with C_G(g) the units
+        (GL) or determinant-1 elements (SL) of the commutant of its
+        representative g.  A class lam C has the centralizer of C, so its
+        size must be that of C."""
         assert int(self.class_sizes.sum()) == self.order, "class equation fails"
-        for cid, rep in enumerate(self.rep_mats.tolist()):
-            size = int(self.class_sizes[cid])
-            basis = self._commutant_basis(rep)
-            if len(basis) == self.n * self.n:  # a scalar commutes with all
-                assert size == 1, "scalar matrix in a class of size %d" % size
+        sizes, unscaled = self.class_sizes, self._unscaled
+        unequal = np.flatnonzero(sizes != sizes[unscaled])
+        assert not len(unequal), "class %d is a scalar multiple of class %d " \
+            "but not of its size" % (unequal[0], unscaled[unequal[0]])
+        certified = np.flatnonzero(unscaled == np.arange(self.num_classes))
+        self.stats["certified_classes"] = len(certified)
+        commutants = self._commutants(self.rep_mats[certified])
+        for m, (ids, bases) in commutants.items():
+            cids = certified[ids]
+            if m == self.n * self.n:  # a scalar commutes with all
+                assert (sizes[cids] == 1).all(), \
+                    "scalar matrix in a class of size %d" % sizes[cids].max()
                 continue
-            cent = self._centralizer_order(basis)
-            assert size * cent == self.order, (
+            cents = self._centralizer_orders(bases)
+            bad = np.flatnonzero(sizes[cids] * cents != self.order)
+            assert not len(bad), (
                 "orbit-stabilizer fails for class %d: %d * %d != %d"
-                % (cid, size, cent, self.order))
+                % (cids[bad[0]], sizes[cids[bad[0]]], cents[bad[0]],
+                   self.order))
 
-    def _commutant_basis(self, rep):
-        """Basis of the algebra {X : rep X = X rep} as coded n^2-vectors."""
+    def _commutants(self, reps):
+        """The commutant {X : A X = X A} of each matrix A of a coded batch
+        (k, n, n), by dimension m: the positions in the batch whose
+        commutant has dimension m, and a basis of each, (len, m, n^2) as
+        coded row-major n^2-vectors, from one elimination of the batch."""
         field, n = self.field, self.n
         cells = n * n
-        # (rep X - X rep)_{ij} = sum_k rep[i][k] X[k][j] - sum_k X[i][k] rep[k][j]
-        eqs = []
-        for i in range(n):
-            for j in range(n):
-                row = [field.zero] * cells
-                for k in range(n):
-                    row[k * n + j] = field.add(row[k * n + j], rep[i][k])
-                for k in range(n):
-                    row[i * n + k] = field.sub(row[i * n + k], rep[k][j])
-                eqs.append(row)
-        rows, pivots = _rref(field, eqs)
-        free = [c for c in range(cells) if c not in pivots]
-        basis = []
-        for fc in free:
-            vec = [field.zero] * cells
-            vec[fc] = field.one
-            for r, col in enumerate(pivots):
-                vec[col] = field.neg(rows[r][fc])
-            basis.append(vec)
-        return basis
+        eye = np.eye(n, dtype=np.uint8)
+        # (A X - X A)_ij = sum_k A_ik X_kj - sum_k X_ik A_kj: row (i, j) of
+        # the system has A_ik at column (k, j) and -A_kj at column (i, k)
+        left = field.mul_table[reps[:, :, None, :, None], eye[:, None, :]]
+        right = field.mul_table[eye[:, None, :, None],
+                                reps.transpose(0, 2, 1)[:, None, :, None, :]]
+        system = field.add_table[left, field.neg_table[right]]
+        reduced, pivots = _rref(field, system.reshape(len(reps), cells, cells))
+        dims = cells - pivots.sum(axis=1)
+        out = {}
+        for m in np.unique(dims).tolist():
+            ids = np.flatnonzero(dims == m)
+            # free column k of a basis vector is 1, and pivot column i,
+            # the pivot of reduced row i, is minus that row's entry at k
+            free = np.nonzero(~pivots[ids])[1].reshape(len(ids), m)
+            lead = np.nonzero(pivots[ids])[1].reshape(len(ids), cells - m)
+            at = np.arange(len(ids))[:, None, None]
+            basis = np.zeros((len(ids), m, cells), dtype=np.uint8)
+            basis[at[:, 0], np.arange(m), free] = field.one
+            basis[at, np.arange(m), lead[:, :, None]] = field.neg_table[
+                np.take_along_axis(reduced[ids, :cells - m], free[:, None, :],
+                                   axis=2)]
+            out[m] = ids, basis
+        return out
 
-    def _centralizer_order(self, basis):
-        """The invertible (GL) or determinant-1 (SL) elements of the span
-        of a non-scalar representative's commutant basis."""
-        field, n, q = self.field, self.n, self.q
+    def _centralizer_orders(self, bases):
+        """The invertible (GL) or determinant-1 (SL) elements of the span of
+        each basis of a coded batch (k, m, n^2), m < n^2, counted over the
+        q^m combinations, at most _CHUNK matrices per determinant call."""
+        field, n, q, ops = self.field, self.n, self.q, self.ops
         # a non-scalar rep's commutant has dimension m <= (n - 1)^2 + 1, so
         # under _ADDRESS_LIMIT the q^m combinations number at most 2^17,
         # at GL_5(2) (SL_4(3): 3^10)
-        m = len(basis)
-        dtype = self.ops.dtype
-        # coeffs[j] holds the j-th coefficient of every combination, as a
-        # column against the row basis[j]
-        coeffs = np.indices((q,) * m, dtype=dtype).reshape(m, -1)[:, :, None]
-        combos = self.ops.dot(coeffs, np.array(basis, dtype=dtype))
-        dets = self.ops.det(combos.reshape(-1, n, n))
-        if self.family == "SL":
-            return int(np.count_nonzero(dets == field.one))
-        return int(np.count_nonzero(dets != field.zero))
+        k, m, cells = bases.shape
+        # coeffs[j] holds the j-th coefficient of every combination
+        coeffs = np.indices((q,) * m, dtype=ops.dtype).reshape(m, 1, -1, 1)
+        span = coeffs.shape[2]
+        width, per = min(span, _CHUNK), max(1, _CHUNK // span)
+        basis = bases.astype(ops.dtype).transpose(1, 0, 2)[:, :, None, :]
+        found = np.zeros(k, dtype=np.int64)
+        for start in range(0, k, per):
+            for at in range(0, span, width):
+                combos = ops.dot(coeffs[:, :, at:at + width],
+                                 basis[:, start:start + per])
+                dets = ops.det(combos.reshape(-1, n, n)).reshape(
+                    combos.shape[:2])
+                good = (dets == field.one if self.family == "SL"
+                        else dets != field.zero)
+                found[start:start + per] += np.count_nonzero(good, axis=1)
+        return found
 
     # -- queries
 

@@ -333,10 +333,14 @@ def _argv(command, n, q, zeta=False):
     return [command, "--q", str(q)]
 
 
+# a flag each subcommand does not declare (test_unread_flags_are_usage_errors)
+_UNDECLARED = {"verify": ["--terms", "3"], "table13": ["--n", "3"],
+               "genfun": ["--family", "GL"], "enumerate": ["--kind", "real"]}
+
+
 @st.composite
 def _subcommand_usage_error(draw, command):
-    # table13 and genfun take no --n (test_unread_flags_are_usage_errors)
-    cases = ["q", "big_q", "no_q"]
+    cases = ["q", "big_q", "no_q", "undeclared"]
     if command in ("verify", "enumerate"):
         cases += ["n", "zeta_even"]
     case = draw(st.sampled_from(cases))
@@ -354,6 +358,8 @@ def _subcommand_usage_error(draw, command):
     if case == "no_q":
         i = argv.index("--q")
         argv = argv[:i] + argv[i + 2:]
+    elif case == "undeclared":
+        argv = argv + _UNDECLARED[command]
     return argv, 2
 
 
@@ -492,10 +498,10 @@ def test_all_desk_honours_cap(monkeypatch, capsys):
         assert "group GL_2(7) has order 2016, over the cap 1000" in err
 
 
-def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_subcommand_exits_2(capsys):
+    code, out, err = run(["frobnicate"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "invalid choice" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -508,11 +514,17 @@ def test_unknown_subcommand_exits_2():
 ], ids=" ".join)
 def test_unread_flags_are_usage_errors(argv, capsys):
     # each subcommand declares only the flags it reads, so a flag it
-    # would ignore is an argparse error (exit 2), not a silent no-op
+    # would ignore is a usage error (exit 2), not a silent no-op
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "unrecognized arguments" in err
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,39 @@ def mat_scale(field, z, a):
     return tuple(tuple(field.mul(z, x) for x in row) for row in a)
 
 
-def mat_inv(field, a):
+def _reference_rref(field, rows):
+    """Gauss-Jordan elimination one matrix at a time, in Python."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [field.sub(x, field.mul(c, y))
+                           for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _rref_one(field, rows):
+    """The batched elimination on a batch of one: the reduced rows and the
+    pivot columns."""
+    batch = np.array(rows, dtype=np.uint8).reshape(
+        1, len(rows), len(rows[0]) if len(rows) else 0)
+    reduced, pivots = oracle._rref(field, batch)
+    return reduced[0].tolist(), np.flatnonzero(pivots[0]).tolist()
+
+
+def mat_inv(field, a, rref=_reference_rref):
     n = len(a)
-    rows, pivots = oracle._rref(field, [
+    rows, pivots = rref(field, [
         list(row) + [field.one if i == j else field.zero for j in range(n)]
         for i, row in enumerate(a)])
     if pivots[:n] != list(range(n)):
@@ -86,13 +116,13 @@ def test_exact_matrix_algebra():
     for _ in range(20):
         m = tuple(tuple(rng.randrange(7) for _ in range(3)) for _ in range(3))
         if _leibniz_det(f7, m) == 0:
-            assert len(oracle._rref(f7, m)[1]) < 3
+            assert len(_rref_one(f7, m)[1]) < 3
             continue
-        assert len(oracle._rref(f7, m)[1]) == 3
-        inv = mat_inv(f7, m)
+        assert len(_rref_one(f7, m)[1]) == 3
+        inv = mat_inv(f7, m, _rref_one)
         assert mat_mul(f7, m, inv) == identity_mat(f7, 3)
     with pytest.raises(ValueError):
-        mat_inv(f7, scalar_mat(f7, 0, 2))
+        mat_inv(f7, scalar_mat(f7, 0, 2), _rref_one)
 
 
 @pytest.mark.parametrize("family,n,q,classes", [
@@ -122,10 +152,13 @@ def test_certification_is_builtin():
     assert brute * int(base.class_sizes[cid]) == gd.order
     assert set(base.stats) == {"enumerate_s", "classify_s", "certify_s",
                                "conjugate_s", "hook_s", "spread_s",
-                               "hook_rounds", "top_blocks", "fiber_elements"}
+                               "hook_rounds", "top_blocks", "fiber_elements",
+                               "certified_classes"}
     assert base.stats["top_blocks"] == 5 ** 2  # one per first row
-    # gcd(2, 5 - 1) = 2: the fiber det in {1, 2} is half the group
+    # gcd(2, 5 - 1) = 2: the fiber det in {1, 2} is half the group, and
+    # its 12 classes are certified, not their multiples by the scalar 2
     assert base.stats["fiber_elements"] == 480 // 2
+    assert base.stats["certified_classes"] == 12 == base.num_classes // 2
     # a matrix outside the group (determinant 0) has no class
     outside = np.array([scalar_mat(gd.field, 0, 2), rep_arr])
     assert base.classes_of(outside).tolist() == [-1, cid]
@@ -259,8 +292,9 @@ def test_generators_generate_the_group(family, n, q):
     (n, q) for n in (1, 2, 3, 4) for q in (2, 3, 4, 5, 7, 8, 9)
     if q ** (n * n) <= oracle._ADDRESS_LIMIT])
 def test_spread_tables_scale_by_every_scalar(n, q):
-    # the maps _spread builds for X -> lam X, _map_tables(ops, I, lam I),
-    # on every matrix space the oracle addresses (codes below 2^31)
+    # the maps _spread builds for X -> lam X, _map_tables(ops, lam I, I),
+    # on every matrix space the oracle addresses (codes below 2^31); their
+    # first pass, X -> X^T, is the same for every lam, so _spread shares it
     field = field_for_order(q)
     ops = oracle._Ops(field, n)
     rng = random.Random(q * 10 + n)
@@ -268,8 +302,10 @@ def test_spread_tables_scale_by_every_scalar(n, q):
     codes = _codes(q, xs).astype(np.int32)
     rows = oracle._rows(codes, n, q)
     ident = np.eye(n, dtype=np.uint8)
+    transpose = oracle._map_tables(ops, ident, ident)[0]
     for lam in field.units:
-        passes = oracle._map_tables(ops, ident, field.mul_table[lam][ident])
+        passes = oracle._map_tables(ops, field.mul_table[lam][ident], ident)
+        assert np.array_equal(passes[0], transpose)
         got = oracle._map_image(passes, rows, n, q)
         assert got.tolist() == \
             _codes(q, [mat_scale(field, lam, x) for x in xs]).tolist()
@@ -362,7 +398,7 @@ def _bfs_class_ids(field, family, n, mats):
 
 @pytest.mark.parametrize("family,n,q", [
     ("GL", 2, 4), ("SL", 2, 9), ("GL", 3, 2), ("SL", 3, 3),
-    ("GL", 2, 5), ("GL", 2, 7),
+    ("GL", 2, 5), ("GL", 2, 7), ("GL", 2, 4), ("GL", 2, 8),
 ])
 def test_class_ids_match_bfs_reference(family, n, q):
     base = oracle.BaseGroup(family, n, q)
@@ -420,6 +456,8 @@ def test_class_numbering_is_golden(family, n, q):
 def test_chunking_leaves_the_numbering_alone(monkeypatch):
     want = oracle.BaseGroup("GL", 3, 3)
     monkeypatch.setattr(oracle, "_CHUNK", 1000)
+    # GL_3(3) takes its fiber's classes from SL_3(3): rebuild that too
+    oracle._built.cache_clear()
     got = oracle.BaseGroup("GL", 3, 3)
     assert got.class_id.tolist() == want.class_id.tolist()
     assert got.class_reps == want.class_reps
@@ -458,6 +496,57 @@ def test_only_the_fiber_is_hooked(family, n, q):
     least = np.full(base.num_classes, base.order)
     np.minimum.at(least, base.class_id, np.arange(base.order))
     assert least.tolist() == base.class_reps
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (1, 4), (2, 4), (2, 8), (3, 3)])
+def test_gl_fiber_classes_come_from_sl(n, q):
+    # gcd(n, q - 1) = 1: GL = SL x Z, so the fiber det 1 is SL, hooked
+    # nowhere, and GL numbers its classes as SL does
+    assert math.gcd(n, q - 1) == 1
+    gl, sl = oracle.BaseGroup("GL", n, q), oracle._built("SL", n, q)
+    assert gl.stats["hook_rounds"] == 0 and gl.stats["hook_s"] == 0
+    assert gl.stats["fiber_elements"] == sl.order
+    fiber = np.searchsorted(gl.codes, sl.codes)
+    assert gl.codes[fiber].tolist() == sl.codes.tolist()
+    # the GL class of each fiber element, renumbered by least element
+    _, first, renumbered = np.unique(gl.class_id[fiber], return_index=True,
+                                     return_inverse=True)
+    assert (np.argsort(np.argsort(first))[renumbered]
+            == sl.class_id).all()
+    # each SL class is the whole of its GL class's det-1 part
+    assert len(first) == sl.num_classes
+    assert gl.stats["certified_classes"] == sl.num_classes
+    assert gl.num_classes == sl.num_classes * (q - 1)
+
+
+def test_certification_checks_the_scalar_multiples():
+    # lam C is not certified by its own commutant, only by |lam C| = |C|;
+    # moving one element between two such classes keeps the class
+    # equation and the fiber classes, and must still fail
+    base = oracle.BaseGroup("GL", 2, 7)
+    base._certify()
+    scaled = np.flatnonzero(base._unscaled != np.arange(base.num_classes))
+    one, two = scaled[0], scaled[-1]
+    assert base._unscaled[one] != base._unscaled[two]
+    base.class_sizes[one] += 1
+    base.class_sizes[two] -= 1
+    with pytest.raises(AssertionError, match="scalar multiple"):
+        base._certify()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+def test_batched_rref_matches_one_at_a_time(q):
+    # matrices of every rank in one batch, each reduced as if alone
+    field = field_for_order(q)
+    rng = np.random.default_rng(q)
+    mats = rng.integers(0, q, size=(60, 5, 6), dtype=np.uint8)
+    for i, m in enumerate(mats):
+        m[: i % 6] = 0  # rank at most 5 - i % 6 (or 0)
+    reduced, pivots = oracle._rref(field, mats)
+    for m, got, mask in zip(mats, reduced, pivots):
+        rows, cols = _reference_rref(field, m.tolist())
+        assert got.tolist() == rows
+        assert np.flatnonzero(mask).tolist() == cols
 
 
 def test_class_ids_ordered_by_least_element():
@@ -618,10 +707,11 @@ def test_centralizer_combinations_stay_small():
     assert worst[(4, 3)] == 3 ** 10
     for family, n, q in (("GL", 3, 2), ("GL", 2, 4), ("GL", 4, 2)):
         base = enumerate_group(family, n, q).base
-        for cid in range(base.num_classes):
-            rep = base.rep_mat(cid)
-            if len(base._commutant_basis(rep)) < n * n:
-                assert len(base._commutant_basis(rep)) <= (n - 1) ** 2 + 1
+        dims = base._commutants(base.rep_mats)
+        assert sum(len(ids) for ids, _ in dims.values()) == base.num_classes
+        for m in dims:
+            if m < n * n:
+                assert m <= (n - 1) ** 2 + 1
 
 
 def test_zeta_real_conventions():
