@@ -32,11 +32,17 @@ elements whose determinant lies in a transversal D of F_q^* / (F_q^*)^n,
 X -> lam X, and det(lam X) = lam^n det X, so the arrays act on the
 fiber alone (a second rank bitmap indexes it), and every GL-class is lam C
 for one fiber class C and one of the (q - 1) / gcd(n, q - 1) scalars lam.
-One pass multiplies the fiber by each scalar, as the map with a = 1 and
-b = lam, and numbers the pairs (C, lam) by least element index.  For
-SL, and for GL when gcd(n, q - 1) = q - 1, the fiber is the whole group.
-Every class of the whole group is certified through the class equation
-and the orbit-stabilizer equation |class| * |centralizer| = |order|.
+When gcd(n, q - 1) = 1 (and q > 2) GL = SL x Z, the fiber is SL_n(q),
+and conjugation by GL on it is conjugation by SL, so its classes are
+read from the built SL group and nothing is hooked.  One pass multiplies
+the fiber by each scalar, as the map with a = lam I and b = I, whose
+first pass X -> X^T serves every scalar, and numbers the pairs (C, lam)
+by least element index.  For SL, and for GL when gcd(n, q - 1) = q - 1,
+the fiber is the whole group.  The classes are certified through the
+class equation and, for each class C of the fiber, the orbit-stabilizer
+equation |C| * |centralizer| = |order|, the commutants of all those
+representatives coming from one batched elimination; lam C has the
+centralizer of C, so it must have the size of C.
 
 Quotients by a central subgroup Y reuse the base classification: the
 classes of G/Y are the Y-orbits of classes of G, reality (twist c = 1)
