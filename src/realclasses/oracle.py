@@ -26,23 +26,18 @@ entries.  Each generator so becomes one permutation array, and the
 classes are the orbits of those arrays, found by min-label hooking with
 pointer jumping (Shiloach-Vishkin).
 
-Only one determinant fiber per coset of n-th powers is hooked: the
-elements whose determinant lies in a transversal D of F_q^* / (F_q^*)^n,
-|D| = gcd(n, q - 1).  Conjugation keeps the determinant and commutes with
-X -> lam X, and det(lam X) = lam^n det X, so the arrays act on the
-fiber alone (a second rank bitmap indexes it), and every GL-class is lam C
-for one fiber class C and one of the (q - 1) / gcd(n, q - 1) scalars lam.
-When gcd(n, q - 1) = 1 (and q > 2) GL = SL x Z, the fiber is SL_n(q),
-and conjugation by GL on it is conjugation by SL, so its classes are
-read from the built SL group and nothing is hooked.  One pass multiplies
-the fiber by each scalar, as the map with a = lam I and b = I, whose
+Each group is classified one of two ways.  When gcd(n, q - 1) = 1 and
+q > 2, GL = SL x Z: conjugation by GL on SL_n(q) is conjugation by SL
+and commutes with X -> lam X, so every GL-class is lam C for one class C
+of the built SL group and one of the q - 1 scalars lam.  One pass
+multiplies SL by each scalar, as the map with a = lam I and b = I, whose
 first pass X -> X^T serves every scalar, and numbers the pairs (C, lam)
-by least element index.  For SL, and for GL when gcd(n, q - 1) = q - 1,
-the fiber is the whole group.  The classes are certified through the
-class equation and, for each class C of the fiber, the orbit-stabilizer
-equation |C| * |centralizer| = |order|, the commutants of all those
-representatives coming from one batched elimination; lam C has the
-centralizer of C, so it must have the size of C.
+by least element index.  Every other group (SL, GL_n(2), and GL with
+gcd(n, q - 1) > 1) is hooked whole.  The classes are certified through
+the class equation and, for each class C hooked or read from SL, the
+orbit-stabilizer equation |C| * |centralizer| = |order|, the commutants
+of all those representatives coming from one batched elimination; lam C
+has the centralizer of C, so it must have the size of C.
 
 Quotients by a central subgroup Y reuse the base classification: the
 classes of G/Y are the Y-orbits of classes of G, reality (twist c = 1)
@@ -183,26 +178,24 @@ class _Ops:
                 a = self.matmul(a, a)
         return out
 
-    # Elementwise field arithmetic.  Over a prime field products and sums
-    # stay unreduced int32 (below n * p^2) until _sum reduces them mod p.
-    def _mul(self, a, b):
-        return a * b if self.integer else self.field.mul_table[a, b]
-
     def _neg(self, a):
         return -a if self.integer else self.field.neg_table[a]
 
-    def _sum(self, terms):
-        if self.integer:
-            return sum(terms) % self.q
-        acc = terms[0]
-        for term in terms[1:]:
-            acc = self.field.add_table[acc, term]
-        return acc
-
     def dot(self, c, x):
         """sum_j c[j] * x[j] over the field; each c[j] and x[j] is an array
-        (or a scalar) and they broadcast."""
-        return self._sum([self._mul(cj, xj) for cj, xj in zip(c, x)])
+        (or a scalar) and they broadcast.  Each product joins one running
+        sum as it is made: over a prime field the sum stays unreduced int32
+        (below n * p^2) until one reduction mod p."""
+        acc = None
+        for cj, xj in zip(c, x):
+            term = cj * xj if self.integer else self.field.mul_table[cj, xj]
+            if acc is None:
+                acc = term
+            elif self.integer:
+                acc += term
+            else:
+                acc = self.field.add_table[acc, term]
+        return acc % self.q if self.integer else acc
 
     def _expansion(self, minors, r, cols):
         """The coefficients of row r in the minor of rows 0..r on the
@@ -272,23 +265,6 @@ def _encode(mats, q):
 
 def _mat_to_tuple(mat):
     return tuple(tuple(int(x) for x in row) for row in mat)
-
-
-# ---------------------------------------------------------------------------
-# determinant fibers
-
-def _det_transversal(field, n):
-    """A transversal D of F_q^* / (F_q^*)^n and the scalars that spread it.
-
-    With theta the field's generator and g = gcd(n, q - 1), D holds theta^i
-    for i < g and the scalars are theta^j for j < (q - 1) / g.  Every unit
-    is t lam^n for exactly one t in D and one scalar lam: the exponents
-    i + n j meet every residue mod q - 1 once, as g divides n.  Since
-    X -> lam X commutes with conjugation and det(lam X) = lam^n det X, the
-    GL-classes on the fibers det in D, times the scalars, are all of them.
-    """
-    g = math.gcd(n, field.q - 1)
-    return field.exp[:g], field.exp[:(field.q - 1) // g]
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +449,11 @@ class BaseGroup:
 
     ``stats`` records the seconds spent enumerating, classifying and
     certifying (``classify_s`` splits into ``conjugate_s``, the rank
-    bitmaps and the permutation arrays, ``hook_s``, the orbit roots, and
+    bitmap and the permutation arrays, ``hook_s``, the orbit roots, and
     ``spread_s``, numbering the classes and spreading them by scalars),
-    the hooking rounds the class union took (0 when the fiber's classes
-    came from SL), ``fiber_elements``, the points of the fiber,
+    the hooking rounds the class union took (0 when the classes came from
+    SL), ``fiber_elements``, the elements whose classes were hooked or
+    read: |SL_n(q)| for GL read from SL, else the whole order,
     ``certified_classes``, the classes whose commutant was computed, and
     the number of top blocks whose cofactors the enumeration computed.
     """
@@ -495,18 +472,15 @@ class BaseGroup:
         self.ops = _Ops(self.field, n)
         self.stats = {}
         start = time.perf_counter()
-        transversal, scalars = _det_transversal(self.field, n)
-        # GL = SL x Z when gcd(n, q - 1) = 1, so the fiber det 1 is SL and
-        # its GL-classes are its SL-classes (GL_n(2) is SL_n(2) itself)
-        from_sl = family == "GL" and q > 2 and len(transversal) == 1
-        self.codes, fiber = self._enumerate_codes(
-            None if from_sl else transversal)
+        # GL = SL x Z when gcd(n, q - 1) = 1, so the GL-classes of its
+        # det-1 elements are their SL-classes (GL_n(2) is SL_n(2) itself)
+        from_sl = family == "GL" and q > 2 and math.gcd(n, q - 1) == 1
+        self.codes = self._enumerate_codes()
         assert len(self.codes) == self.order, \
             "enumerated %d elements, expected %d" % (len(self.codes), self.order)
         self.stats["enumerate_s"] = time.perf_counter() - start
         start = time.perf_counter()
-        self._classify(fiber, scalars)
-        del fiber
+        self._classify(from_sl)
         self.stats["classify_s"] = time.perf_counter() - start
         start = time.perf_counter()
         # the class representatives as one coded array (k, n, n)
@@ -517,91 +491,73 @@ class BaseGroup:
 
     # -- enumeration
 
-    def _enumerate_codes(self, transversal):
-        """The codes of the group's elements, ascending, as int32, and the
-        codes of its fiber over ``transversal``, the elements whose
-        determinant lies in it: the same array when that is all of them
-        (SL, or GL with every unit in the transversal), and None when the
-        transversal is None.
+    def _enumerate_codes(self):
+        """The codes of the group's elements, ascending, as int32.
 
         A code is its top block (the first n - 1 rows, the low n(n - 1)
         digits) plus its last row x times q^(n(n - 1)).  A matrix's
         determinant is c . x for the cofactor vector c of its top block,
         so the cofactors are computed once per block, and for each last
         row in ascending order the blocks with c . x = 1 (SL) or != 0
-        (GL), or c . x in the transversal, give the elements and the fiber
-        in ascending order.
+        (GL) give the elements in ascending order.
         """
         q, n = self.q, self.n
         if n == 0:
             self.stats["top_blocks"] = 0
-            codes = np.zeros(1, dtype=np.int32)  # the empty matrix
-            return codes, codes
+            return np.zeros(1, dtype=np.int32)  # the empty matrix
         span = q ** (n * (n - 1))
         tops = np.arange(span, dtype=np.int32)
         c = self.ops.cofactors(_decode(tops, n, q, rows=n - 1))
         self.stats["top_blocks"] = span
         want_one = self.family == "SL"
-        split = not want_one and transversal is not None and \
-            len(transversal) < q - 1
-        in_fiber = np.isin(np.arange(q), transversal if split else [])
-        chunks, fiber_chunks = [], []
+        chunks = []
         lasts = _decode(np.arange(q ** n), n, q, rows=1)[:, 0, :].tolist()
         for x, last in enumerate(lasts):
             dets = self.ops.dot(c, last)
             mask = dets == self.field.one if want_one else dets != self.field.zero
             chunks.append(tops[mask] + np.int32(x * span))
-            if split:
-                fiber_chunks.append(tops[in_fiber[dets]] + np.int32(x * span))
-        codes = np.concatenate(chunks)
-        if split:
-            return codes, np.concatenate(fiber_chunks)
-        return codes, None if transversal is None else codes
+        return np.concatenate(chunks)
 
     # -- conjugacy
 
-    def _conjugation_perms(self, gens, codes, ranks):
-        """For each matrix g of the group, the indices of ``codes`` (a union
-        of classes, indexed by ``ranks``) permuted by conjugation with g."""
-        n, q, ops = self.n, self.q, self.ops
+    def _conjugation_perms(self, gens):
+        """For each matrix g of the group, the element indices permuted by
+        conjugation with g."""
+        n, q, ops, codes = self.n, self.q, self.ops, self.codes
         invs = ops.power(gens, self.order - 1)
         maps = [_map_tables(ops, g, g_inv) for g, g_inv in zip(gens, invs)]
         perms = [np.empty(len(codes), dtype=np.int32) for _ in gens]
         for start in range(0, len(codes), _CHUNK):
             rows = _rows(codes[start:start + _CHUNK], n, q)
             for passes, perm in zip(maps, perms):
-                perm[start:start + rows.shape[1]] = ranks.index(
+                perm[start:start + rows.shape[1]] = self._ranks.index(
                     _map_image(passes, rows, n, q), "conjugate")
         return perms
 
-    def _classify(self, fiber, scalars):
+    def _classify(self, from_sl):
         """Classes are numbered by their least element index, which is
         also the representative.
 
-        Only the ``fiber`` codes, the elements whose determinant lies in
-        the transversal D of ``_det_transversal``, are hooked: conjugation
-        keeps the determinant, so every generator permutes the fiber.  A
-        fiber of None is SL_n(q), and its classes are read from the built
-        SL group instead.  The other classes are the fiber's classes times
-        the ``scalars`` (``_spread``).
+        When ``from_sl`` (GL = SL x Z), the classes of SL_n(q) are read
+        from the built SL group and spread by the scalars (``_spread``).
+        Otherwise every element is hooked under conjugation by the
+        generators.
         """
         start = time.perf_counter()
-        size = self.q ** (self.n * self.n)
-        self._ranks = _RankBitmap(self.codes, size)
-        if fiber is None:
+        self._ranks = _RankBitmap(self.codes, self.q ** (self.n * self.n))
+        if from_sl:
             sl = _built("SL", self.n, self.q)
-            fiber, fiber_class, reps = sl.codes, sl.class_id, sl.class_reps
-            self.stats.update(conjugate_s=0.0, hook_rounds=0, hook_s=0.0)
+            self.stats.update(conjugate_s=0.0, hook_rounds=0, hook_s=0.0,
+                              fiber_elements=len(sl.codes))
             start = time.perf_counter()
+            self.class_id, reps, self._unscaled = self._spread(sl)
         else:
-            whole = len(fiber) == len(self.codes)
-            fiber_ranks = self._ranks if whole else _RankBitmap(fiber, size)
             perms = self._conjugation_perms(
-                _generator_mats(self.field, self.n, self.family), fiber,
-                fiber_ranks)
+                _generator_mats(self.field, self.n, self.family))
             self.stats["conjugate_s"] = time.perf_counter() - start
             start = time.perf_counter()
-            roots, self.stats["hook_rounds"] = _orbit_roots(perms, len(fiber))
+            roots, self.stats["hook_rounds"] = _orbit_roots(perms,
+                                                            len(self.codes))
             self.stats["hook_s"] = time.perf_counter() - start
             del perms  # before the numbering arrays, to bound peak memory
             start = time.perf_counter()
@@ -609,15 +565,11 @@ class BaseGroup:
             reps = np.flatnonzero(is_root)
             number = np.cumsum(is_root, dtype=np.int32)
             number -= 1
-            fiber_class = number[roots]
+            self.class_id = number[roots]
             del roots, is_root, number
-        self.stats["fiber_elements"] = len(fiber)
-        # _unscaled[c] is the class C of which class c is a multiple lam C
-        if len(fiber) == len(self.codes):
-            self.class_id, self._unscaled = fiber_class, np.arange(len(reps))
-        else:
-            self.class_id, reps, self._unscaled = self._spread(
-                fiber, fiber_class, len(reps), scalars)
+            # _unscaled[c] is the class C of which class c is a multiple lam C
+            self._unscaled = np.arange(len(reps))
+            self.stats["fiber_elements"] = len(self.codes)
         self.class_reps = reps.tolist()
         self.stats["spread_s"] = time.perf_counter() - start
         self.num_classes = len(self.class_reps)
@@ -627,55 +579,56 @@ class BaseGroup:
                         minlength=self.num_classes)
             for start in range(0, len(self.codes), _CHUNK))
 
-    def _spread(self, fiber, fiber_class, fiber_classes, scalars):
-        """The class ids and representatives of the whole group, from the
-        class id of each code of ``fiber`` among its ``fiber_classes``,
-        and for each class lam C the class id of C.
+    def _spread(self, sl):
+        """The class ids and representatives of GL = SL x Z, from the
+        classes of the built group ``sl``, and for each class lam C the
+        class id of C.
 
         Every element is lam X for one scalar lam = theta^j and one X in
-        the fiber, and lies in the class lam C for the fiber class C of X.
-        The key C m + j, m scalars, names its class, as the fiber classes
-        have one determinant each; the keys are renumbered by least element
-        index.
+        SL, and lies in the class lam C for the SL class C of X.  The key
+        C m + j, m = q - 1, names its class, as the SL classes have one
+        determinant; the keys are renumbered by least element index.
         """
-        n, q, m = self.n, self.q, len(scalars)
+        n, q, ops = self.n, self.q, self.ops
         ident = np.eye(n, dtype=np.uint8)
-        scale = [_map_tables(self.ops, self.field.mul_table[lam][ident], ident)
-                 for lam in scalars]
-        # lam X = (lam I) X I: the first pass, X -> X^T, is every lam's
-        transpose = scale[0][0]
+        # lam X = (lam I) X I: the first pass, X -> X^T, is every lam's,
+        # and lam I is its own transpose
+        transpose = _transposing_tables(ops, ident)
+        scale = [_transposing_tables(ops, self.field.mul_table[lam][ident])
+                 for lam in self.field.exp]
+        m = len(scale)
         key = np.full(len(self.codes), -1, dtype=np.int32)
-        for start in range(0, len(fiber), _CHUNK):
+        for start in range(0, len(sl.codes), _CHUNK):
             rows = _rows(_table_image(
-                transpose, _rows(fiber[start:start + _CHUNK], n, q)), n, q)
-            fiber_key = fiber_class[start:start + _CHUNK] * m
-            for j, (_, second) in enumerate(scale):
+                transpose, _rows(sl.codes[start:start + _CHUNK], n, q)), n, q)
+            sl_key = sl.class_id[start:start + _CHUNK] * m
+            for j, second in enumerate(scale):
                 code = _table_image(second, rows)
-                key[self._ranks.index(code, "scalar multiple")] = fiber_key + j
-        assert len(fiber) * m == len(key) and key.min() >= 0, \
-            "the scalar multiples of the fiber miss an element"
+                key[self._ranks.index(code, "scalar multiple")] = sl_key + j
+        assert len(sl.codes) * m == len(key) and key.min() >= 0, \
+            "the scalar multiples of SL miss an element"
         # a chunk at a time, and renumbered in place, to bound peak memory
         chunks = [slice(start, start + _CHUNK)
                   for start in range(0, len(key), _CHUNK)]
-        least = np.full(fiber_classes * m, len(key), dtype=np.int32)
-        for sl in chunks:
-            np.minimum.at(least, key[sl], np.arange(
-                sl.start, min(sl.stop, len(key)), dtype=np.int32))
+        least = np.full(sl.num_classes * m, len(key), dtype=np.int32)
+        for at in chunks:
+            np.minimum.at(least, key[at], np.arange(
+                at.start, min(at.stop, len(key)), dtype=np.int32))
         order = np.argsort(least)
         rank = np.empty(len(order), dtype=np.int32)
         rank[order] = np.arange(len(order), dtype=np.int32)
-        for sl in chunks:
-            key[sl] = rank[key[sl]]
-        # scalars[0] = 1, so C is the class of key C m
+        for at in chunks:
+            key[at] = rank[key[at]]
+        # exp[0] = 1, so C is the class of key C m
         return key, least[order], rank[order - order % m]
 
     # -- certification
 
     def _certify(self):
-        """The class equation and, for every class C of the fiber, the
-        orbit-stabilizer equation |C| |C_G(g)| = |G| with C_G(g) the units
-        (GL) or determinant-1 elements (SL) of the commutant of its
-        representative g.  A class lam C has the centralizer of C, so its
+        """The class equation and, for every class C hooked or read from
+        SL, the orbit-stabilizer equation |C| |C_G(g)| = |G| with C_G(g)
+        the units (GL) or determinant-1 elements (SL) of the commutant of
+        its representative g.  A class lam C has the centralizer of C, so its
         size must be that of C."""
         assert int(self.class_sizes.sum()) == self.order, "class equation fails"
         sizes, unscaled = self.class_sizes, self._unscaled

@@ -155,10 +155,10 @@ def test_certification_is_builtin():
                                "hook_rounds", "top_blocks", "fiber_elements",
                                "certified_classes"}
     assert base.stats["top_blocks"] == 5 ** 2  # one per first row
-    # gcd(2, 5 - 1) = 2: the fiber det in {1, 2} is half the group, and
-    # its 12 classes are certified, not their multiples by the scalar 2
-    assert base.stats["fiber_elements"] == 480 // 2
-    assert base.stats["certified_classes"] == 12 == base.num_classes // 2
+    # gcd(2, 5 - 1) = 2, so GL_2(5) is not SL x Z: all 480 elements are
+    # hooked and all 24 classes certified
+    assert base.stats["fiber_elements"] == 480
+    assert base.stats["certified_classes"] == 24 == base.num_classes
     # a matrix outside the group (determinant 0) has no class
     outside = np.array([scalar_mat(gd.field, 0, 2), rep_arr])
     assert base.classes_of(outside).tolist() == [-1, cid]
@@ -292,9 +292,10 @@ def test_generators_generate_the_group(family, n, q):
     (n, q) for n in (1, 2, 3, 4) for q in (2, 3, 4, 5, 7, 8, 9)
     if q ** (n * n) <= oracle._ADDRESS_LIMIT])
 def test_spread_tables_scale_by_every_scalar(n, q):
-    # the maps _spread builds for X -> lam X, _map_tables(ops, lam I, I),
-    # on every matrix space the oracle addresses (codes below 2^31); their
-    # first pass, X -> X^T, is the same for every lam, so _spread shares it
+    # the maps _spread builds for X -> lam X = (lam I) X I, on every matrix
+    # space the oracle addresses (codes below 2^31): one first pass,
+    # X -> X^T, for every lam, then one second pass per lam, from lam I,
+    # which is its own transpose; _map_tables(ops, lam I, I) agrees
     field = field_for_order(q)
     ops = oracle._Ops(field, n)
     rng = random.Random(q * 10 + n)
@@ -302,10 +303,12 @@ def test_spread_tables_scale_by_every_scalar(n, q):
     codes = _codes(q, xs).astype(np.int32)
     rows = oracle._rows(codes, n, q)
     ident = np.eye(n, dtype=np.uint8)
-    transpose = oracle._map_tables(ops, ident, ident)[0]
+    transpose = oracle._transposing_tables(ops, ident)
     for lam in field.units:
-        passes = oracle._map_tables(ops, field.mul_table[lam][ident], ident)
-        assert np.array_equal(passes[0], transpose)
+        scalar = field.mul_table[lam][ident]
+        passes = transpose, oracle._transposing_tables(ops, scalar)
+        mapped = oracle._map_tables(ops, scalar, ident)
+        assert all(np.array_equal(a, b) for a, b in zip(passes, mapped))
         got = oracle._map_image(passes, rows, n, q)
         assert got.tolist() == \
             _codes(q, [mat_scale(field, lam, x) for x in xs]).tolist()
@@ -410,9 +413,8 @@ def test_class_ids_match_bfs_reference(family, n, q):
 
 # sha256 of class_id.tobytes() and of class_reps as int64 bytes, recorded
 # before the classifier moved to sparse conjugation and the rank bitmap;
-# GL_2(5), GL_2(7), GL_3(3) and GL_3(5), whose classes are spread from one
-# determinant fiber by scalars, recorded before the classifier hooked only
-# that fiber
+# GL_2(5), GL_2(7), GL_3(3) and GL_3(5) recorded while every element was
+# still hooked, before any classes were spread by scalars
 _GOLDEN_NUMBERING = {
     ("GL", 2, 5): (
         "2d1fa819ca92baad8f22a6a7f390641072b88a232decaf7b9e08e43c7699dd2b",
@@ -456,7 +458,7 @@ def test_class_numbering_is_golden(family, n, q):
 def test_chunking_leaves_the_numbering_alone(monkeypatch):
     want = oracle.BaseGroup("GL", 3, 3)
     monkeypatch.setattr(oracle, "_CHUNK", 1000)
-    # GL_3(3) takes its fiber's classes from SL_3(3): rebuild that too
+    # GL_3(3) takes its det-1 classes from SL_3(3): rebuild that too
     oracle._built.cache_clear()
     got = oracle.BaseGroup("GL", 3, 3)
     assert got.class_id.tolist() == want.class_id.tolist()
@@ -467,31 +469,17 @@ def test_chunking_leaves_the_numbering_alone(monkeypatch):
 _FIELD_QS = (2, 3, 4, 5, 7, 8, 9)
 
 
-@pytest.mark.parametrize("q", _FIELD_QS)
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
-def test_det_transversal(n, q):
-    field = field_for_order(q)
-    transversal, scalars = oracle._det_transversal(field, n)
-    assert len(transversal) == math.gcd(n, q - 1)
-    nth_powers = {field.pow(x, n) for x in field.units}
-    for d in field.units:
-        # one coset representative per unit, and one way to reach it
-        assert sum(field.mul(d, field.inv(t)) in nth_powers
-                   for t in transversal) == 1
-        assert sum(field.mul(t, field.pow(lam, n)) == d
-                   for t in transversal for lam in scalars) == 1
-
-
 @pytest.mark.parametrize("family,n,q", [
     (family, n, q) for family in ("GL", "SL") for n in range(5)
     for q in _FIELD_QS if group_order(family, n, q) <= 200_000])
 def test_only_the_fiber_is_hooked(family, n, q):
     base = oracle.BaseGroup(family, n, q)
     hooked = base.stats["fiber_elements"]
-    if family == "SL":
-        assert hooked == base.order
+    # only GL = SL x Z reads SL's classes; every other group is hooked whole
+    if family == "GL" and q > 2 and math.gcd(n, q - 1) == 1:
+        assert hooked == group_order("SL", n, q)
     else:
-        assert hooked * (q - 1) == base.order * math.gcd(n, q - 1)
+        assert hooked == base.order
     # the classes are still numbered by their least element
     least = np.full(base.num_classes, base.order)
     np.minimum.at(least, base.class_id, np.arange(base.order))
@@ -522,8 +510,8 @@ def test_gl_fiber_classes_come_from_sl(n, q):
 def test_certification_checks_the_scalar_multiples():
     # lam C is not certified by its own commutant, only by |lam C| = |C|;
     # moving one element between two such classes keeps the class
-    # equation and the fiber classes, and must still fail
-    base = oracle.BaseGroup("GL", 2, 7)
+    # equation and the classes read from SL, and must still fail
+    base = oracle.BaseGroup("GL", 2, 4)
     base._certify()
     scaled = np.flatnonzero(base._unscaled != np.arange(base.num_classes))
     one, two = scaled[0], scaled[-1]
