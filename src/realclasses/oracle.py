@@ -3,41 +3,30 @@ classes, and decide reality questions by direct search.
 
 Everything here is independent of the counting formulas so the two sides
 can be compared.  Groups are enumerated as coded matrices (base-q digit
-strings, row-major) and kept as their sorted codes.  The elements are
-found by expanding the determinant along the last row: the exact
-cofactor vector c of each block of top n - 1 rows is computed once, and
-for each last row x the blocks with c . x = 1 (SL) or c . x != 0 (GL)
-are kept, so the codes come out ascending without a scan of all q^(n^2)
-matrices.  Every determinant is exact (integers mod p, or the field
-tables over an extension field).
+strings, row-major) and kept as their sorted codes, found by expanding
+the determinant along the last row (``BaseGroup._enumerate_codes``)
+without a scan of all q^(n^2) matrices; every determinant is exact.
 
-A rank bitmap over the q^(n^2) codes (one bit per code, with the number
-of members below each 64-bit word) turns a code into its element index
-and says whether it is in the group; it answers every such lookup here.
-The generators (``_generator_mats``) are few: I + E_12 (I + a E_12 for a
-in an F_p-basis of F_q for SL), I + a E_21 at n = 2 only, a signed
-n-cycle for n >= 3 and, for GL, diag(theta, 1, ..., 1).  Every map the
-classification applies to element codes, conjugation X -> g X g^{-1} and
-the scalar multiples X -> lam X alike, is X -> a X b = ((X b)^T a^T)^T, two
-passes of X -> (X m)^T.  Row s of X m depends on row s of X alone and is
-column s of (X m)^T, so a pass is a sum of n lookups, one per row of X,
-into tables of q^n codes (``_map_tables``), with no decode of the
-entries.  Each generator so becomes one permutation array, and the
-classes are the orbits of those arrays, found by min-label hooking with
-pointer jumping (Shiloach-Vishkin).
+A rank bitmap over the q^(n^2) codes turns a code into its element index
+and says whether it is in the group.  The classes are the orbits of a few
+generators (``_generator_mats``) acting by conjugation, found by min-label
+hooking with pointer jumping (Shiloach-Vishkin).  Every map applied to
+element codes, conjugation X -> g X g^{-1} and the scalar multiples
+X -> lam X alike, is X -> a X b = ((X b)^T a^T)^T, two passes of per-row
+tables of q^n codes (``_map_tables``), with no decode of the entries.
 
 Each group is classified one of two ways.  When gcd(n, q - 1) = 1 and
 q > 2, GL = SL x Z: conjugation by GL on SL_n(q) is conjugation by SL
-and commutes with X -> lam X, so every GL-class is lam C for one class C
-of the built SL group and one of the q - 1 scalars lam.  One pass
-multiplies SL by each scalar, as the map with a = lam I and b = I, whose
-first pass X -> X^T serves every scalar, and numbers the pairs (C, lam)
-by least element index.  Every other group (SL, GL_n(2), and GL with
-gcd(n, q - 1) > 1) is hooked whole.  The classes are certified through
-the class equation and, for each class C hooked or read from SL, the
-orbit-stabilizer equation |C| * |centralizer| = |order|, the commutants
-of all those representatives coming from one batched elimination; lam C
-has the centralizer of C, so it must have the size of C.
+and commutes with X -> lam X, so the classes are the pairs (C, lam) of a
+class C of the built SL group and a scalar, the class lam C of size |C|,
+numbered by least code.  Such a GL keeps nothing per element: g lies in
+lam C for lam = det(g)^n' (n n' = 1 mod q - 1) and C the SL class of
+lam^-1 g.  Every other group (SL, GL_n(2), and GL with gcd(n, q - 1) > 1)
+is hooked whole.  The classes are certified through the class equation
+and, for each class C hooked or read from SL, the orbit-stabilizer
+equation |C| * |centralizer| = |order|, the commutants of all those
+representatives coming from one batched elimination; lam C has the
+centralizer of C, so it must have the size of C.
 
 Quotients by a central subgroup Y reuse the base classification: the
 classes of G/Y are the Y-orbits of classes of G, reality (twist c = 1)
@@ -445,17 +434,17 @@ def _orbit_roots(perms, size):
 # base group enumeration and classification
 
 class BaseGroup:
-    """A fully enumerated GL_n(q) or SL_n(q) with certified conjugacy data.
+    """A GL_n(q) or SL_n(q) with certified conjugacy data.  A group hooked
+    whole keeps its element ``codes`` and their ``class_id``; a GL = SL x Z
+    keeps only arrays per class and reads its elements off the built SL.
 
-    ``stats`` records the seconds spent enumerating, classifying and
-    certifying (``classify_s`` splits into ``conjugate_s``, the rank
-    bitmap and the permutation arrays, ``hook_s``, the orbit roots, and
-    ``spread_s``, numbering the classes and spreading them by scalars),
-    the hooking rounds the class union took (0 when the classes came from
-    SL), ``fiber_elements``, the elements whose classes were hooked or
-    read: |SL_n(q)| for GL read from SL, else the whole order,
-    ``certified_classes``, the classes whose commutant was computed, and
-    the number of top blocks whose cofactors the enumeration computed.
+    ``stats`` holds the seconds spent enumerating (for GL read from SL,
+    taking the built SL), classifying (``classify_s``: ``conjugate_s``, the
+    bitmap and permutations, ``hook_s``, the orbit roots, ``number_s``, the
+    class numbering) and certifying, ``hook_rounds`` (0 for GL read from
+    SL), ``fiber_elements``, the elements hooked or read (|SL_n(q)| for GL
+    read from SL, else the order), ``certified_classes``, the classes whose
+    commutant was computed, and ``top_blocks``, the blocks expanded.
     """
 
     def __init__(self, family, n, q):
@@ -474,18 +463,22 @@ class BaseGroup:
         start = time.perf_counter()
         # GL = SL x Z when gcd(n, q - 1) = 1, so the GL-classes of its
         # det-1 elements are their SL-classes (GL_n(2) is SL_n(2) itself)
-        from_sl = family == "GL" and q > 2 and math.gcd(n, q - 1) == 1
-        self.codes = self._enumerate_codes()
-        assert len(self.codes) == self.order, \
-            "enumerated %d elements, expected %d" % (len(self.codes), self.order)
+        if family == "GL" and q > 2 and math.gcd(n, q - 1) == 1:
+            self._sl, classify = _built("SL", n, q), self._scale
+            assert len(self._sl.codes) * (q - 1) == self.order
+        else:
+            self._sl, classify = None, self._classify
+            self.codes = self._enumerate_codes()
+            assert len(self.codes) == self.order, "enumerated %d elements, " \
+                "expected %d" % (len(self.codes), self.order)
         self.stats["enumerate_s"] = time.perf_counter() - start
         start = time.perf_counter()
-        self._classify(from_sl)
+        classify()
+        self.num_classes = len(self.rep_codes)
         self.stats["classify_s"] = time.perf_counter() - start
         start = time.perf_counter()
         # the class representatives as one coded array (k, n, n)
-        self.rep_mats = np.ascontiguousarray(
-            _decode(self.codes[self.class_reps], n, q))
+        self.rep_mats = np.ascontiguousarray(_decode(self.rep_codes, n, q))
         self._certify()
         self.stats["certify_s"] = time.perf_counter() - start
 
@@ -534,93 +527,70 @@ class BaseGroup:
                     _map_image(passes, rows, n, q), "conjugate")
         return perms
 
-    def _classify(self, from_sl):
-        """Classes are numbered by their least element index, which is
-        also the representative.
-
-        When ``from_sl`` (GL = SL x Z), the classes of SL_n(q) are read
-        from the built SL group and spread by the scalars (``_spread``).
-        Otherwise every element is hooked under conjugation by the
-        generators.
-        """
+    def _classify(self):
+        """Hook every element under conjugation by the generators; the
+        classes are numbered by their least element, the representative."""
         start = time.perf_counter()
         self._ranks = _RankBitmap(self.codes, self.q ** (self.n * self.n))
-        if from_sl:
-            sl = _built("SL", self.n, self.q)
-            self.stats.update(conjugate_s=0.0, hook_rounds=0, hook_s=0.0,
-                              fiber_elements=len(sl.codes))
-            start = time.perf_counter()
-            self.class_id, reps, self._unscaled = self._spread(sl)
-        else:
-            perms = self._conjugation_perms(
-                _generator_mats(self.field, self.n, self.family))
-            self.stats["conjugate_s"] = time.perf_counter() - start
-            start = time.perf_counter()
-            roots, self.stats["hook_rounds"] = _orbit_roots(perms,
-                                                            len(self.codes))
-            self.stats["hook_s"] = time.perf_counter() - start
-            del perms  # before the numbering arrays, to bound peak memory
-            start = time.perf_counter()
-            is_root = roots == np.arange(len(roots), dtype=np.int32)
-            reps = np.flatnonzero(is_root)
-            number = np.cumsum(is_root, dtype=np.int32)
-            number -= 1
-            self.class_id = number[roots]
-            del roots, is_root, number
-            # _unscaled[c] is the class C of which class c is a multiple lam C
-            self._unscaled = np.arange(len(reps))
-            self.stats["fiber_elements"] = len(self.codes)
-        self.class_reps = reps.tolist()
-        self.stats["spread_s"] = time.perf_counter() - start
-        self.num_classes = len(self.class_reps)
+        perms = self._conjugation_perms(
+            _generator_mats(self.field, self.n, self.family))
+        self.stats["conjugate_s"] = time.perf_counter() - start
+        start = time.perf_counter()
+        roots, self.stats["hook_rounds"] = _orbit_roots(perms, len(self.codes))
+        self.stats["hook_s"] = time.perf_counter() - start
+        del perms  # before the numbering arrays, to bound peak memory
+        start = time.perf_counter()
+        is_root = roots == np.arange(len(roots), dtype=np.int32)
+        self.rep_codes = self.codes[is_root]
+        number = np.cumsum(is_root, dtype=np.int32)
+        number -= 1
+        self.class_id = number[roots]
+        del roots, is_root, number
+        # the keys j k + C of GL = SL x Z, for a group that is its own SL
+        self._keys = self._class_of_key = self._unscaled = np.arange(
+            len(self.rep_codes))
+        self.stats["fiber_elements"] = len(self.codes)
         # a chunk at a time, as bincount takes its input as int64
         self.class_sizes = sum(
             np.bincount(self.class_id[start:start + _CHUNK],
-                        minlength=self.num_classes)
+                        minlength=len(self.rep_codes))
             for start in range(0, len(self.codes), _CHUNK))
+        self.stats["number_s"] = time.perf_counter() - start
 
-    def _spread(self, sl):
-        """The class ids and representatives of GL = SL x Z, from the
-        classes of the built group ``sl``, and for each class lam C the
-        class id of C.
-
-        Every element is lam X for one scalar lam = theta^j and one X in
-        SL, and lies in the class lam C for the SL class C of X.  The key
-        C m + j, m = q - 1, names its class, as the SL classes have one
-        determinant; the keys are renumbered by least element index.
-        """
-        n, q, ops = self.n, self.q, self.ops
+    def _scale(self):
+        """Number the classes lam C of GL = SL x Z (lam = theta^j, C one of
+        the k classes of SL, key j k + C) by least code; the codes of every
+        lam X come from the pass X -> X^T and one second pass per lam."""
+        start = time.perf_counter()
+        sl, n, q, field = self._sl, self.n, self.q, self.field
+        k = sl.num_classes
         ident = np.eye(n, dtype=np.uint8)
-        # lam X = (lam I) X I: the first pass, X -> X^T, is every lam's,
-        # and lam I is its own transpose
-        transpose = _transposing_tables(ops, ident)
-        scale = [_transposing_tables(ops, self.field.mul_table[lam][ident])
-                 for lam in self.field.exp]
-        m = len(scale)
-        key = np.full(len(self.codes), -1, dtype=np.int32)
-        for start in range(0, len(sl.codes), _CHUNK):
+        transpose = _transposing_tables(self.ops, ident)
+        scale = [_transposing_tables(self.ops, field.mul_table[lam][ident])
+                 for lam in field.exp]
+        # least[j, C] is the least code of theta^j X over X in C
+        least = np.full((q - 1, k), q ** (n * n), dtype=np.int32)
+        for at in range(0, len(sl.codes), _CHUNK):
             rows = _rows(_table_image(
-                transpose, _rows(sl.codes[start:start + _CHUNK], n, q)), n, q)
-            sl_key = sl.class_id[start:start + _CHUNK] * m
-            for j, second in enumerate(scale):
-                code = _table_image(second, rows)
-                key[self._ranks.index(code, "scalar multiple")] = sl_key + j
-        assert len(sl.codes) * m == len(key) and key.min() >= 0, \
-            "the scalar multiples of SL miss an element"
-        # a chunk at a time, and renumbered in place, to bound peak memory
-        chunks = [slice(start, start + _CHUNK)
-                  for start in range(0, len(key), _CHUNK)]
-        least = np.full(sl.num_classes * m, len(key), dtype=np.int32)
-        for at in chunks:
-            np.minimum.at(least, key[at], np.arange(
-                at.start, min(at.stop, len(key)), dtype=np.int32))
-        order = np.argsort(least)
-        rank = np.empty(len(order), dtype=np.int32)
-        rank[order] = np.arange(len(order), dtype=np.int32)
-        for at in chunks:
-            key[at] = rank[key[at]]
-        # exp[0] = 1, so C is the class of key C m
-        return key, least[order], rank[order - order % m]
+                transpose, _rows(sl.codes[at:at + _CHUNK], n, q)), n, q)
+            cid = sl.class_id[at:at + _CHUNK]
+            for lowest, second in zip(least, scale):
+                np.minimum.at(lowest, cid, _table_image(second, rows))
+        assert (least < q ** (n * n)).all(), "a class lam C has no element"
+        self._keys = np.argsort(least, axis=None)
+        self.rep_codes = least.ravel()[self._keys]
+        self._class_of_key = np.argsort(self._keys)
+        self._unscaled = self._class_of_key[self._keys % k]  # exp[0] = 1
+        self.class_sizes = sl.class_sizes[self._keys % k]
+        # det(lam X) = lam^n, and lam -> lam^n is a bijection of F_q^*: g
+        # is in lam C for lam = theta^j, j = n' log det g (n n' = 1)
+        assert len({field.pow(lam, n) for lam in field.units}) == q - 1
+        self._root_log = log = np.array([0] + field.log[1:]) * pow(
+            n, -1, q - 1) % (q - 1)
+        self._root_inv = np.array(field.exp, dtype=np.uint8)[-log % (q - 1)]
+        self.stats.update(conjugate_s=0.0, hook_rounds=0, hook_s=0.0,
+                          top_blocks=0, fiber_elements=sl.order,
+                          number_s=time.perf_counter() - start)
 
     # -- certification
 
@@ -711,17 +681,31 @@ class BaseGroup:
 
     # -- queries
 
-    def rep_mat(self, cid):
-        """The representative of class cid as a tuple of rows of ints."""
-        return _mat_to_tuple(self.rep_mats[cid])
-
     def classes_of(self, mats):
         """The class id of each matrix of a coded batch (m, n, n), or -1
         for a matrix outside the group."""
-        idx, member = self._ranks.lookup(_encode(mats, self.q))
         out = np.full(len(mats), -1, dtype=np.int32)
-        out[member] = self.class_id[idx[member]]
+        if self._sl is None:
+            idx, member = self._ranks.lookup(_encode(mats, self.q))
+            out[member] = self.class_id[idx[member]]
+            return out
+        dets = self.ops.det(mats)
+        unit = dets != self.field.zero
+        cls = self._sl.classes_of(self.field.mul_table[
+            self._root_inv[dets[unit]][:, None, None], mats[unit]])
+        assert (cls >= 0).all(), "lam^-1 g is not in SL"
+        out[unit] = self._class_of_key[
+            self._root_log[dets[unit]] * self._sl.num_classes + cls]
         return out
+
+    def scaled_classes(self, z):
+        """The class of z g for the representative g of each class, z a
+        scalar of the group (so central), or -1 where z g leaves it."""
+        if self._sl is None:
+            return self.classes_of(self.field.mul_table[z][self.rep_mats])
+        # z sends (C, lam) to (C, z lam)
+        shift = self.field.log[z] * self._sl.num_classes
+        return self._class_of_key[(self._keys + shift) % len(self._keys)]
 
     def product_classes(self, y_codes):
         """Mask over class ids of P P, P = {h : h^2 in the central set Y}:
@@ -730,22 +714,38 @@ class BaseGroup:
         y h^2; conversely t (t s) t^{-1} = t^2 s^2 (t s)^{-1}.  P is a
         union of classes and conjugating (t, s) moves t onto its class
         representative, so the products t_j s, t_j a representative in
-        P and s in P, meet every class of P P."""
+        P and s in P, meet every class of P P.  For GL = SL x Z, t = lam T
+        and s = mu X give t s = lam mu T X, T X in SL (a hooked group is its
+        own SL, with the one scalar 1)."""
         n, q = self.n, self.q
         ys = self.field.mul_table[np.asarray(y_codes)[:, None, None],
                                   np.eye(n, dtype=np.uint8)]
         squares = self.ops.matmul(self.rep_mats, self.rep_mats)
-        in_pool = np.isin(_encode(squares, q), _encode(ys, q))
-        pool_classes = np.flatnonzero(in_pool)
-        pool = np.flatnonzero(in_pool[self.class_id])
-        reps = self.rep_mats[pool_classes]
-        hit = np.zeros(self.num_classes, dtype=bool)
+        sl = self._sl or self
+        k = sl.num_classes
+        # logs[C, j]: whether theta^j C lies in P
+        logs = np.isin(_encode(squares, q), _encode(ys, q))[
+            self._class_of_key].reshape(-1, k).T
+        in_pool = logs.any(axis=1)
+        pool = np.flatnonzero(in_pool[sl.class_id])
+        # X counts only through its class's row of logs, one of few masks
+        masks, mask_of = np.unique(logs, axis=0, return_inverse=True)
+        hit = np.zeros_like(logs)
         for start in range(0, len(pool), _CHUNK):
-            s = _decode(self.codes[pool[start:start + _CHUNK]], n, q)
-            for t in reps:
-                prod = _encode(self.ops.matmul(t, s), q)
-                hit[self.class_id[self._ranks.index(prod, "product")]] = True
-        return hit
+            at = pool[start:start + _CHUNK]
+            s = _decode(sl.codes[at], n, q)
+            # each pair (mask of X, class of T X) is taken once
+            x_mask = mask_of.ravel()[sl.class_id[at]] * k
+            for c in np.flatnonzero(in_pool):
+                prod = _encode(self.ops.matmul(sl.rep_mats[c], s), q)
+                seen = np.zeros(len(masks) * k, dtype=bool)
+                cls = sl.class_id[sl._ranks.index(prod, "product")]
+                seen[x_mask + cls] = True
+                pairs = np.flatnonzero(seen)
+                for i in np.flatnonzero(logs[c]):
+                    np.logical_or.at(hit, pairs % k,
+                                     np.roll(masks[pairs // k], i, axis=1))
+        return hit.T.ravel()[self._keys]
 
 
 _built = functools.lru_cache(maxsize=None)(BaseGroup)
@@ -790,8 +790,7 @@ class GroupData:
         ``owner`` maps a base class to its orbit."""
         base = self.base
         # image[i, c] is the class of y_i g for the representative g of c
-        image = np.stack([base.classes_of(self.field.mul_table[z][
-            base.rep_mats]) for z in self.y_codes])
+        image = np.stack([base.scaled_classes(z) for z in self.y_codes])
         assert image.min() >= 0, "a central scalar left the group"
         least, self.owner = np.unique(image.min(axis=0), return_inverse=True)
         assert (self.owner[image] == self.owner).all(), \
@@ -808,7 +807,8 @@ class GroupData:
         assert sum(sizes) == self.order, "quotient class equation fails"
 
     def rep_mat(self, cid):
-        return self.base.rep_mat(self.orbits[cid][0])
+        """The representative of class cid as a tuple of rows of ints."""
+        return _mat_to_tuple(self.base.rep_mats[self.orbits[cid][0]])
 
     def twisted_real_mask(self, c):
         """Mask over class ids: whether the class of c g^{-1}, g the

@@ -19,7 +19,7 @@ import pytest
 from realclasses import counts, labels, oracle, polys
 from realclasses.cli import _DESK_CAP as DESK_CAP, DESK_MATRIX
 from realclasses.fields import canonical_nonsquare, field_for_order
-from test_oracle import _leibniz_det, mat_inv, mat_mul
+from test_oracle import _element_codes, _leibniz_det, mat_inv, mat_mul
 from test_polys import breve, tilde
 
 
@@ -253,12 +253,12 @@ def test_criterion_9_property_suite():
     for family, n, q in [("GL", 2, 5), ("SL", 2, 7), ("GL", 3, 3)]:
         field = field_for_order(q)
         gd = oracle.enumerate_group(family, n, q)
-        base = gd.base
+        elements = _element_codes(family, n, q)
         for _ in range(8):
             cid = rng.randrange(gd.num_classes)
             rep = gd.rep_mat(cid)
             h = oracle._mat_to_tuple(oracle._decode(
-                base.codes[[rng.randrange(len(base.codes))]], n, q)[0])
+                elements[[rng.randrange(len(elements))]], n, q)[0])
             conj = mat_mul(field, mat_mul(field, h, rep), mat_inv(field, h))
             assert (oracle.matrix_to_label(field, conj)
                     == oracle.matrix_to_label(field, rep))

@@ -151,7 +151,7 @@ def test_certification_is_builtin():
     cid, = base.classes_of(rep_arr[None])
     assert brute * int(base.class_sizes[cid]) == gd.order
     assert set(base.stats) == {"enumerate_s", "classify_s", "certify_s",
-                               "conjugate_s", "hook_s", "spread_s",
+                               "conjugate_s", "hook_s", "number_s",
                                "hook_rounds", "top_blocks", "fiber_elements",
                                "certified_classes"}
     assert base.stats["top_blocks"] == 5 ** 2  # one per first row
@@ -189,6 +189,26 @@ def test_batched_det_matches_elimination(n, q):
         assert not got[:60].any()
 
 
+def _element_codes(family, n, q, chunk=1 << 16):
+    """The codes of GL_n(q) or SL_n(q), ascending: those of the q^(n^2)
+    codes whose determinant is nonzero (GL) or 1 (SL), a chunk at a time."""
+    ops = oracle._Ops(field_for_order(q), n)
+    parts = []
+    for start in range(0, q ** (n * n), chunk):
+        codes = np.arange(start, min(start + chunk, q ** (n * n)),
+                          dtype=np.int32)
+        dets = ops.det(oracle._decode(codes, n, q))
+        parts.append(codes[dets == 1 if family == "SL" else dets != 0])
+    return np.concatenate(parts)
+
+
+def _class_ids(base, codes, chunk=1 << 16):
+    """The class id of each code, read through ``base.classes_of``."""
+    return np.concatenate([
+        base.classes_of(oracle._decode(codes[at:at + chunk], base.n, base.q))
+        for at in range(0, len(codes), chunk)])
+
+
 @pytest.mark.parametrize("family", ["GL", "SL"])
 @pytest.mark.parametrize("n,q", [(0, 3), (1, 2), (1, 5), (2, 4), (2, 9),
                                  (3, 2), (3, 3)])
@@ -200,6 +220,12 @@ def test_enumeration_matches_determinant_filter(family, n, q):
     keep = [d == field.one if family == "SL" else d != field.zero
             for d in dets]
     base = oracle.BaseGroup(family, n, q)
+    assert (_class_ids(base, every) >= 0).tolist() == keep
+    if family == "GL" and q > 2 and math.gcd(n, q - 1) == 1:
+        # GL = SL x Z enumerates nothing: its elements are SL's multiples
+        assert base.stats["top_blocks"] == 0
+        assert not hasattr(base, "codes")
+        return
     assert base.codes.dtype == np.int32
     assert base.codes.tolist() == every[keep].tolist()
     assert base.stats["top_blocks"] == (q ** (n * (n - 1)) if n else 0)
@@ -292,7 +318,7 @@ def test_generators_generate_the_group(family, n, q):
     (n, q) for n in (1, 2, 3, 4) for q in (2, 3, 4, 5, 7, 8, 9)
     if q ** (n * n) <= oracle._ADDRESS_LIMIT])
 def test_spread_tables_scale_by_every_scalar(n, q):
-    # the maps _spread builds for X -> lam X = (lam I) X I, on every matrix
+    # the maps _scale builds for X -> lam X = (lam I) X I, on every matrix
     # space the oracle addresses (codes below 2^31): one first pass,
     # X -> X^T, for every lam, then one second pass per lam, from lam I,
     # which is its own transpose; _map_tables(ops, lam I, I) agrees
@@ -405,13 +431,14 @@ def _bfs_class_ids(field, family, n, mats):
 ])
 def test_class_ids_match_bfs_reference(family, n, q):
     base = oracle.BaseGroup(family, n, q)
-    mats = [oracle._mat_to_tuple(m)
-            for m in oracle._decode(base.codes, n, q)]
+    codes = _element_codes(family, n, q)
+    mats = [oracle._mat_to_tuple(m) for m in oracle._decode(codes, n, q)]
     want = _bfs_class_ids(base.field, family, n, mats)
-    assert base.class_id.tolist() == want
+    assert _class_ids(base, codes).tolist() == want
 
 
-# sha256 of class_id.tobytes() and of class_reps as int64 bytes, recorded
+# sha256 of the class ids of the elements in code order, as int32 bytes,
+# and of each class's least element index as int64 bytes, recorded
 # before the classifier moved to sparse conjugation and the rank bitmap;
 # GL_2(5), GL_2(7), GL_3(3) and GL_3(5) recorded while every element was
 # still hooked, before any classes were spread by scalars
@@ -448,10 +475,13 @@ def test_class_numbering_is_golden(family, n, q):
     # GL_3(5) has 1,488,000 elements, over the default cap
     base = enumerate_group(family, n, q,
                            cap=group_order(family, n, q)).base
-    assert base.class_id.dtype == np.int32
-    got = (hashlib.sha256(base.class_id.tobytes()).hexdigest(),
-           hashlib.sha256(np.asarray(base.class_reps, dtype=np.int64)
-                          .tobytes()).hexdigest())
+    codes = _element_codes(family, n, q)
+    ids = _class_ids(base, codes)
+    assert ids.dtype == np.int32
+    reps = np.searchsorted(codes, base.rep_codes)
+    assert codes[reps].tolist() == base.rep_codes.tolist()
+    got = (hashlib.sha256(ids.tobytes()).hexdigest(),
+           hashlib.sha256(reps.astype(np.int64).tobytes()).hexdigest())
     assert got == _GOLDEN_NUMBERING[family, n, q]
 
 
@@ -461,8 +491,9 @@ def test_chunking_leaves_the_numbering_alone(monkeypatch):
     # GL_3(3) takes its det-1 classes from SL_3(3): rebuild that too
     oracle._built.cache_clear()
     got = oracle.BaseGroup("GL", 3, 3)
-    assert got.class_id.tolist() == want.class_id.tolist()
-    assert got.class_reps == want.class_reps
+    codes = _element_codes("GL", 3, 3)
+    assert _class_ids(got, codes).tolist() == _class_ids(want, codes).tolist()
+    assert got.rep_codes.tolist() == want.rep_codes.tolist()
     assert got.class_sizes.tolist() == want.class_sizes.tolist()
 
 
@@ -481,9 +512,11 @@ def test_only_the_fiber_is_hooked(family, n, q):
     else:
         assert hooked == base.order
     # the classes are still numbered by their least element
+    codes = _element_codes(family, n, q)
     least = np.full(base.num_classes, base.order)
-    np.minimum.at(least, base.class_id, np.arange(base.order))
-    assert least.tolist() == base.class_reps
+    np.minimum.at(least, _class_ids(base, codes), np.arange(base.order))
+    assert codes[least].tolist() == base.rep_codes.tolist()
+    assert least.tolist() == sorted(least.tolist())
 
 
 @pytest.mark.parametrize("n,q", [(1, 3), (1, 4), (2, 4), (2, 8), (3, 3)])
@@ -494,17 +527,38 @@ def test_gl_fiber_classes_come_from_sl(n, q):
     gl, sl = oracle.BaseGroup("GL", n, q), oracle._built("SL", n, q)
     assert gl.stats["hook_rounds"] == 0 and gl.stats["hook_s"] == 0
     assert gl.stats["fiber_elements"] == sl.order
-    fiber = np.searchsorted(gl.codes, sl.codes)
-    assert gl.codes[fiber].tolist() == sl.codes.tolist()
     # the GL class of each fiber element, renumbered by least element
-    _, first, renumbered = np.unique(gl.class_id[fiber], return_index=True,
-                                     return_inverse=True)
+    _, first, renumbered = np.unique(_class_ids(gl, sl.codes),
+                                     return_index=True, return_inverse=True)
     assert (np.argsort(np.argsort(first))[renumbered]
             == sl.class_id).all()
     # each SL class is the whole of its GL class's det-1 part
     assert len(first) == sl.num_classes
     assert gl.stats["certified_classes"] == sl.num_classes
     assert gl.num_classes == sl.num_classes * (q - 1)
+
+
+@pytest.mark.parametrize("n,q", [(1, q) for q in _FIELD_QS]
+                         + [(2, 4), (2, 8), (3, 3)])
+def test_classes_of_is_minus_one_exactly_on_singular_matrices(n, q):
+    field = field_for_order(q)
+    every = np.arange(q ** (n * n), dtype=np.int32)
+    singular = [_leibniz_det(field, oracle._mat_to_tuple(m)) == field.zero
+                for m in oracle._decode(every, n, q)]
+    ids = _class_ids(oracle.BaseGroup("GL", n, q), every)
+    assert (ids == -1).tolist() == singular
+
+
+@pytest.mark.parametrize("n,q", [(2, 4), (2, 8), (3, 3), (3, 5)])
+def test_gl_read_from_sl_keeps_no_per_element_array(n, q):
+    # GL = SL x Z: every array the base group holds is indexed by class,
+    # by scalar or by field element, none by GL element (at n = 1 the
+    # q - 1 classes outnumber SL_1(q))
+    assert q > 2 and math.gcd(n, q - 1) == 1
+    base = oracle.BaseGroup("GL", n, q)
+    arrays = [v for v in vars(base).values() if isinstance(v, np.ndarray)]
+    assert arrays
+    assert max(a.size for a in arrays) <= group_order("SL", n, q)
 
 
 def test_certification_checks_the_scalar_multiples():
@@ -539,10 +593,11 @@ def test_batched_rref_matches_one_at_a_time(q):
 
 def test_class_ids_ordered_by_least_element():
     base = enumerate_group("GL", 3, 3).base
-    least = np.full(base.num_classes, len(base.codes))
-    np.minimum.at(least, base.class_id, np.arange(len(base.codes)))
-    assert least.tolist() == base.class_reps
-    assert base.class_reps == sorted(base.class_reps)
+    codes = _element_codes("GL", 3, 3)
+    least = np.full(base.num_classes, len(codes))
+    np.minimum.at(least, _class_ids(base, codes), np.arange(len(codes)))
+    assert codes[least].tolist() == base.rep_codes.tolist()
+    assert least.tolist() == sorted(least.tolist())
 
 
 def test_orbit_roots_against_python_union_find(monkeypatch):
@@ -612,8 +667,8 @@ def _reference_strongly_real_ids(gd):
     h^2 in Y has h g h^{-1} in Y g^{-1} for its representative g."""
     field, n = gd.field, gd.n
     ys = [scalar_mat(field, z, n) for z in gd.y_codes]
-    mats = [oracle._mat_to_tuple(m)
-            for m in oracle._decode(gd.base.codes, n, gd.q)]
+    mats = [oracle._mat_to_tuple(m) for m in oracle._decode(
+        _element_codes(gd.base.family, n, gd.q), n, gd.q)]
     pool = [h for h in mats if mat_mul(field, h, h) in ys]
     ids = []
     for cid in range(gd.num_classes):
@@ -646,8 +701,8 @@ def _reference_twisted_real_ids(gd, twists):
     h in the group has h g h^{-1} in {y c g^{-1} : y in Y} for its
     representative g.  c = 1 is reality, a non-square c zeta-reality."""
     field, n = gd.field, gd.n
-    mats = [oracle._mat_to_tuple(m)
-            for m in oracle._decode(gd.base.codes, n, gd.q)]
+    mats = [oracle._mat_to_tuple(m) for m in oracle._decode(
+        _element_codes(gd.base.family, n, gd.q), n, gd.q)]
     pairs = [(h, mat_inv(field, h)) for h in mats]
     ids = {c: [] for c in twists}
     for cid in range(gd.num_classes):
