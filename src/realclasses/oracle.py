@@ -25,8 +25,11 @@ lam^-1 g.  Every other group (SL, GL_n(2), and GL with gcd(n, q - 1) > 1)
 is hooked whole.  The classes are certified through the class equation
 and, for each class C hooked or read from SL, the orbit-stabilizer
 equation |C| * |centralizer| = |order|, the commutants of all those
-representatives coming from one batched elimination; lam C has the
-centralizer of C, so it must have the size of C.
+representatives coming from one batched elimination.  For GL = SL x Z
+the class equation and |lam C| = |C| hold by construction, as the sizes
+are SL's; the reading is guarded by orbit-stabilizer with GL
+centralizers on the classes C (it fails if SL classes were finer than GL
+classes), |GL| = (q - 1) |SL| and lam -> lam^n being a bijection.
 
 Quotients by a central subgroup Y reuse the base classification: the
 classes of G/Y are the Y-orbits of classes of G, reality (twist c = 1)
@@ -599,7 +602,10 @@ class BaseGroup:
         SL, the orbit-stabilizer equation |C| |C_G(g)| = |G| with C_G(g)
         the units (GL) or determinant-1 elements (SL) of the commutant of
         its representative g.  A class lam C has the centralizer of C, so its
-        size must be that of C."""
+        size must be that of C.  For GL read from SL the sizes are copied
+        from SL, so the class equation and |lam C| = |C| hold by
+        construction; the reading is guarded by orbit-stabilizer on the
+        classes C, with the |GL| = (q - 1) |SL| and bijection asserts."""
         assert int(self.class_sizes.sum()) == self.order, "class equation fails"
         sizes, unscaled = self.class_sizes, self._unscaled
         unequal = np.flatnonzero(sizes != sizes[unscaled])
@@ -698,15 +704,6 @@ class BaseGroup:
             self._root_log[dets[unit]] * self._sl.num_classes + cls]
         return out
 
-    def scaled_classes(self, z):
-        """The class of z g for the representative g of each class, z a
-        scalar of the group (so central), or -1 where z g leaves it."""
-        if self._sl is None:
-            return self.classes_of(self.field.mul_table[z][self.rep_mats])
-        # z sends (C, lam) to (C, z lam)
-        shift = self.field.log[z] * self._sl.num_classes
-        return self._class_of_key[(self._keys + shift) % len(self._keys)]
-
     def product_classes(self, y_codes):
         """Mask over class ids of P P, P = {h : h^2 in the central set Y}:
         the classes strongly real modulo Y (Wonenburger 1966; Gow 1981).
@@ -790,7 +787,8 @@ class GroupData:
         ``owner`` maps a base class to its orbit."""
         base = self.base
         # image[i, c] is the class of y_i g for the representative g of c
-        image = np.stack([base.scaled_classes(z) for z in self.y_codes])
+        image = np.stack([base.classes_of(self.field.mul_table[z][
+            base.rep_mats]) for z in self.y_codes])
         assert image.min() >= 0, "a central scalar left the group"
         least, self.owner = np.unique(image.min(axis=0), return_inverse=True)
         assert (self.owner[image] == self.owner).all(), \

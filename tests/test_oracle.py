@@ -210,8 +210,9 @@ def _class_ids(base, codes, chunk=1 << 16):
 
 
 @pytest.mark.parametrize("family", ["GL", "SL"])
-@pytest.mark.parametrize("n,q", [(0, 3), (1, 2), (1, 5), (2, 4), (2, 9),
-                                 (3, 2), (3, 3)])
+@pytest.mark.parametrize("n,q", [(0, 3), (1, 2), (1, 3), (1, 4), (1, 5),
+                                 (1, 7), (1, 8), (1, 9), (2, 4), (2, 8),
+                                 (2, 9), (3, 2), (3, 3)])
 def test_enumeration_matches_determinant_filter(family, n, q):
     field = field_for_order(q)
     every = np.arange(q ** (n * n), dtype=np.int32)
@@ -536,17 +537,6 @@ def test_gl_fiber_classes_come_from_sl(n, q):
     assert len(first) == sl.num_classes
     assert gl.stats["certified_classes"] == sl.num_classes
     assert gl.num_classes == sl.num_classes * (q - 1)
-
-
-@pytest.mark.parametrize("n,q", [(1, q) for q in _FIELD_QS]
-                         + [(2, 4), (2, 8), (3, 3)])
-def test_classes_of_is_minus_one_exactly_on_singular_matrices(n, q):
-    field = field_for_order(q)
-    every = np.arange(q ** (n * n), dtype=np.int32)
-    singular = [_leibniz_det(field, oracle._mat_to_tuple(m)) == field.zero
-                for m in oracle._decode(every, n, q)]
-    ids = _class_ids(oracle.BaseGroup("GL", n, q), every)
-    assert (ids == -1).tolist() == singular
 
 
 @pytest.mark.parametrize("n,q", [(2, 4), (2, 8), (3, 3), (3, 5)])
