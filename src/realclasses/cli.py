@@ -47,8 +47,8 @@ DESK_MATRIX = (
 _DESK_CAP = 12_130_560  # order of the largest desk group, SL_4(3)
 
 
-def _emit(fmt, payload, rows, text_lines, out=None):
-    out = out or sys.stdout
+def _emit(fmt, payload, rows, text_lines):
+    out = sys.stdout
     if fmt == "json":
         json.dump(payload, out, sort_keys=True)
         out.write("\n")
@@ -267,21 +267,20 @@ def _build_parser():
         "y": dict(type=int,
                   help="order of the central subgroup Y (family SLQ)"),
         "kind": dict(choices=sorted(counts.KINDS)),
+        "cap": dict(type=int, help="group-size cap / label budget override"),
     }
 
     def subcommand(name, func, help, flags):
-        """A subparser with the flags it reads, and --format and --cap."""
+        """A subparser with the flags it reads, and --format."""
         p = sub.add_parser(name, help=help)
         for flag in flags:
             p.add_argument("--" + flag, **declare[flag])
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="text")
-        p.add_argument("--cap", type=int,
-                       help="group-size cap / label budget override")
         p.set_defaults(func=func)
         return p
 
-    group = ("family", "n", "q", "y", "kind")
+    group = ("family", "n", "q", "y", "kind", "cap")
     subcommand("count", cmd_count, "closed-form class counts",
                group).set_defaults(kind="real")
 
@@ -291,7 +290,7 @@ def _build_parser():
                    help="run the full desk-scale verification matrix")
 
     subcommand("table13", cmd_table13, "small-rank reference table vs engine",
-               ("q",))
+               ("q", "cap"))
 
     p = subcommand("genfun", cmd_genfun,
                    "generating function for real classes of GL_n", ("q",))
@@ -300,7 +299,7 @@ def _build_parser():
                         % counts.MAX_N)
 
     p = subcommand("enumerate", cmd_enumerate, "dump labels with reality flags",
-                   ("n", "q"))
+                   ("n", "q", "cap"))
     p.add_argument("--filter", choices=("real", "zeta_real"),
                    help="restrict to real / zeta-real labels; zeta_real "
                         "reads the label twist zeta, so on matrices "
@@ -333,9 +332,9 @@ def _validate(args):
             counts.check_kind("GL", args.q, "zeta_real")
     if getattr(args, "n", None) is not None and args.n < 0:
         raise UsageError("--n must be nonnegative")
-    # every subcommand rejects a negative --cap or REALCLASS_CAP, whether
-    # it reads them as a group-size cap or as a label budget
-    oracle.resolve_cap(args.cap)
+    # a malformed REALCLASS_CAP is a usage error on every subcommand, and a
+    # negative --cap on each that declares it (a group-size cap or a budget)
+    oracle.resolve_cap(getattr(args, "cap", None))
 
 
 def main(argv=None):

@@ -26,10 +26,10 @@ is hooked whole.  The classes are certified through the class equation
 and, for each class C hooked or read from SL, the orbit-stabilizer
 equation |C| * |centralizer| = |order|, the commutants of all those
 representatives coming from one batched elimination.  For GL = SL x Z
-the class equation and |lam C| = |C| hold by construction, as the sizes
-are SL's; the reading is guarded by orbit-stabilizer with GL
-centralizers on the classes C (it fails if SL classes were finer than GL
-classes), |GL| = (q - 1) |SL| and lam -> lam^n being a bijection.
+the class equation holds by construction, as the sizes are SL's; the
+reading is guarded by orbit-stabilizer with GL centralizers on the
+classes C (it fails if SL classes were finer than GL classes), |GL| =
+(q - 1) |SL| and lam -> lam^n being a bijection.
 
 Quotients by a central subgroup Y reuse the base classification: the
 classes of G/Y are the Y-orbits of classes of G, reality (twist c = 1)
@@ -37,8 +37,8 @@ and zeta-reality (a non-square twist c) ask whether the class of c g^{-1}
 lands in the orbit of g, and strong reality whether the orbit
 lies in P P for P = {h : h^2 in Y}, found from the class representatives.
 Each question is asked of all representatives at once, as one batch of
-coded matrices: ``_Ops`` is the one matrix algebra (products, powers,
-determinants), and an inverse is the power g^(|G| - 1).
+coded matrices: ``_Ops`` is the one matrix algebra (products, inverses
+as the right half of [g | I] reduced by ``_rref``, determinants).
 """
 
 import functools
@@ -100,7 +100,7 @@ def group_order(family, n, q, y_order=None):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jordan elimination (batched, for the commutants of the classes)
+# Gauss-Jordan elimination (batched, for inverses and for the commutants)
 
 def _rref(field, mats):
     """Gauss-Jordan elimination of a batch (b, r, c) of coded matrices: the
@@ -131,7 +131,7 @@ def _rref(field, mats):
 
 
 # ---------------------------------------------------------------------------
-# vectorized algebra on batches of coded matrices
+# products, inverses and determinants of batches of coded matrices
 
 class _Ops:
     def __init__(self, field, n):
@@ -157,18 +157,13 @@ class _Ops:
             acc = term if acc is None else self.field.add_table[acc, term]
         return acc
 
-    def power(self, a, e):
-        """a^e for a batch (..., n, n) of coded matrices and an integer
-        e >= 0, by repeated squaring.  In a group of order N every element
-        has g^(N - 1) = g^{-1} (Lagrange)."""
-        out = np.broadcast_to(np.eye(self.n, dtype=np.uint8), a.shape)
-        while e:
-            if e & 1:
-                out = self.matmul(out, a)
-            e >>= 1
-            if e:
-                a = self.matmul(a, a)
-        return out
+    def inverse(self, a):
+        """The inverses of a batch (k, n, n) of invertible coded matrices:
+        the right half of [a | I] reduced by ``_rref``."""
+        eye = np.broadcast_to(np.eye(self.n, dtype=np.uint8), a.shape)
+        reduced, pivots = _rref(self.field, np.concatenate([a, eye], axis=2))
+        assert pivots[:, :self.n].all(), "a singular matrix has no inverse"
+        return reduced[:, :, self.n:]
 
     def _neg(self, a):
         return -a if self.integer else self.field.neg_table[a]
@@ -440,6 +435,8 @@ class BaseGroup:
     """A GL_n(q) or SL_n(q) with certified conjugacy data.  A group hooked
     whole keeps its element ``codes`` and their ``class_id``; a GL = SL x Z
     keeps only arrays per class and reads its elements off the built SL.
+    Either maps the key j k + C of lam C (lam = theta^j, C a class of SL) to
+    its class id by ``_class_of_key``; a hooked group is its own SL.
 
     ``stats`` holds the seconds spent enumerating (for GL read from SL,
     taking the built SL), classifying (``classify_s``: ``conjugate_s``, the
@@ -520,7 +517,7 @@ class BaseGroup:
         """For each matrix g of the group, the element indices permuted by
         conjugation with g."""
         n, q, ops, codes = self.n, self.q, self.ops, self.codes
-        invs = ops.power(gens, self.order - 1)
+        invs = ops.inverse(gens)
         maps = [_map_tables(ops, g, g_inv) for g, g_inv in zip(gens, invs)]
         perms = [np.empty(len(codes), dtype=np.int32) for _ in gens]
         for start in range(0, len(codes), _CHUNK):
@@ -550,8 +547,7 @@ class BaseGroup:
         self.class_id = number[roots]
         del roots, is_root, number
         # the keys j k + C of GL = SL x Z, for a group that is its own SL
-        self._keys = self._class_of_key = self._unscaled = np.arange(
-            len(self.rep_codes))
+        self._class_of_key = np.arange(len(self.rep_codes))
         self.stats["fiber_elements"] = len(self.codes)
         # a chunk at a time, as bincount takes its input as int64
         self.class_sizes = sum(
@@ -580,11 +576,10 @@ class BaseGroup:
             for lowest, second in zip(least, scale):
                 np.minimum.at(lowest, cid, _table_image(second, rows))
         assert (least < q ** (n * n)).all(), "a class lam C has no element"
-        self._keys = np.argsort(least, axis=None)
-        self.rep_codes = least.ravel()[self._keys]
-        self._class_of_key = np.argsort(self._keys)
-        self._unscaled = self._class_of_key[self._keys % k]  # exp[0] = 1
-        self.class_sizes = sl.class_sizes[self._keys % k]
+        keys = np.argsort(least, axis=None)
+        self.rep_codes = least.ravel()[keys]
+        self._class_of_key = np.argsort(keys)
+        self.class_sizes = sl.class_sizes[keys % k]
         # det(lam X) = lam^n, and lam -> lam^n is a bijection of F_q^*: g
         # is in lam C for lam = theta^j, j = n' log det g (n n' = 1)
         assert len({field.pow(lam, n) for lam in field.units}) == q - 1
@@ -599,19 +594,16 @@ class BaseGroup:
 
     def _certify(self):
         """The class equation and, for every class C hooked or read from
-        SL, the orbit-stabilizer equation |C| |C_G(g)| = |G| with C_G(g)
-        the units (GL) or determinant-1 elements (SL) of the commutant of
-        its representative g.  A class lam C has the centralizer of C, so its
-        size must be that of C.  For GL read from SL the sizes are copied
-        from SL, so the class equation and |lam C| = |C| hold by
+        SL (the keys 0 .. k - 1, lam = 1), the orbit-stabilizer equation
+        |C| |C_G(g)| = |G| with C_G(g) the units (GL) or determinant-1
+        elements (SL) of the commutant of its representative g.  For GL
+        read from SL a class lam C has the size and centralizer of C, and
+        the sizes are copied from SL, so the class equation holds by
         construction; the reading is guarded by orbit-stabilizer on the
         classes C, with the |GL| = (q - 1) |SL| and bijection asserts."""
         assert int(self.class_sizes.sum()) == self.order, "class equation fails"
-        sizes, unscaled = self.class_sizes, self._unscaled
-        unequal = np.flatnonzero(sizes != sizes[unscaled])
-        assert not len(unequal), "class %d is a scalar multiple of class %d " \
-            "but not of its size" % (unequal[0], unscaled[unequal[0]])
-        certified = np.flatnonzero(unscaled == np.arange(self.num_classes))
+        sizes = self.class_sizes
+        certified = np.sort(self._class_of_key[:(self._sl or self).num_classes])
         self.stats["certified_classes"] = len(certified)
         commutants = self._commutants(self.rep_mats[certified])
         for m, (ids, bases) in commutants.items():
@@ -734,15 +726,15 @@ class BaseGroup:
             # each pair (mask of X, class of T X) is taken once
             x_mask = mask_of.ravel()[sl.class_id[at]] * k
             for c in np.flatnonzero(in_pool):
-                prod = _encode(self.ops.matmul(sl.rep_mats[c], s), q)
                 seen = np.zeros(len(masks) * k, dtype=bool)
-                cls = sl.class_id[sl._ranks.index(prod, "product")]
+                cls = sl.classes_of(self.ops.matmul(sl.rep_mats[c], s))
+                assert (cls >= 0).all(), "a product left the group"
                 seen[x_mask + cls] = True
                 pairs = np.flatnonzero(seen)
                 for i in np.flatnonzero(logs[c]):
                     np.logical_or.at(hit, pairs % k,
                                      np.roll(masks[pairs // k], i, axis=1))
-        return hit.T.ravel()[self._keys]
+        return hit.T.ravel()[np.argsort(self._class_of_key)]
 
 
 _built = functools.lru_cache(maxsize=None)(BaseGroup)
@@ -814,7 +806,7 @@ class GroupData:
         non-square c zeta-reality."""
         base = self.base
         reps = base.rep_mats[[orbit[0] for orbit in self.orbits]]
-        twisted = self.field.mul_table[c][base.ops.power(reps, base.order - 1)]
+        twisted = self.field.mul_table[c][base.ops.inverse(reps)]
         # c g^{-1} can fall outside SL (det c^n != 1); then g is not
         # zeta-real rather than an error
         cls = base.classes_of(twisted)

@@ -347,24 +347,14 @@ def _codes(q, mats):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_power_matches_repeated_products(n, q):
-    # a^e against the reference product of e factors, and
-    # g^(|GL| - 1) = g^{-1} for invertible g
+def test_inverse_matches_reference(n, q):
+    # a batch of random invertible matrices, inverted in one elimination,
+    # against the reference inverse of each one alone
     field = field_for_order(q)
-    ops = oracle._Ops(field, n)
     rng = random.Random(q * 10 + n)
-    mats = [tuple(tuple(rng.randrange(q) for _ in range(n))
-                  for _ in range(n)) for _ in range(6)]
-    batch = np.array(mats, dtype=np.uint8).reshape(len(mats), n, n)
-    for e in range(6):
-        want = [identity_mat(field, n)] * len(mats)
-        for _ in range(e):
-            want = [mat_mul(field, w, m) for w, m in zip(want, mats)]
-        assert _codes(q, ops.power(batch, e)).tolist() == \
-            _codes(q, want).tolist()
     units = [_random_invertible(field, n, rng) for _ in range(6)]
-    got = ops.power(np.array(units, dtype=np.uint8).reshape(6, n, n),
-                    group_order("GL", n, q) - 1)
+    got = oracle._Ops(field, n).inverse(
+        np.array(units, dtype=np.uint8).reshape(6, n, n))
     assert got.dtype == np.uint8
     assert _codes(q, got).tolist() == \
         _codes(q, [mat_inv(field, g) for g in units]).tolist()
@@ -551,18 +541,30 @@ def test_gl_read_from_sl_keeps_no_per_element_array(n, q):
     assert max(a.size for a in arrays) <= group_order("SL", n, q)
 
 
-def test_certification_checks_the_scalar_multiples():
-    # lam C is not certified by its own commutant, only by |lam C| = |C|;
-    # moving one element between two such classes keeps the class
-    # equation and the classes read from SL, and must still fail
-    base = oracle.BaseGroup("GL", 2, 4)
+@pytest.mark.parametrize("q", [4, 5])
+def test_certification_fails_on_a_moved_element(q):
+    # GL_2(4) is read from SL_2(4) and certifies its classes C = 1 C, those
+    # of determinant 1 (lam -> lam^2 is a bijection of F_4^*); GL_2(5) is
+    # hooked whole and certifies every class.  Moving one element between
+    # two certified non-scalar classes keeps the class equation
+    base = oracle.BaseGroup("GL", 2, q)
     base._certify()
-    scaled = np.flatnonzero(base._unscaled != np.arange(base.num_classes))
-    one, two = scaled[0], scaled[-1]
-    assert base._unscaled[one] != base._unscaled[two]
-    base.class_sizes[one] += 1
-    base.class_sizes[two] -= 1
-    with pytest.raises(AssertionError, match="scalar multiple"):
+    certified = np.flatnonzero(base.ops.det(base.rep_mats) == 1) if q == 4 \
+        else np.arange(base.num_classes)
+    assert base.stats["certified_classes"] == len(certified)
+    big = certified[base.class_sizes[certified] > 1]
+    assert len(big) >= 2
+    base.class_sizes[big[0]] += 1
+    base.class_sizes[big[-1]] -= 1
+    with pytest.raises(AssertionError, match="orbit-stabilizer fails"):
+        base._certify()
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_certification_fails_on_an_off_by_one_total(q):
+    base = oracle.BaseGroup("GL", 2, q)
+    base.class_sizes[-1] += 1
+    with pytest.raises(AssertionError, match="class equation fails"):
         base._certify()
 
 
