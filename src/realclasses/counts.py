@@ -6,10 +6,11 @@ routes:
 
 * ``formula`` -- closed-form case dispatch, partition by partition;
 * ``enumeration`` -- the class labels counted type by type from the
-  polynomial pools of their slots: each pool polynomial is read once as
-  a signature, and a type's signatures fold into a histogram, each label
-  weighted by the share of its scalar-translation orbit it stands for
-  (1 outside the projective families).
+  polynomial pools of their slots: each pool's signatures are counted
+  per affine block, without building its rows, and a type's signatures
+  fold into a histogram, each label weighted by the share of its
+  scalar-translation orbit it stands for (1 outside the projective
+  families).
 
 ``method="both"`` runs the two routes and insists on exact per-partition
 agreement before reporting.  Fractional intermediate values (the paired
@@ -224,14 +225,94 @@ def _pool_signatures(field, d, c0, witness=None):
     """Signatures of the degree-d polynomials twisted-real for c0, as
     ((C, lead, good), count) pairs.
 
-    C is the twist set C(u); lead is log lead(u).  Both are read from the
-    pool array column by column, and the signatures counted by one int64
-    key per row.  good is the set of c in C(u) at which u, in an odd
-    position, witnesses strong reality: ``witness(field, u, c)``, one of
-    ``labels.sl_strong_slot`` and ``labels.psl_strong_slot``, or no c
-    without a witness.  Translation by Stab(u) fixes u and moves c by
-    Stab(u)^2, and neither witness tells those c apart (the SL one reads
-    no c at all), so good takes at most two calls per row.
+    C is the twist set C(u) and lead is log lead(u).  good is the set of c
+    in C(u) at which u, in an odd position, witnesses strong reality:
+    ``witness(field, u, c)``, one of ``labels.sl_strong_slot`` and
+    ``labels.psl_strong_slot``, or no c without a witness.
+
+    The signatures are counted, not read row by row.  The pool is one
+    affine block per square root s of c0^d: a_0 = 1, a_1 ... a_(d//2)
+    free (at even d the middle one is 0 unless s = c0^(d/2)), and
+    a_(d-j) = s c0^(j-d) a_j, so the lead is s c0^-d.  C(u) = c0 mu_g,
+    g = gcd(q - 1, supp u), divides gcd(q - 1, d), and m divides g iff
+    every free a_j with m not dividing j is 0: q^(free j with m | j)
+    rows, from which inclusion-exclusion over the divisors m reads each g
+    exactly.  The SL witness, u(1) = 0 or u(-1) = 0, reads no c, so good
+    is C(u) or nothing; it adds at most two affine equations on the free
+    a_j, counted by inclusion-exclusion.  The PSL witness holds at every
+    c when 4 does not divide d (``labels.psl_strong_slot``), so good is
+    C(u); at d = 0 mod 4 its rows are read (``_row_signatures``).
+    """
+    if witness is labels.psl_strong_slot and d % 4 == 0:
+        return _row_signatures(field, d, c0, witness)
+    q, mul, pow_ = field.q, field.mul, field.pow
+    top = math.gcd(q - 1, d)
+    divisors = [m for m in range(top, 0, -1) if top % m == 0]
+    out = []
+    for s in field.units:
+        if mul(s, s) != pow_(c0, d):
+            continue
+        lead = mul(s, pow_(c0, -d))
+        free = [j for j in range(1, d // 2 + 1)
+                if 2 * j != d or s == pow_(c0, j)]
+        # u(x) = 1 + lead x^d + sum of a_j (x^j + s c0^(j-d) x^(d-j)), the
+        # middle j = d/2 once: u(x) = 0 is one equation (row, rhs) per root
+        eqs = [([field.add(pow_(x, j), 0 if 2 * j == d else mul(
+                    mul(s, pow_(c0, j - d)), pow_(x, d - j))) for j in free],
+                field.neg(field.add(field.one, mul(lead, pow_(x, d)))))
+               for x in {field.one, field.minus_one}]
+        total, hits = {}, {}    # per divisor m: rows with m | g, witnessed
+        for m in divisors:
+            cols = [k for k, j in enumerate(free) if j % m == 0]
+            total[m] = q ** len(cols)
+            if witness is None:
+                hits[m] = 0
+            elif witness is labels.sl_strong_slot:
+                sub = [([row[k] for k in cols], b) for row, b in eqs]
+                # |A u B| = |A| + |B| - |A n B|
+                hits[m] = sum(_solutions(field, [e], len(cols)) for e in sub)
+                if len(sub) == 2:
+                    hits[m] -= _solutions(field, sub, len(cols))
+            else:   # the PSL witness at d not 0 mod 4: every c
+                hits[m] = total[m]
+            for k in divisors:
+                if k > m and k % m == 0:    # now g = m exactly
+                    total[m] -= total[k]
+                    hits[m] -= hits[k]
+        for m in reversed(divisors):
+            C = _coset_mask(q, field.log[c0], (q - 1) // m)
+            for good, cnt in ((C, hits[m]), (0, total[m] - hits[m])):
+                if cnt:
+                    out.append(((C, field.log[lead], good), cnt))
+    return tuple(out)
+
+
+def _rank(field, rows):
+    """The rank of at most two vectors over the field, read directly."""
+    rows = [row for row in rows if any(row)]
+    if len(rows) < 2:
+        return len(rows)
+    u, v = rows
+    p = next(i for i, x in enumerate(u) if x)
+    k = field.mul(v[p], field.inv(u[p]))
+    return 1 + any(field.mul(k, x) != y for x, y in zip(u, v))
+
+
+def _solutions(field, eqs, size):
+    """The points of F_q^size on at most two affine equations (row, rhs)."""
+    r = _rank(field, [row for row, _ in eqs])
+    if r != _rank(field, [row + [b] for row, b in eqs]):
+        return 0
+    return field.q ** (size - r)
+
+
+def _row_signatures(field, d, c0, witness):
+    """``_pool_signatures`` read row by row off the pool array: g by
+    ``np.gcd`` over each column's nonzero mask, the lead's logarithm by a
+    lookup array, good by at most two witness calls per row, and the
+    signatures counted by one int64 key per row.  Translation by Stab(u)
+    fixes u and moves c by Stab(u)^2, and the witness does not tell those
+    c apart, so good is read on the cosets of Stab(u)^2 in C(u).
     """
     q = field.q
     log, exp = field.log, field.exp
@@ -249,16 +330,12 @@ def _pool_signatures(field, d, c0, witness=None):
         return sum(_coset_mask(q, b, step) for b in range(a, a + step, r)
                    if witness(field, u, exp[b % (q - 1)]))
 
-    # row by row only with a witness: which[row] indexes the row's good set
-    if witness is None:
-        goods = [0]
-        which = np.zeros(len(pool), dtype=np.int64)
-    else:
-        seen = {}
-        rows = zip(map(tuple, pool.tolist()), g.tolist())
-        which = np.array([seen.setdefault(good(u, g_u), len(seen))
-                          for u, g_u in rows], dtype=np.int64)
-        goods = list(seen)
+    # which[row] indexes the row's good set
+    seen = {}
+    rows = zip(map(tuple, pool.tolist()), g.tolist())
+    which = np.array([seen.setdefault(good(u, g_u), len(seen))
+                      for u, g_u in rows], dtype=np.int64)
+    goods = list(seen)
     keys, sizes = np.unique((which * q + g) * (q - 1) + lead,
                             return_counts=True)
     out = []
@@ -321,6 +398,15 @@ def _type_histograms(field, n, twists, lead_mod, witness):
         yield nu, hist
 
 
+@lru_cache(maxsize=None)
+def _orbit_weight(q, C, wanted):
+    """|C| / |E(C)|, E(C) the e with C meeting g^(2e) W, for the twists W
+    of logarithms ``wanted``."""
+    return Fraction(C.bit_count(), sum(
+        any(C >> (2 * e + w) % (q - 1) & 1 for w in wanted)
+        for e in range(q - 1)))
+
+
 def _tally(field, n, family, kind, twist, budget):
     """The label route of one (family, kind) cell: a map from type to count.
 
@@ -328,15 +414,18 @@ def _tally(field, n, family, kind, twist, budget):
     classes, E(C) = {eta : C meets eta^2 W}: translation u(t) -> u(eta t)
     takes C(L) to eta^-2 C(L), so the eta-orbit of L holds |E(L)| / |C(L)|
     labels of the pool of the twists W.  PGL and PSL read W = {1, zeta} at
-    odd q, which every twist set meets up to a square; the other families
-    read W = {twist}, where C is every unit and the weight is 1.
+    odd q, which every twist set meets up to a square, and weigh each
+    distinct (q, C, W) once (``_orbit_weight``); the other families read
+    W = {twist}, where C is every unit and the weight is 1, so their
+    counts are summed as ints.
 
     SL (and SL/Y off ``_SLQ_ENDPOINT``, read as SL real) and PSL keep the
     labels of determinant (-1)^n g^lead one (SL) or an n-th power (PSL)
     that, unless zeta-real, keep reality on descent, and weight each type
     by h_nu.  Where strong reality has no closed form, a label is strongly
-    real when some reading of it is witnessed: C & good.  Raises
-    BudgetExceeded if the labels of any twist W pass the budget.
+    real when some reading of it is witnessed: C & good.  A zeta-real SL
+    cell with zeta^n != 1 answers 0 before any budget is read; otherwise
+    raises BudgetExceeded if the labels of any twist W pass the budget.
     """
     q = field.q
     if family == "SLQ":
@@ -345,12 +434,12 @@ def _tally(field, n, family, kind, twist, budget):
     twists = (twist,)
     if family in ("PGL", "PSL") and q % 2:
         twists = (field.one, canonical_nonsquare(field))
-    for c in twists:
-        labels.check_label_budget(q, n, c, budget)
     if sl and field.pow(twist, n) != field.one:
         # g in SL_n(q) conjugate to zeta g^{-1} (twist zeta^{-1}) has
-        # 1 = det(zeta g^{-1}) = zeta^n
+        # 1 = det(zeta g^{-1}) = zeta^n: the answer is 0, whatever the budget
         return {}
+    for c in twists:
+        labels.check_label_budget(q, n, c, budget)
     # looked up at call time, so wrappers on the labels module see each call
     witness = None
     if kind == "strongly_real" and sl and labels.sl_strong_by_roots(n, q):
@@ -361,7 +450,7 @@ def _tally(field, n, family, kind, twist, budget):
     # is at odd n)
     lead_mod = {"SL": q - 1, "PSL": math.gcd(n, q - 1)}.get(family, 1)
     target = (q - 1) // 2 if sl and n % 2 and q % 2 else 0
-    wanted = [field.log[c] for c in twists]
+    wanted = tuple(field.log[c] for c in twists)
     descent = (sl or psl) and kind != "zeta_real"
     out = {}
     for nu, hist in _type_histograms(field, n, twists, lead_mod, witness):
@@ -371,10 +460,8 @@ def _tally(field, n, family, kind, twist, budget):
         for (C, lead, good), cnt in hist.items():
             if lead == target and (witness is None or C & good):
                 per_C[C] = per_C.get(C, 0) + cnt
-        # each weighs |C| / |E(C)|, |E(C)| the e with C meeting g^(2e) W
-        classes = sum(Fraction(cnt * C.bit_count(), sum(
-            any(C >> (2 * e + w) % (q - 1) & 1 for w in wanted)
-            for e in range(q - 1))) for C, cnt in per_C.items())
+        classes = sum(per_C.values()) if len(twists) == 1 else sum(
+            cnt * _orbit_weight(q, C, wanted) for C, cnt in per_C.items())
         classes = _as_int(classes, ("%s_%d(%d)" % (family, n, q), nu))
         out[nu] = classes * labels.h_nu(nu, q) if sl or psl else classes
     return out

@@ -270,6 +270,7 @@ def sl_strong_by_roots(n, q):
     return q % 2 == 1 and n % 4 == 2
 
 
+@lru_cache(maxsize=polys.SLOT_CACHE)
 def sl_strong_slot(field, u, c):
     """Whether u, in an odd position of a label, witnesses strong reality
     in SL_n(q) at q odd, n = 2 mod 4: u has 1 or -1 as a root, whatever
@@ -292,7 +293,6 @@ def sl_strongly_real(field, label):
     return any(sl_strong_slot(field, u, field.one) for u in label[::2])
 
 
-@lru_cache(maxsize=None)
 def _factors_all_even_and_fixed_deg_div4(field, u, c):
     """Helper for the PSL criterion: every irreducible factor of u has even
     degree, and every factor fixed by the involution alpha -> c / alpha of
@@ -319,6 +319,7 @@ def _factors_all_even_and_fixed_deg_div4(field, u, c):
     return True
 
 
+@lru_cache(maxsize=polys.SLOT_CACHE)
 def psl_strong_slot(field, u, c):
     """Whether an odd-position slot u, twisted-reciprocal for c, witnesses
     strong reality of the c-reading of its label in PSL_n(q): some

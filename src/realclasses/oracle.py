@@ -800,13 +800,19 @@ class GroupData:
         """The representative of class cid as a tuple of rows of ints."""
         return _mat_to_tuple(self.base.rep_mats[self.orbits[cid][0]])
 
+    @functools.cached_property
+    def _rep_inverses(self):
+        """The inverses of the orbit representatives, read by every twist."""
+        base = self.base
+        return base.ops.inverse(base.rep_mats[[orbit[0]
+                                               for orbit in self.orbits]])
+
     def twisted_real_mask(self, c):
         """Mask over class ids: whether the class of c g^{-1}, g the
         representative, lies in g's Y-orbit.  c = 1 asks reality, a
         non-square c zeta-reality."""
         base = self.base
-        reps = base.rep_mats[[orbit[0] for orbit in self.orbits]]
-        twisted = self.field.mul_table[c][base.ops.inverse(reps)]
+        twisted = self.field.mul_table[c][self._rep_inverses]
         # c g^{-1} can fall outside SL (det c^n != 1); then g is not
         # zeta-real rather than an error
         cls = base.classes_of(twisted)

@@ -39,6 +39,11 @@ def degree(f):
 
 
 ONE = (1,)
+# the slot predicates (twisted reciprocity here, the strong-reality
+# witnesses in labels) are cached per (field, slot, twist): a label dump
+# reads every flag of a label off the same slots, and neighbouring labels
+# share slots.  Bounded, as a dump may hold millions of distinct slots.
+SLOT_CACHE = 1 << 12
 
 
 def poly_eval(field, f, x):
@@ -121,6 +126,7 @@ def check_twist(field, c):
                          "got %r" % (field, c))
 
 
+@lru_cache(maxsize=SLOT_CACHE)
 def is_twisted_reciprocal(field, f, c):
     """Whether t^d f(c/t) = s f for a scalar s, f of constant term 1.
 

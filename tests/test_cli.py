@@ -281,14 +281,14 @@ def _usage_error(draw):
 
 @st.composite
 def _over_cap(draw):
-    # cells counted only by enumerating labels, each with at least one
-    family, n, kind = draw(st.sampled_from([
-        ("SL", 2, "zeta_real"), ("SL", 4, "zeta_real"),
-        ("SL", 2, "strongly_real"), ("PSL", 2, "strongly_real")]))
-    qs = [q for q in _SMALL_QS
-          if q % 2 and (family == "SL" or q % 4 == 3)]
-    return _count_argv(family, n, draw(st.sampled_from(qs)), kind,
-                       cap=0), 3, None
+    # cells counted only by enumerating labels, each with at least one;
+    # a zeta-real SL cell needs zeta^n = 1, or it answers 0 at any budget
+    odd = [q for q in _SMALL_QS if q % 2]
+    cells = [("SL", 2, 3, "zeta_real"), ("SL", 4, 3, "zeta_real"),
+             ("SL", 4, 5, "zeta_real")]
+    cells += [("SL", 2, q, "strongly_real") for q in odd]
+    cells += [("PSL", 2, q, "strongly_real") for q in odd if q % 4 == 3]
+    return _count_argv(*draw(st.sampled_from(cells)), cap=0), 3, None
 
 
 def _assert_exit(argv, want):
@@ -314,6 +314,14 @@ def test_count_exit_code_contract(case):
     out = _assert_exit(argv, want)
     if want == 0:
         assert json.loads(out)["total"] == total
+
+
+@pytest.mark.parametrize("cap", [None, 0])
+def test_zeta_real_sl_zero_is_read_before_the_budget(cap):
+    # zeta^12 != 1 at q = 127, so no class of SL_12(127) is zeta-real; its
+    # 4.3 * 10^12 zeta-real labels pass the budget, but the zero comes first
+    out = _assert_exit(_count_argv("SL", 12, 127, "zeta_real", cap=cap), 0)
+    assert json.loads(out)["total"] == 0
 
 
 _VERIFY_GROUPS = [(f, n, q, y) for f in counts.FAMILIES for n in (1, 2, 3)

@@ -407,6 +407,15 @@ def test_zeta_real_sl_is_empty_unless_zeta_n_is_one():
     assert count("SL", 8, 49, "zeta_real").total == 0
 
 
+def test_counted_signatures_build_no_pool():
+    # the SL witness is counted per affine block: SL_6(127) strongly real,
+    # whose T_d pools hold up to 127^3 rows, reads no pool array
+    from realclasses import polys
+    before = polys._pool.cache_info().currsize
+    assert count("SL", 6, 127, "strongly_real").total == 33163
+    assert polys._pool.cache_info().currsize == before
+
+
 def test_formula_route_has_no_rank_cap():
     coeffs = genfun_real_gl(3, 14)
     assert coeffs[13] == 9352
