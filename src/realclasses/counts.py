@@ -347,55 +347,69 @@ def _row_signatures(field, d, c0, witness):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _slot_histogram(field, d, i, twists, lead_mod, witness):
+    """The degree-d polynomials of the pools of ``twists``, in slot i,
+    counted by the signature they add to a label: their C, i lead mod
+    ``lead_mod`` and, at odd i only, their good set for ``witness`` (see
+    ``_pool_signatures``); even slots witness nothing.  A polynomial in
+    more than one pool is read from the first.  With one twist both sets
+    are read at that twist only: C is every unit and good is the twist or
+    nothing.  Cached across cells, which share slots.
+    """
+    full = (1 << (field.q - 1)) - 1
+    wanted = sum(1 << field.log[c] for c in twists)
+    hist = {}
+    earlier = 0
+    for twist in twists:
+        for (C, lead, good), cnt in _pool_signatures(field, d, twist,
+                                                     witness):
+            if C & earlier:
+                continue    # read from an earlier twist's pool
+            if len(twists) == 1:
+                C, good = full, good & wanted
+            key = (C, i * lead % lead_mod, good if i % 2 else 0)
+            hist[key] = hist.get(key, 0) + cnt
+        earlier |= 1 << field.log[twist]
+    return hist
+
+
 def _type_histograms(field, n, twists, lead_mod, witness):
     """Yield (nu, histogram) for every type of weight n: the labels whose
     twist set meets ``twists``, counted by signature (C, lead, good).
 
-    Slot i of a label contributes its polynomial's C, i lead mod
-    ``lead_mod`` and, at odd i only, its good set for ``witness`` (see
-    ``_pool_signatures``); even slots witness nothing.  A label's
-    signature folds its slots': C intersects, leads add, and good is the
-    union of the slots' good sets within C, so its determinant is
-    (-1)^n g^lead and some reading of it is witnessed iff C & good.  With
-    one twist both sets are read at that twist only: C is every unit and
-    good is the twist or nothing.
+    A label's signature folds its slots' (``_slot_histogram``): C
+    intersects, leads add, and good is the union of the slots' good sets
+    within C, so its determinant is (-1)^n g^lead and some reading of it
+    is witnessed iff C & good.  The types come sorted, so each shares its
+    longest prefix of slots with the one before it, and only the slots
+    after that prefix are folded again.  The histograms are shared: read
+    them, do not change them.
     """
     q = field.q
     full = (1 << (q - 1)) - 1
     wanted = sum(1 << field.log[c] for c in twists)
-    slots = {}
-
-    def slot(d, i):
-        if (d, i) not in slots:
-            hist = {}
-            earlier = 0
-            for twist in twists:
-                for (C, lead, good), cnt in _pool_signatures(
-                        field, d, twist, witness):
-                    if C & earlier:
-                        continue    # read from an earlier twist's pool
-                    if len(twists) == 1:
-                        C, good = full, good & wanted
-                    key = (C, i * lead % lead_mod, good if i % 2 else 0)
-                    hist[key] = hist.get(key, 0) + cnt
-                earlier |= 1 << field.log[twist]
-            slots[d, i] = hist
-        return slots[d, i]
-
+    folds, prev = [{(full, 0, 0): 1}], ()   # folds[k]: first k slots
     for nu in labels.partitions_of(n):
-        hist = {(full, 0, 0): 1}
-        for i, ni in enumerate(nu, 1):
-            if not ni:
-                continue
-            out = {}
-            for (c1, l1, g1), n1 in hist.items():
-                for (c2, l2, g2), n2 in slot(ni, i).items():
-                    C = c1 & c2
-                    if C & wanted:
-                        key = (C, (l1 + l2) % lead_mod, (g1 | g2) & C)
-                        out[key] = out.get(key, 0) + n1 * n2
-            hist = out
-        yield nu, hist
+        k = 0
+        while k < min(len(nu), len(prev)) and nu[k] == prev[k]:
+            k += 1
+        del folds[k + 1:]
+        for i, ni in enumerate(nu[k:], k + 1):
+            hist = folds[-1]
+            if ni:
+                out = {}
+                for (c1, l1, g1), n1 in hist.items():
+                    for (c2, l2, g2), n2 in _slot_histogram(
+                            field, ni, i, twists, lead_mod, witness).items():
+                        C = c1 & c2
+                        if C & wanted:
+                            key = (C, (l1 + l2) % lead_mod, (g1 | g2) & C)
+                            out[key] = out.get(key, 0) + n1 * n2
+                hist = out
+            folds.append(hist)
+        prev = nu
+        yield nu, folds[-1]
 
 
 @lru_cache(maxsize=None)
