@@ -460,12 +460,22 @@ def _tally(field, n, family, kind, twist, budget):
         witness = labels.sl_strong_slot
     if kind == "strongly_real" and psl and labels.descent_corner(n, q):
         witness = labels.psl_strong_slot
+    return dict(_fold(field, n, family, twists, witness,
+                      (sl or psl) and kind != "zeta_real"))
+
+
+@lru_cache(maxsize=1024)
+def _fold(field, n, family, twists, witness, descent):
+    """``_tally``'s count per type once its budget is read, cached: the
+    cells that fold alike, such as real and strongly real wherever no
+    witness tells them apart, fold once."""
+    q = field.q
+    sl, psl = family == "SL", family == "PSL"
     # det = (-1)^n g^(lead sum): one in SL, in PSL an n-th power (as -1
     # is at odd n)
     lead_mod = {"SL": q - 1, "PSL": math.gcd(n, q - 1)}.get(family, 1)
     target = (q - 1) // 2 if sl and n % 2 and q % 2 else 0
     wanted = tuple(field.log[c] for c in twists)
-    descent = (sl or psl) and kind != "zeta_real"
     out = {}
     for nu, hist in _type_histograms(field, n, twists, lead_mod, witness):
         if descent and not labels.real_on_descent(nu, n, q):
