@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from realclasses import counts, labels
+from realclasses import counts, labels, polys
 from realclasses.counts import (applicable_kinds, count, genfun_real_gl,
                                 gl_nu, pgl_nu, psl_nu, section13_table,
                                 sigma_nu, sl_nu, sl_regime)
@@ -410,7 +410,6 @@ def test_zeta_real_sl_is_empty_unless_zeta_n_is_one():
 def test_counted_signatures_build_no_pool():
     # the SL witness is counted per affine block: SL_6(127) strongly real,
     # whose T_d pools hold up to 127^3 rows, reads no pool array
-    from realclasses import polys
     before = polys._pool.cache_info().currsize
     assert count("SL", 6, 127, "strongly_real").total == 33163
     assert polys._pool.cache_info().currsize == before
