@@ -347,48 +347,44 @@ def _row_signatures(field, d, c0, witness):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _slot_histogram(field, d, i, twists, lead_mod, witness):
-    """The degree-d polynomials of the pools of ``twists``, in slot i,
-    counted by the signature they add to a label: their C, i lead mod
-    ``lead_mod`` and, at odd i only, their good set for ``witness`` (see
-    ``_pool_signatures``); even slots witness nothing.  A polynomial in
-    more than one pool is read from the first.  With one twist both sets
-    are read at that twist only: C is every unit and good is the twist or
-    nothing.  Cached across cells, which share slots.
-    """
-    full = (1 << (field.q - 1)) - 1
-    wanted = sum(1 << field.log[c] for c in twists)
-    hist = {}
-    earlier = 0
-    for twist in twists:
-        for (C, lead, good), cnt in _pool_signatures(field, d, twist,
-                                                     witness):
-            if C & earlier:
-                continue    # read from an earlier twist's pool
-            if len(twists) == 1:
-                C, good = full, good & wanted
-            key = (C, i * lead % lead_mod, good if i % 2 else 0)
-            hist[key] = hist.get(key, 0) + cnt
-        earlier |= 1 << field.log[twist]
-    return hist
-
-
 def _type_histograms(field, n, twists, lead_mod, witness):
     """Yield (nu, histogram) for every type of weight n: the labels whose
     twist set meets ``twists``, counted by signature (C, lead, good).
 
-    A label's signature folds its slots' (``_slot_histogram``): C
-    intersects, leads add, and good is the union of the slots' good sets
-    within C, so its determinant is (-1)^n g^lead and some reading of it
-    is witnessed iff C & good.  The types come sorted, so each shares its
-    longest prefix of slots with the one before it, and only the slots
-    after that prefix are folded again.  The histograms are shared: read
-    them, do not change them.
+    Slot i of a label contributes its polynomial's C, i lead mod
+    ``lead_mod`` and, at odd i only, its good set for ``witness`` (see
+    ``_pool_signatures``); even slots witness nothing.  A label's
+    signature folds its slots': C intersects, leads add, and good is the
+    union of the slots' good sets within C, so its determinant is
+    (-1)^n g^lead and some reading of it is witnessed iff C & good.  With
+    one twist both sets are read at that twist only: C is every unit and
+    good is the twist or nothing.  The types come sorted, so each shares
+    its longest prefix of slots with the one before it, and only the slots
+    after that prefix are folded again; a yielded histogram may be folded
+    on, so read it, do not change it.
     """
     q = field.q
     full = (1 << (q - 1)) - 1
     wanted = sum(1 << field.log[c] for c in twists)
+    slots = {}
+
+    def slot(d, i):
+        if (d, i) not in slots:
+            hist = {}
+            earlier = 0
+            for twist in twists:
+                for (C, lead, good), cnt in _pool_signatures(
+                        field, d, twist, witness):
+                    if C & earlier:
+                        continue    # read from an earlier twist's pool
+                    if len(twists) == 1:
+                        C, good = full, good & wanted
+                    key = (C, i * lead % lead_mod, good if i % 2 else 0)
+                    hist[key] = hist.get(key, 0) + cnt
+                earlier |= 1 << field.log[twist]
+            slots[d, i] = hist
+        return slots[d, i]
+
     folds, prev = [{(full, 0, 0): 1}], ()   # folds[k]: first k slots
     for nu in labels.partitions_of(n):
         k = 0
@@ -398,10 +394,9 @@ def _type_histograms(field, n, twists, lead_mod, witness):
         for i, ni in enumerate(nu[k:], k + 1):
             hist = folds[-1]
             if ni:
-                out = {}
+                out, step = {}, slot(ni, i).items()
                 for (c1, l1, g1), n1 in hist.items():
-                    for (c2, l2, g2), n2 in _slot_histogram(
-                            field, ni, i, twists, lead_mod, witness).items():
+                    for (c2, l2, g2), n2 in step:
                         C = c1 & c2
                         if C & wanted:
                             key = (C, (l1 + l2) % lead_mod, (g1 | g2) & C)
@@ -412,15 +407,6 @@ def _type_histograms(field, n, twists, lead_mod, witness):
         yield nu, folds[-1]
 
 
-@lru_cache(maxsize=None)
-def _orbit_weight(q, C, wanted):
-    """|C| / |E(C)|, E(C) the e with C meeting g^(2e) W, for the twists W
-    of logarithms ``wanted``."""
-    return Fraction(C.bit_count(), sum(
-        any(C >> (2 * e + w) % (q - 1) & 1 for w in wanted)
-        for e in range(q - 1)))
-
-
 def _tally(field, n, family, kind, twist, budget):
     """The label route of one (family, kind) cell: a map from type to count.
 
@@ -429,9 +415,9 @@ def _tally(field, n, family, kind, twist, budget):
     takes C(L) to eta^-2 C(L), so the eta-orbit of L holds |E(L)| / |C(L)|
     labels of the pool of the twists W.  PGL and PSL read W = {1, zeta} at
     odd q, which every twist set meets up to a square, and weigh each
-    distinct (q, C, W) once (``_orbit_weight``); the other families read
-    W = {twist}, where C is every unit and the weight is 1, so their
-    counts are summed as ints.
+    distinct C of the cell once; the other families read W = {twist},
+    where C is every unit and the weight is 1, so their counts are summed
+    as ints.
 
     SL (and SL/Y off ``_SLQ_ENDPOINT``, read as SL real) and PSL keep the
     labels of determinant (-1)^n g^lead one (SL) or an n-th power (PSL)
@@ -460,22 +446,20 @@ def _tally(field, n, family, kind, twist, budget):
         witness = labels.sl_strong_slot
     if kind == "strongly_real" and psl and labels.descent_corner(n, q):
         witness = labels.psl_strong_slot
-    return dict(_fold(field, n, family, twists, witness,
-                      (sl or psl) and kind != "zeta_real"))
-
-
-@lru_cache(maxsize=1024)
-def _fold(field, n, family, twists, witness, descent):
-    """``_tally``'s count per type once its budget is read, cached: the
-    cells that fold alike, such as real and strongly real wherever no
-    witness tells them apart, fold once."""
-    q = field.q
-    sl, psl = family == "SL", family == "PSL"
     # det = (-1)^n g^(lead sum): one in SL, in PSL an n-th power (as -1
     # is at odd n)
     lead_mod = {"SL": q - 1, "PSL": math.gcd(n, q - 1)}.get(family, 1)
     target = (q - 1) // 2 if sl and n % 2 and q % 2 else 0
-    wanted = tuple(field.log[c] for c in twists)
+    wanted = [field.log[c] for c in twists]
+    descent = (sl or psl) and kind != "zeta_real"
+
+    @lru_cache(maxsize=None)
+    def weight(C):
+        # |C| / |E(C)|, |E(C)| the e with C meeting g^(2e) W
+        return Fraction(C.bit_count(), sum(
+            any(C >> (2 * e + w) % (q - 1) & 1 for w in wanted)
+            for e in range(q - 1)))
+
     out = {}
     for nu, hist in _type_histograms(field, n, twists, lead_mod, witness):
         if descent and not labels.real_on_descent(nu, n, q):
@@ -485,7 +469,7 @@ def _fold(field, n, family, twists, witness, descent):
             if lead == target and (witness is None or C & good):
                 per_C[C] = per_C.get(C, 0) + cnt
         classes = sum(per_C.values()) if len(twists) == 1 else sum(
-            cnt * _orbit_weight(q, C, wanted) for C, cnt in per_C.items())
+            cnt * weight(C) for C, cnt in per_C.items())
         classes = _as_int(classes, ("%s_%d(%d)" % (family, n, q), nu))
         out[nu] = classes * labels.h_nu(nu, q) if sl or psl else classes
     return out

@@ -293,6 +293,7 @@ def sl_strongly_real(field, label):
     return any(sl_strong_slot(field, u, field.one) for u in label[::2])
 
 
+@lru_cache(maxsize=None)
 def _factors_all_even_and_fixed_deg_div4(field, u, c):
     """Helper for the PSL criterion: every irreducible factor of u has even
     degree, and every factor fixed by the involution alpha -> c / alpha of
@@ -319,7 +320,6 @@ def _factors_all_even_and_fixed_deg_div4(field, u, c):
     return True
 
 
-@lru_cache(maxsize=polys.SLOT_CACHE)
 def psl_strong_slot(field, u, c):
     """Whether an odd-position slot u, twisted-reciprocal for c, witnesses
     strong reality of the c-reading of its label in PSL_n(q): some

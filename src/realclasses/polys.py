@@ -39,10 +39,9 @@ def degree(f):
 
 
 ONE = (1,)
-# the slot predicates (twisted reciprocity here, the strong-reality
-# witnesses in labels) are cached per (field, slot, twist): a label dump
-# reads every flag of a label off the same slots, and neighbouring labels
-# share slots.  Bounded, as a dump may hold millions of distinct slots:
+# the slot predicates (twisted reciprocity here, the SL root witness in
+# labels) are cached per (field, slot, twist): a label dump reads every
+# flag of a label off the same slots, and neighbouring labels share slots.  Bounded, as a dump may hold millions of distinct slots:
 # 256 entries keep 18,415 of the 18,543 reciprocity hits that 65,536 get
 # on the five label_routes dumps, at about 1.3 MB less peak RSS than 4,096.
 SLOT_CACHE = 1 << 8

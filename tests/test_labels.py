@@ -289,8 +289,6 @@ def test_pool_signatures_match_trial(q):
                             (labels.psl_strong_slot, (field.one, *nonsquare))):
         witnessed = set()
         for d in range(1, top + 1):
-            if witness is labels.psl_strong_slot and d == 8 and q > 5:
-                continue    # each row factored: seconds a field past q = 5
             pool = set()
             for c in twists:
                 pool |= set(labels.twist_pool(field, d, c))
