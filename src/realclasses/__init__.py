@@ -5,6 +5,7 @@ Closed-form counts live in :mod:`realclasses.counts`; the label calculus
 (class invariants as sequences of constant-term-1 polynomials) in
 :mod:`realclasses.labels`; brute-force matrix-group verification in
 :mod:`realclasses.oracle`; the command line in :mod:`realclasses.cli`.
+The oracle, and numpy with it, is imported on first use of its names.
 """
 
 from .counts import (
@@ -15,7 +16,6 @@ from .counts import (
 )
 from .errors import BudgetExceeded, UsageError
 from .fields import canonical_nonsquare, constrained_nonsquare, make_field
-from .oracle import enumerate_group, matrix_to_label, verify_group
 
 __version__ = "0.1.0"
 
@@ -34,3 +34,10 @@ __all__ = [
     "verify_group",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in ("enumerate_group", "matrix_to_label", "verify_group"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

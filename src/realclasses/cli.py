@@ -18,7 +18,7 @@ import math
 import sys
 import traceback
 
-from . import counts, labels, oracle, polys
+from . import counts, labels, polys
 from .errors import BudgetExceeded, UsageError
 from .fields import canonical_nonsquare, field_for_order
 
@@ -98,9 +98,10 @@ def cmd_count(args):
 
 
 def cmd_verify(args):
+    from . import oracle  # numpy, which no other subcommand imports
     if args.all_desk:
         # the desk cap replaces only the default; --cap and REALCLASS_CAP hold
-        cap = oracle.resolve_cap(args.cap, default=_DESK_CAP)
+        cap = counts.resolve_cap(args.cap, default=_DESK_CAP)
         runs = [oracle.verify_group(f, n, q, y_order=y, cap=cap)
                 for f, n, q, y in DESK_MATRIX]
     else:
@@ -334,7 +335,7 @@ def _validate(args):
         raise UsageError("--n must be nonnegative")
     # a malformed REALCLASS_CAP is a usage error on every subcommand, and a
     # negative --cap on each that declares it (a group-size cap or a budget)
-    oracle.resolve_cap(getattr(args, "cap", None))
+    counts.resolve_cap(getattr(args, "cap", None))
 
 
 def main(argv=None):

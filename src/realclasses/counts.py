@@ -19,11 +19,10 @@ hard error, never a rounding.
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from . import labels, polys
 from .errors import UsageError
@@ -37,6 +36,8 @@ METHODS = ("formula", "enumeration", "both")
 # the formula route walks all p(n) partitions of n: at q = 3 the real GL
 # count takes 0.4 s and 40 MB at n = 40, 3 s and 99 MB at n = 50
 MAX_N = 40
+# the largest group the oracle builds unless a cap says otherwise
+DEFAULT_CAP = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +315,7 @@ def _row_signatures(field, d, c0, witness):
     fixes u and moves c by Stab(u)^2, and the witness does not tell those
     c apart, so good is read on the cosets of Stab(u)^2 in C(u).
     """
+    import numpy as np
     q = field.q
     log, exp = field.log, field.exp
     a = log[c0]
@@ -554,6 +556,26 @@ def check_kind(family, q, kind, zeta=None):
     if zeta is not None and not is_nonsquare(field_for_order(q), zeta):
         raise UsageError("zeta must be a non-square unit of F_%d, got %r"
                          % (q, zeta))
+
+
+def resolve_cap(cap=None, default=DEFAULT_CAP):
+    """Explicit cap, else the REALCLASS_CAP environment override, else default.
+
+    A negative or malformed cap is a usage error.
+    """
+    if cap is not None:
+        if int(cap) < 0:
+            raise UsageError("the cap must be nonnegative, got %r" % (cap,))
+        return int(cap)
+    env = os.environ.get("REALCLASS_CAP")
+    try:
+        value = int(env) if env else default
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise UsageError("REALCLASS_CAP must be a nonnegative integer, "
+                         "got %r" % (env,))
+    return value
 
 
 def check_group(family, n, q, y_order=None):

@@ -11,22 +11,20 @@ over F_p, comparing coefficient tuples lowest degree first: the first of
 ``polys.irreducibles`` over the prime field.  For example F_4 uses
 t^2 + t + 1 and F_9 uses t^2 + 1; F_p itself uses t.
 
-Every table comes from one array, the digit vectors of the q elements:
-sums add them mod p, and multiplication by a = sum a_i t^i is the matrix
-sum a_i C^i over F_p, with C the companion matrix of the modulus (the
-matrix representation of F_p[t]/(m)).  A field holds the resulting
-``uint8`` tables (``add_table``, ``mul_table``, ``neg_table``), which the
-oracle's vectorised ``_Ops`` index in bulk.  Scalar operations, and the
-kernels in ``polys``, read plain-list views of them (``add_list`` and so
-on; a list index costs a fraction of a numpy scalar index), the
+The tables are plain lists of rows, built in pure Python from the
 logarithms ``log`` and antilogarithms ``exp`` over ``generator``, the
-least element of order q - 1, and the inverses ``inv_list`` read from
-the logarithms.
+least element of order q - 1, whose powers are found on the base-p digit
+vectors of the elements.  Then a * b = exp[log a + log b], one rotation
+of ``exp`` per row; a + b = a * (1 + b / a), where 1 + x steps the
+constant digit mod p; -x is the row of p - 1; and the inverses
+``inv_list`` are read from the logarithms.  Scalar operations, and the
+kernels in ``polys``, read these lists (``add_list``, ``mul_list``,
+``neg_list``).  The oracle's vectorised ``_Ops`` index ``uint8`` views of
+them in bulk (``add_table``, ``mul_table``, ``neg_table``), made on first
+read, and only those import numpy.
 """
 
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache
 
 from . import polys
 from .errors import UsageError
@@ -71,29 +69,22 @@ class Field:
         self.modulus = (0, 1) if k == 1 else polys.irreducibles(
             make_field(p, 1), k)[0]
 
-        # the base-p digit vectors of the elements, and the matrix of
-        # multiplication by a = sum a_i t^i: sum a_i C^i, with C the
-        # companion matrix of the modulus (C = [[0]] at k = 1)
-        weights = p ** np.arange(k)
-        digits = np.arange(q)[:, None] // weights % p
-        companion = np.eye(k, k=-1, dtype=np.int64)
-        companion[:, -1] = np.negative(self.modulus[:k]) % p
-        powers = np.stack([np.linalg.matrix_power(companion, i) % p
-                           for i in range(k)])
-        times = np.tensordot(digits, powers, axes=1) % p
-        sums = (digits[:, None] + digits) % p    # [a, b, i]: digit i of a + b
-        products = times @ digits.T % p         # [a, i, b]: digit i of a * b
-        self.add_table = (sums @ weights).astype(np.uint8)
-        self.mul_table = (weights @ products).astype(np.uint8)
-        self.neg_table = (-digits % p @ weights).astype(np.uint8)
-
-        self.add_list = self.add_table.tolist()
-        self.mul_list = self.mul_table.tolist()
-        self.neg_list = self.neg_table.tolist()
         self.generator, self.exp, self.log = self._logarithms()
-        # entry 0 is a placeholder: inv rejects 0
-        self.inv_list = [0] + [self.exp[-self.log[a] % (q - 1)]
-                               for a in range(1, q)]
+        # a * b = exp[log a + log b], one rotation of exp per row a; entry 0
+        # of inv_list is a placeholder: inv rejects 0
+        order = q - 1
+        cycle = self.exp * 2
+        logs = self.log[1:]
+        self.mul_list = [[0] * q] + [
+            [0, *map(cycle[i:i + order].__getitem__, logs)] for i in logs]
+        self.inv_list = [0] + [self.exp[-i % order] for i in logs]
+        # a + b = a * (1 + b / a), where 1 + x steps the constant digit mod p
+        succ = [x + 1 if x % p < p - 1 else x + 1 - p for x in range(q)]
+        self.add_list = [list(range(q))] + [
+            list(map(self.mul_list[a].__getitem__,
+                     map(succ.__getitem__, self.mul_list[self.inv_list[a]])))
+            for a in self.units]
+        self.neg_list = list(self.mul_list[p - 1])   # -x = (p - 1) x
 
         self.zero = 0
         self.one = 1
@@ -102,18 +93,48 @@ class Field:
 
     def _logarithms(self):
         """The least generator g of F_q^*, the list exp[i] = g^i for
-        0 <= i < q - 1, and the list log with log[g^i] = i (log[0] = None)."""
-        q, mul = self.q, self.mul_list
+        0 <= i < q - 1, and the list log with log[g^i] = i (log[0] = None).
+
+        The powers are digit vectors: multiplication by g is the matrix over
+        F_p whose columns are the digits of g t^j, j < k, and u t is u's
+        digits shifted up less its top digit times the low coefficients of
+        the modulus.  At k = 1 the modulus is t, and the matrix is (g)."""
+        p, k, q = self.p, self.k, self.q
+        low = self.modulus[:k]
+        weights = [p ** i for i in range(k)]
+        one = [1] + [0] * (k - 1)
         for g in self.units:
-            exp = [1]
-            while len(exp) < q - 1 and mul[exp[-1]][g] != 1:
-                exp.append(mul[exp[-1]][g])
+            cols = [[g // w % p for w in weights]]
+            while len(cols) < k:
+                u = cols[-1]
+                cols.append([(a - u[-1] * m) % p
+                             for a, m in zip([0, *u[:-1]], low)])
+            rows = list(zip(*cols))
+            exp, power = [1], cols[0]
+            while len(exp) < q - 1 and power != one:
+                exp.append(sum(map(int.__mul__, power, weights)))
+                power = [sum(map(int.__mul__, row, power)) % p
+                         for row in rows]
             if len(exp) == q - 1:
                 log = [None] * q
                 for i, x in enumerate(exp):
                     log[x] = i
                 return g, exp, log
         raise AssertionError("unreachable: F_q^* is cyclic")
+
+    # -- uint8 views of the tables for the oracle's vectorised _Ops, made on
+    # first read (numpy is imported only here)
+    @cached_property
+    def add_table(self):
+        return _uint8(self.add_list)
+
+    @cached_property
+    def mul_table(self):
+        return _uint8(self.mul_list)
+
+    @cached_property
+    def neg_table(self):
+        return _uint8(self.neg_list)
 
     # -- arithmetic --------------------------------------------------------
     def add(self, a, b):
@@ -154,6 +175,11 @@ class Field:
 
     def __repr__(self):
         return "F_%d" % self.q
+
+
+def _uint8(rows):
+    import numpy as np
+    return np.array(rows, dtype=np.uint8)
 
 
 def make_field(p, k=1):

@@ -44,7 +44,6 @@ as the right half of [g | I] reduced by ``_rref``, determinants).
 import functools
 import itertools
 import math
-import os
 import time
 
 import numpy as np
@@ -53,29 +52,8 @@ from . import counts, labels, polys
 from .errors import BudgetExceeded, UsageError
 from .fields import canonical_nonsquare, field_for_order
 
-DEFAULT_CAP = 10 ** 6
 _ADDRESS_LIMIT = 3 * 10 ** 8  # below 2^31, so codes fit int32
 _CHUNK = 1 << 15  # elements per batch; a batch's int32 rows stay in cache
-
-
-def resolve_cap(cap=None, default=DEFAULT_CAP):
-    """Explicit cap, else the REALCLASS_CAP environment override, else default.
-
-    A negative or malformed cap is a usage error.
-    """
-    if cap is not None:
-        if int(cap) < 0:
-            raise UsageError("the cap must be nonnegative, got %r" % (cap,))
-        return int(cap)
-    env = os.environ.get("REALCLASS_CAP")
-    try:
-        value = int(env) if env else default
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise UsageError("REALCLASS_CAP must be a nonnegative integer, "
-                         "got %r" % (env,))
-    return value
 
 
 def group_order(family, n, q, y_order=None):
@@ -757,7 +735,7 @@ class GroupData:
 
     def __init__(self, family, n, q, y_order=None, cap=None):
         counts.check_group(family, n, q, y_order)
-        cap = resolve_cap(cap)
+        cap = counts.resolve_cap(cap)
         self.family = family
         self.n = n
         self.q = q

@@ -13,8 +13,10 @@ built from one closed coefficient template (``_pool``) rather than by
 filtering all polynomials, once per field, degree and twist: one numpy
 block per square root s over the free coefficients, cached as a
 read-only uint8 array whose rows are the polynomials in sorted order.
-The counts read that array column by column; ``enumerate_T`` and
-``enumerate_S`` hand it out as a sorted list of int tuples.
+The counts read its rows only for the PSL witness at d = 0 (mod 4);
+``enumerate_T`` and ``enumerate_S`` hand it out as a sorted list of int
+tuples.  ``_pool`` is the one function here that builds arrays, and the
+only one that imports numpy.
 
 Factoring starts from the distinct-degree parts of a polynomial
 (``distinct_degree``), found by gcds with t^(q^e) - t.
@@ -23,8 +25,6 @@ Factoring starts from the distinct-degree parts of a polynomial
 import itertools
 from collections import namedtuple
 from functools import lru_cache
-
-import numpy as np
 
 
 def normalize(coeffs):
@@ -194,6 +194,7 @@ def _pool(field, d, c):
     table, and at even d keeps the rows whose middle coefficient is its
     own image.  Distinct s give distinct leads, so no row repeats.
     """
+    import numpy as np
     half = d // 2
     c_d = field.pow(c, d)
     free = np.indices((field.q,) * half, dtype=np.uint8).reshape(

@@ -28,7 +28,7 @@ import os
 import sys
 from contextlib import redirect_stdout
 
-from realclasses import cli, oracle
+from realclasses import cli, counts, oracle
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "cli_golden.json")
@@ -73,7 +73,7 @@ VERIFY_EXTRA = (("GL", 0, 3, None), ("PGL", 1, 5, None), ("PSL", 3, 7, None))
 
 def _verify_argvs():
     desk = [group for group in cli.DESK_MATRIX
-            if oracle.group_order(*group) <= oracle.DEFAULT_CAP]
+            if oracle.group_order(*group) <= counts.DEFAULT_CAP]
     for family, n, q, y in desk + list(VERIFY_EXTRA):
         argv = ["verify", "--family", family, "--n", str(n), "--q", str(q)]
         if y is not None:
