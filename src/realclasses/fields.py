@@ -124,17 +124,9 @@ class Field:
 
     # -- uint8 views of the tables for the oracle's vectorised _Ops, made on
     # first read (numpy is imported only here)
-    @cached_property
-    def add_table(self):
-        return _uint8(self.add_list)
-
-    @cached_property
-    def mul_table(self):
-        return _uint8(self.mul_list)
-
-    @cached_property
-    def neg_table(self):
-        return _uint8(self.neg_list)
+    add_table = cached_property(lambda self: _uint8(self.add_list))
+    mul_table = cached_property(lambda self: _uint8(self.mul_list))
+    neg_table = cached_property(lambda self: _uint8(self.neg_list))
 
     # -- arithmetic --------------------------------------------------------
     def add(self, a, b):

@@ -49,7 +49,7 @@ import time
 import numpy as np
 
 from . import counts, labels, polys
-from .errors import BudgetExceeded, UsageError
+from .errors import BudgetExceeded
 from .fields import canonical_nonsquare, field_for_order
 
 _ADDRESS_LIMIT = 3 * 10 ** 8  # below 2^31, so codes fit int32
