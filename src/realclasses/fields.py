@@ -24,7 +24,7 @@ them in bulk (``add_table``, ``mul_table``, ``neg_table``), made on first
 read, and only those import numpy.
 """
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import polys
 from .errors import UsageError
@@ -90,6 +90,7 @@ class Field:
         self.one = 1
         self.minus_one = self.neg_list[1]
         self.squares = frozenset(self.mul_list[a][a] for a in range(q))
+        self._arrays = None
 
     def _logarithms(self):
         """The least generator g of F_q^*, the list exp[i] = g^i for
@@ -123,10 +124,19 @@ class Field:
         raise AssertionError("unreachable: F_q^* is cyclic")
 
     # -- uint8 views of the tables for the oracle's vectorised _Ops, made on
-    # first read (numpy is imported only here)
-    add_table = cached_property(lambda self: _uint8(self.add_list))
-    mul_table = cached_property(lambda self: _uint8(self.mul_list))
-    neg_table = cached_property(lambda self: _uint8(self.neg_list))
+    # first read (numpy is imported only here).  They fill an attribute set
+    # in __init__: adding one after it would cost every later attribute
+    # read of the field, the scalar operations' included, about half again.
+    add_table = property(lambda self: self._uint8()[0])
+    mul_table = property(lambda self: self._uint8()[1])
+    neg_table = property(lambda self: self._uint8()[2])
+
+    def _uint8(self):
+        if self._arrays is None:
+            import numpy as np
+            self._arrays = tuple(np.array(t, dtype=np.uint8) for t in (
+                self.add_list, self.mul_list, self.neg_list))
+        return self._arrays
 
     # -- arithmetic --------------------------------------------------------
     def add(self, a, b):
@@ -167,11 +177,6 @@ class Field:
 
     def __repr__(self):
         return "F_%d" % self.q
-
-
-def _uint8(rows):
-    import numpy as np
-    return np.array(rows, dtype=np.uint8)
 
 
 def make_field(p, k=1):

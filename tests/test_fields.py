@@ -130,6 +130,14 @@ def test_list_views_match_tables(q):
     assert f.exp[1 % (q - 1)] == f.generator
 
 
+def test_table_views_are_made_once_and_add_no_attribute():
+    # a field built afresh, so the cached fields keep their state
+    f = Field(5)
+    names = list(vars(f))
+    assert f.mul_table is f.mul_table
+    assert list(vars(f)) == names
+
+
 # sha256 of each field's modulus, add/mul/neg tables (dtype, shape and
 # bytes), exp list and generator, recorded from the pairwise construction
 # of the tables by schoolbook multiplication modulo the modulus.  The
