@@ -98,7 +98,7 @@ def cmd_count(args):
 
 
 def cmd_verify(args):
-    from . import oracle  # numpy, which no other subcommand imports
+    from . import oracle  # no other subcommand imports the oracle
     if args.all_desk:
         # the desk cap replaces only the default; --cap and REALCLASS_CAP hold
         cap = counts.resolve_cap(args.cap, default=_DESK_CAP)

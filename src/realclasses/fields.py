@@ -125,8 +125,9 @@ class Field:
 
     # -- uint8 views of the tables for the oracle's vectorised _Ops, made on
     # first read (numpy is imported only here).  They fill an attribute set
-    # in __init__: adding one after it would cost every later attribute
-    # read of the field, the scalar operations' included, about half again.
+    # in __init__: an attribute added later, as functools.cached_property
+    # adds one, takes CPython off its fast attribute reads for that field
+    # and makes its scalar operations about 1.5 times slower.
     add_table = property(lambda self: self._uint8()[0])
     mul_table = property(lambda self: self._uint8()[1])
     neg_table = property(lambda self: self._uint8()[2])
