@@ -329,6 +329,7 @@ def _validate(args):
     if args.command == "enumerate":
         if args.n is None:
             raise UsageError("enumerate needs --n")
+        counts.check_group("GL", args.n, args.q)
         if args.filter == "zeta_real":
             counts.check_kind("GL", args.q, "zeta_real")
     if getattr(args, "n", None) is not None and args.n < 0:

@@ -242,7 +242,7 @@ def _pool_signatures(field, d, c0, witness=None):
     is C(u) or nothing; it adds at most two affine equations on the free
     a_j, counted by inclusion-exclusion.  The PSL witness holds at every
     c when 4 does not divide d (``labels.psl_strong_slot``), so good is
-    C(u); at d = 0 mod 4 its rows are read (``_row_signatures``).
+    C(u); at d = 0 mod 4 the pool is read (``_row_signatures``).
     """
     if witness is labels.psl_strong_slot and d % 4 == 0:
         return _row_signatures(field, d, c0, witness)
@@ -308,22 +308,16 @@ def _solutions(field, eqs, size):
 
 
 def _row_signatures(field, d, c0, witness):
-    """``_pool_signatures`` read row by row off the pool array: g by
-    ``np.gcd`` over each column's nonzero mask, the lead's logarithm by a
-    lookup array, good by at most two witness calls per row, and the
-    signatures counted by one int64 key per row.  Translation by Stab(u)
-    fixes u and moves c by Stab(u)^2, and the witness does not tell those
-    c apart, so good is read on the cosets of Stab(u)^2 in C(u).
+    """``_pool_signatures`` read polynomial by polynomial off the pool: g is
+    the gcd of q - 1 and the support, lead the logarithm of the top
+    coefficient, good read by at most two witness calls, and the
+    signatures counted in a dict.  Translation by Stab(u) fixes u and
+    moves c by Stab(u)^2, and the witness does not tell those c apart, so
+    good is read on the cosets of Stab(u)^2 in C(u).
     """
-    import numpy as np
     q = field.q
     log, exp = field.log, field.exp
     a = log[c0]
-    pool = polys._pool(field, d, c0)
-    g = np.full(len(pool), q - 1)
-    for j in range(1, d + 1):
-        g = np.where(pool[:, j] != 0, np.gcd(g, j), g)
-    lead = np.array([0, *log[1:]])[pool[:, d]]
 
     def good(u, g_u):
         # the cosets of Stab(u)^2 in C(u): logarithms mod 2r at even g
@@ -332,21 +326,12 @@ def _row_signatures(field, d, c0, witness):
         return sum(_coset_mask(q, b, step) for b in range(a, a + step, r)
                    if witness(field, u, exp[b % (q - 1)]))
 
-    # which[row] indexes the row's good set
-    seen = {}
-    rows = zip(map(tuple, pool.tolist()), g.tolist())
-    which = np.array([seen.setdefault(good(u, g_u), len(seen))
-                      for u, g_u in rows], dtype=np.int64)
-    goods = list(seen)
-    keys, sizes = np.unique((which * q + g) * (q - 1) + lead,
-                            return_counts=True)
-    out = []
-    for key, cnt in zip(keys.tolist(), sizes.tolist()):
-        rest, lead_u = divmod(key, q - 1)
-        w, g_u = divmod(rest, q)
-        out.append(((_coset_mask(q, a, (q - 1) // g_u), lead_u, goods[w]),
-                    cnt))
-    return tuple(out)
+    out = {}
+    for u in polys._pool(field, d, c0):
+        g_u = math.gcd(q - 1, *(j for j, x in enumerate(u) if x))
+        key = (_coset_mask(q, a, (q - 1) // g_u), log[u[d]], good(u, g_u))
+        out[key] = out.get(key, 0) + 1
+    return tuple(out.items())
 
 
 def _type_histograms(field, n, twists, lead_mod, witness):

@@ -17,11 +17,9 @@ least element of order q - 1, whose powers are found on the base-p digit
 vectors of the elements.  Then a * b = exp[log a + log b], one rotation
 of ``exp`` per row; a + b = a * (1 + b / a), where 1 + x steps the
 constant digit mod p; -x is the row of p - 1; and the inverses
-``inv_list`` are read from the logarithms.  Scalar operations, and the
-kernels in ``polys``, read these lists (``add_list``, ``mul_list``,
-``neg_list``).  The oracle's vectorised ``_Ops`` index ``uint8`` views of
-them in bulk (``add_table``, ``mul_table``, ``neg_table``), made on first
-read, and only those import numpy.
+``inv_list`` are read from the logarithms.  Every caller reads these
+lists (``add_list``, ``mul_list``, ``neg_list``, ``inv_list``); the
+oracle keeps its own ``uint8`` copies for its batched algebra.
 """
 
 from functools import lru_cache
@@ -90,7 +88,6 @@ class Field:
         self.one = 1
         self.minus_one = self.neg_list[1]
         self.squares = frozenset(self.mul_list[a][a] for a in range(q))
-        self._arrays = None
 
     def _logarithms(self):
         """The least generator g of F_q^*, the list exp[i] = g^i for
@@ -122,22 +119,6 @@ class Field:
                     log[x] = i
                 return g, exp, log
         raise AssertionError("unreachable: F_q^* is cyclic")
-
-    # -- uint8 views of the tables for the oracle's vectorised _Ops, made on
-    # first read (numpy is imported only here).  They fill an attribute set
-    # in __init__: an attribute added later, as functools.cached_property
-    # adds one, takes CPython off its fast attribute reads for that field
-    # and makes its scalar operations about 1.5 times slower.
-    add_table = property(lambda self: self._uint8()[0])
-    mul_table = property(lambda self: self._uint8()[1])
-    neg_table = property(lambda self: self._uint8()[2])
-
-    def _uint8(self):
-        if self._arrays is None:
-            import numpy as np
-            self._arrays = tuple(np.array(t, dtype=np.uint8) for t in (
-                self.add_list, self.mul_list, self.neg_list))
-        return self._arrays
 
     # -- arithmetic --------------------------------------------------------
     def add(self, a, b):

@@ -41,6 +41,7 @@ coded matrices: ``_Ops`` is the one matrix algebra (products, inverses
 as the right half of [g | I] reduced by ``_rref``, determinants).
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -78,6 +79,19 @@ def group_order(family, n, q, y_order=None):
 
 
 # ---------------------------------------------------------------------------
+# the field's tables as arrays, indexed by batches of coded entries
+
+_Tables = collections.namedtuple("_Tables", "add mul neg inv")
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(field):
+    """uint8 copies of the field's add, mul, neg and inverse lists."""
+    return _Tables(*(np.array(t, dtype=np.uint8) for t in (
+        field.add_list, field.mul_list, field.neg_list, field.inv_list)))
+
+
+# ---------------------------------------------------------------------------
 # Gauss-Jordan elimination (batched, for inverses and for the commutants)
 
 def _rref(field, mats):
@@ -85,8 +99,7 @@ def _rref(field, mats):
     reduced batch and a (b, c) mask of each matrix's pivot columns.  Row i
     of a reduced matrix of rank k has its leading 1 in its i-th pivot
     column for i < k, and its rows from k on are zero."""
-    add, mul, neg = field.add_table, field.mul_table, field.neg_table
-    inv = np.array(field.inv_list, dtype=np.uint8)
+    add, mul, neg, inv = _tables(field)
     m = np.array(mats, dtype=np.uint8)
     b, rows, cols = m.shape
     rank = np.zeros(b, dtype=np.intp)
@@ -114,6 +127,7 @@ def _rref(field, mats):
 class _Ops:
     def __init__(self, field, n):
         self.field = field
+        self.tables = _tables(field)
         self.n = n
         self.q = field.q
         # products mod q are exact over a prime field and at n = 0 (empty)
@@ -131,8 +145,8 @@ class _Ops:
         for k in range(self.n):
             lhs = a[..., :, k]
             rhs = b[..., k, :]
-            term = self.field.mul_table[lhs[..., :, None], rhs[..., None, :]]
-            acc = term if acc is None else self.field.add_table[acc, term]
+            term = self.tables.mul[lhs[..., :, None], rhs[..., None, :]]
+            acc = term if acc is None else self.tables.add[acc, term]
         return acc
 
     def inverse(self, a):
@@ -144,7 +158,7 @@ class _Ops:
         return reduced[:, :, self.n:]
 
     def _neg(self, a):
-        return -a if self.integer else self.field.neg_table[a]
+        return -a if self.integer else self.tables.neg[a]
 
     def dot(self, c, x):
         """sum_j c[j] * x[j] over the field; each c[j] and x[j] is an array
@@ -153,13 +167,13 @@ class _Ops:
         (below n * p^2) until one reduction mod p."""
         acc = None
         for cj, xj in zip(c, x):
-            term = cj * xj if self.integer else self.field.mul_table[cj, xj]
+            term = cj * xj if self.integer else self.tables.mul[cj, xj]
             if acc is None:
                 acc = term
             elif self.integer:
                 acc += term
             else:
-                acc = self.field.add_table[acc, term]
+                acc = self.tables.add[acc, term]
         return acc % self.q if self.integer else acc
 
     def _expansion(self, minors, r, cols):
@@ -543,7 +557,7 @@ class BaseGroup:
         k = sl.num_classes
         ident = np.eye(n, dtype=np.uint8)
         transpose = _transposing_tables(self.ops, ident)
-        scale = [_transposing_tables(self.ops, field.mul_table[lam][ident])
+        scale = [_transposing_tables(self.ops, _tables(field).mul[lam][ident])
                  for lam in field.exp]
         # least[j, C] is the least code of theta^j X over X in C
         least = np.full((q - 1, k), q ** (n * n), dtype=np.int32)
@@ -607,10 +621,11 @@ class BaseGroup:
         eye = np.eye(n, dtype=np.uint8)
         # (A X - X A)_ij = sum_k A_ik X_kj - sum_k X_ik A_kj: row (i, j) of
         # the system has A_ik at column (k, j) and -A_kj at column (i, k)
-        left = field.mul_table[reps[:, :, None, :, None], eye[:, None, :]]
-        right = field.mul_table[eye[:, None, :, None],
-                                reps.transpose(0, 2, 1)[:, None, :, None, :]]
-        system = field.add_table[left, field.neg_table[right]]
+        add, mul, neg, _ = _tables(field)
+        left = mul[reps[:, :, None, :, None], eye[:, None, :]]
+        right = mul[eye[:, None, :, None],
+                    reps.transpose(0, 2, 1)[:, None, :, None, :]]
+        system = add[left, neg[right]]
         reduced, pivots = _rref(field, system.reshape(len(reps), cells, cells))
         dims = cells - pivots.sum(axis=1)
         out = {}
@@ -623,7 +638,7 @@ class BaseGroup:
             at = np.arange(len(ids))[:, None, None]
             basis = np.zeros((len(ids), m, cells), dtype=np.uint8)
             basis[at[:, 0], np.arange(m), free] = field.one
-            basis[at, np.arange(m), lead[:, :, None]] = field.neg_table[
+            basis[at, np.arange(m), lead[:, :, None]] = neg[
                 np.take_along_axis(reduced[ids, :cells - m], free[:, None, :],
                                    axis=2)]
             out[m] = ids, basis
@@ -667,7 +682,7 @@ class BaseGroup:
             return out
         dets = self.ops.det(mats)
         unit = dets != self.field.zero
-        cls = self._sl.classes_of(self.field.mul_table[
+        cls = self._sl.classes_of(_tables(self.field).mul[
             self._root_inv[dets[unit]][:, None, None], mats[unit]])
         assert (cls >= 0).all(), "lam^-1 g is not in SL"
         out[unit] = self._class_of_key[
@@ -685,8 +700,8 @@ class BaseGroup:
         and s = mu X give t s = lam mu T X, T X in SL (a hooked group is its
         own SL, with the one scalar 1)."""
         n, q = self.n, self.q
-        ys = self.field.mul_table[np.asarray(y_codes)[:, None, None],
-                                  np.eye(n, dtype=np.uint8)]
+        ys = _tables(self.field).mul[np.asarray(y_codes)[:, None, None],
+                                     np.eye(n, dtype=np.uint8)]
         squares = self.ops.matmul(self.rep_mats, self.rep_mats)
         sl = self._sl or self
         k = sl.num_classes
@@ -757,7 +772,7 @@ class GroupData:
         ``owner`` maps a base class to its orbit."""
         base = self.base
         # image[i, c] is the class of y_i g for the representative g of c
-        image = np.stack([base.classes_of(self.field.mul_table[z][
+        image = np.stack([base.classes_of(_tables(self.field).mul[z][
             base.rep_mats]) for z in self.y_codes])
         assert image.min() >= 0, "a central scalar left the group"
         least, self.owner = np.unique(image.min(axis=0), return_inverse=True)
@@ -790,7 +805,7 @@ class GroupData:
         representative, lies in g's Y-orbit.  c = 1 asks reality, a
         non-square c zeta-reality."""
         base = self.base
-        twisted = self.field.mul_table[c][self._rep_inverses]
+        twisted = _tables(self.field).mul[c][self._rep_inverses]
         # c g^{-1} can fall outside SL (det c^n != 1); then g is not
         # zeta-real rather than an error
         cls = base.classes_of(twisted)

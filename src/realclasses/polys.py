@@ -10,13 +10,11 @@ t^d f(c/t) = s * f for a scalar s, whose roots are closed under
 alpha -> c / alpha.  The twist c = 1 gives T_d, the self-reciprocal
 polynomials; a non-square c gives S_d(c), empty for odd d.  Both are
 built from one closed coefficient template (``_pool``) rather than by
-filtering all polynomials, once per field, degree and twist: one numpy
-block per square root s over the free coefficients, cached as a
-read-only uint8 array whose rows are the polynomials in sorted order.
-The counts read its rows only for the PSL witness at d = 0 (mod 4);
-``enumerate_T`` and ``enumerate_S`` hand it out as a sorted list of int
-tuples.  ``_pool`` is the one function here that builds arrays, and the
-only one that imports numpy.
+filtering all polynomials, once per field, degree and twist: one block
+per square root s over the free coefficients, filled in from rows of
+the multiplication table and cached as a sorted tuple of coefficient
+tuples.  The counts read it only for the PSL witness at d = 0 (mod 4);
+``enumerate_T`` and ``enumerate_S`` hand it out as a sorted list.
 
 Factoring starts from the distinct-degree parts of a polynomial
 (``distinct_degree``), found by gcds with t^(q^e) - t.
@@ -41,9 +39,10 @@ def degree(f):
 ONE = (1,)
 # the slot predicates (twisted reciprocity here, the SL root witness in
 # labels) are cached per (field, slot, twist): a label dump reads every
-# flag of a label off the same slots, and neighbouring labels share slots.  Bounded, as a dump may hold millions of distinct slots:
-# 256 entries keep 18,415 of the 18,543 reciprocity hits that 65,536 get
-# on the five label_routes dumps, at about 1.3 MB less peak RSS than 4,096.
+# flag of a label off the same slots, and neighbouring labels share
+# slots.  Bounded, as a dump may hold millions of distinct slots: 256
+# entries keep 18,415 of the 18,543 reciprocity hits that 65,536 get on
+# the five label_routes dumps, at about 1.3 MB less peak RSS than 4,096.
 SLOT_CACHE = 1 << 8
 
 
@@ -170,7 +169,7 @@ def enumerate_T(field, d):
     """All self-reciprocal degree-d polynomials with constant term 1, sorted."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return list(map(tuple, _pool(field, d, field.one).tolist()))
+    return list(_pool(field, d, field.one))
 
 
 def enumerate_S(field, d, zeta):
@@ -180,42 +179,39 @@ def enumerate_S(field, d, zeta):
                          % (field, zeta))
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return list(map(tuple, _pool(field, d, zeta).tolist()))
+    return list(_pool(field, d, zeta))
 
 
 @lru_cache(maxsize=None)
 def _pool(field, d, c):
-    """The degree-d f with f(0) = 1 and t^d f(c/t) = s f, as a read-only
-    (N, d + 1) uint8 array of coefficient rows in sorted tuple order.
+    """The degree-d f with f(0) = 1 and t^d f(c/t) = s f, as a sorted tuple
+    of coefficient tuples.
 
     Coefficientwise a_{d-j} = s a_j c^(j-d), and j = 0 forces s^2 = c^d:
-    for each square root s, one block over all q^(d//2) choices of
-    a_1, ..., a_{d//2} fills in the rest from the field's multiplication
-    table, and at even d keeps the rows whose middle coefficient is its
-    own image.  Distinct s give distinct leads, so no row repeats.
+    for each square root s, every choice of a_1, ..., a_{d//2} fills in the
+    rest from rows of the field's multiplication table, and at even d keeps
+    the f whose middle coefficient is its own image.  Distinct s give
+    distinct leads, so no f repeats.
     """
-    import numpy as np
-    half = d // 2
+    q, half = field.q, d // 2
     c_d = field.pow(c, d)
-    free = np.indices((field.q,) * half, dtype=np.uint8).reshape(
-        half, field.q ** half)
-    blocks = [np.zeros((d + 1, 0), dtype=np.uint8)]
+    # the columns a_0, ..., a_half of the choices, in sorted order
+    cols = [(1,) * q ** half,
+            *zip(*itertools.product(range(q), repeat=half))]
+    found = []
     for s in field.units:
         if field.mul(s, s) != c_d:
             continue
-        a = np.zeros((d + 1, free.shape[1]), dtype=np.uint8)
-        a[0] = 1
-        a[1:half + 1] = free
-        middle = a[half].copy()
+        tail = []
         for k in range(d - half, d + 1):    # a_k = s c^(-k) a_(d-k)
-            a[k] = field.mul_table[field.mul(s, field.pow(c, -k))][a[d - k]]
-        if d % 2 == 0:
-            a = a[:, a[half] == middle]
-        blocks.append(a)
-    rows = np.concatenate(blocks, axis=1)
-    pool = np.ascontiguousarray(rows[:, np.lexsort(rows[::-1])].T)
-    pool.flags.writeable = False
-    return pool
+            row = field.mul_list[field.mul(s, field.pow(c, -k))]
+            tail.append(list(map(row.__getitem__, cols[d - k])))
+        if d % 2:
+            found.extend(zip(*cols, *tail))
+        else:
+            found.extend(itertools.compress(zip(*cols, *tail[1:]),
+                                            map(int.__eq__, tail[0], cols[-1])))
+    return tuple(sorted(found))
 
 
 # ---------------------------------------------------------------------------

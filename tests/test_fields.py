@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from realclasses import oracle
 from realclasses.fields import (MAX_Q, Field, canonical_nonsquare,
                                 constrained_nonsquare, field_for_order,
                                 is_prime, make_field, prime_power, two_adic)
@@ -121,8 +122,9 @@ def test_field_cache():
 @pytest.mark.parametrize("q", ALL_Q)
 def test_list_views_match_tables(q):
     f = field_for_order(q)
-    for view, table in ((f.add_list, f.add_table), (f.mul_list, f.mul_table),
-                        (f.neg_list, f.neg_table)):
+    tables = oracle._tables(f)
+    for view, table in ((f.add_list, tables.add), (f.mul_list, tables.mul),
+                        (f.neg_list, tables.neg), (f.inv_list, tables.inv)):
         assert view == table.tolist()
     assert all(f.mul_list[a][f.inv_list[a]] == 1 for a in f.units)
     assert sorted(f.exp) == list(f.units)
@@ -131,10 +133,11 @@ def test_list_views_match_tables(q):
 
 
 def test_table_views_are_made_once_and_add_no_attribute():
-    # a field built afresh, so the cached fields keep their state
+    # the oracle's uint8 tables are cached beside a field, not on it: a
+    # field built afresh keeps its attributes
     f = Field(5)
     names = list(vars(f))
-    assert f.mul_table is f.mul_table
+    assert oracle._tables(f) is oracle._tables(f)
     assert list(vars(f)) == names
 
 
@@ -193,7 +196,8 @@ FIELD_DIGESTS = {
 
 def _field_digest(f):
     h = hashlib.sha256(repr(f.modulus).encode())
-    for t in (f.add_table, f.mul_table, f.neg_table):
+    tables = oracle._tables(f)
+    for t in (tables.add, tables.mul, tables.neg):
         h.update(repr((t.dtype.str, t.shape)).encode())
         h.update(t.tobytes())
     h.update(repr((f.exp, f.generator)).encode())
@@ -207,15 +211,16 @@ def test_field_digests():
 
 
 def _pow_reference(f, a, e):
-    """Square-and-multiply on the numpy multiplication table; the inverse
-    of a is found by searching its row of products, not from logarithms."""
+    """Square-and-multiply on the multiplication table; the inverse of a
+    is found by searching its row of products, not from logarithms."""
     if e < 0:
         a, e = f.mul_list[a].index(1), -e
+    mul = f.mul_list
     acc, base = 1, a
     while e:
         if e & 1:
-            acc = int(f.mul_table[acc, base])
-        base = int(f.mul_table[base, base])
+            acc = mul[acc][base]
+        base = mul[base][base]
         e >>= 1
     return acc
 
