@@ -195,6 +195,8 @@ def _pool(field, d, c):
     """
     q, half = field.q, d // 2
     c_d = field.pow(c, d)
+    if not field.is_square(c_d):    # no s: S_d(c) at odd d
+        return ()
     # the columns a_0, ..., a_half of the choices, in sorted order
     cols = [(1,) * q ** half,
             *zip(*itertools.product(range(q), repeat=half))]
